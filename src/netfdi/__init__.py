@@ -7,7 +7,8 @@ from .dynamics import (DegenerateModelError, ExogenousInput, FailureEvent,
                        JumpPrediction, NetworkSystem, SimulationTrace,
                        SubsystemModel, closed_loop, fault_replicant_check,
                        jump_oracle, markov_parameter, one_sided_derivative,
-                       q_matrix, relative_degree, simulate, theoretical_jump)
+                       q_matrix, relative_degree, simulate, simulate_edge_failures,
+                       theoretical_jump)
 from .fdi import (DetectorConfig, IsolationResult, JumpSignature, LookupTable,
                   RelationMatrix, default_order_budget, detect, detectable,
                   estimate_one_sided_derivative, isolate, lookup_table,

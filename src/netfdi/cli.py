@@ -18,15 +18,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from .dynamics import (FailureEvent, NetworkSystem, SubsystemModel, relative_degree,
-                       simulate)
+                       simulate, simulate_edge_failures)
 from .fdi import (DetectorConfig, default_order_budget, detect, isolate, lookup_table,
                   relation_matrix)
 from .graph import Digraph, gen_cycle, gen_random_geometric, gen_star
@@ -108,30 +106,16 @@ def _write_json(path: Path, payload: dict):
 
 def _derivatives_csv(path: Path, trace, sensors, z: int):
     """Plot data: per sensor, the output and its first z derivatives."""
-    d, o = trace.state_dim, trace.output_dim
-    C = trace.c_matrix
-    columns = {}
-    for p in sensors:
-        vals = np.empty((len(trace.times), z + 1, o))
-        for seg in trace.segments:
-            sl = slice(seg.start, seg.stop + 1)
-            V = trace.states[sl]
-            for k in range(z + 1):
-                vals[sl, k] = V[:, (p - 1) * d : p * d] @ C.T
-                V = V @ seg.matrix.T
-        columns[p] = vals
+    o = trace.output_dim
+    values = trace.derivatives(sensors, z)
     header = ["t"] + [f"y_{p}_{c}_d{k}"
                       for p in sensors for c in range(1, o + 1) for k in range(z + 1)]
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for n, t in enumerate(trace.times):
-            cells = [f"{t:.17g}"]
-            for p in sensors:
-                for c in range(o):
-                    for k in range(z + 1):
-                        cells.append(f"{columns[p][n, k, c]:.17g}")
-            fh.write(",".join(cells) + "\n")
+        rows = values.transpose(3, 0, 2, 1).reshape(len(trace.times), -1)
+        for t, row in zip(trace.times.tolist(), rows):
+            fh.write(",".join([f"{t:.17g}"] + [f"{v:.17g}" for v in row.tolist()]) + "\n")
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -225,10 +209,8 @@ def _resolve_x0(spec, sys_net, seed):
     return x0
 
 
-def _run_scenario(sys_net, x0, schedule, sensors, z, args):
-    cfg = DetectorConfig(z=z, mode=args.mode)
-    trace = simulate(sys_net, x0, args.t0, args.horizon, args.dt, schedule)
-    table = lookup_table(sys_net.graph, sensors, relative_degree(sys_net.model), z)
+def _detect_events(trace, sensors, cfg, table):
+    """Detect and isolate every event of one trace: (report events, all unique)."""
     events = []
     all_unique = True
     for sig in detect(trace, sensors, cfg):
@@ -240,7 +222,7 @@ def _run_scenario(sys_net, x0, schedule, sensors, z, args):
             "verdict": verdict.verdict,
             "edges": list(verdict.edges),
         })
-    return trace, events, all_unique
+    return events, all_unique
 
 
 def cmd_run(args) -> int:
@@ -256,9 +238,9 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out_dir)
 
     placement_payload = None
+    rel = relation_matrix(g, r, z)
     sensors = _parse_sensors(args.sensors, g.n_nodes)
     if sensors is None:
-        rel = relation_matrix(g, r, z)
         report = approximation_report(rel)
         placement_payload = report.to_dict()
         if report.m_i is not None:
@@ -270,31 +252,29 @@ def cmd_run(args) -> int:
 
     x0 = _resolve_x0(args.x0, sys_net, args.seed)
     schedule = _parse_fail(args.fail)
-    rel = relation_matrix(g, r, z)
     table = lookup_table(g, sensors, r, z)
+    try:
+        cfg = DetectorConfig(z=z, mode=args.mode)
+    except ValueError as exc:
+        raise ConfigError(f"mode: {exc}")
+    tables = {"R": rel.entries.tolist(), "D": table.table.tolist(), "z": z, "r": r}
 
     if args.sweep_failures == "all-edges":
         mid = args.t0 + (args.horizon - args.t0) / 2
         t_fail = schedule[0].time if schedule else mid
-        threads = int(os.environ.get("NETFDI_THREADS", "4") or "4")
-
-        def one(label):
-            try:
-                _, events, ok = _run_scenario(
-                    sys_net, x0, [FailureEvent(label, t_fail)], sensors, z, args)
-                return label, events, ok
-            except (ValueError, KeyError) as exc:
-                raise ConfigError(f"sweep: edge {label}: {exc}")
-
-        with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-            results = list(pool.map(one, g.edge_labels))
-        results.sort(key=lambda item: item[0])
-        sweep = [{"edge": label, "events": events} for label, events, _ in results]
-        all_unique = all(ok for _, _, ok in results)
+        sweep = []
+        all_unique = True
+        try:
+            for trace in simulate_edge_failures(sys_net, x0, args.t0, args.horizon,
+                                                args.dt, t_fail):
+                events, ok = _detect_events(trace, sensors, cfg, table)
+                sweep.append({"edge": trace.schedule[0].edge, "events": events})
+                all_unique &= ok
+        except (ValueError, KeyError) as exc:
+            raise ConfigError(f"sweep: {exc}")
         payload = {
             "sweep": sweep,
-            "tables": {"R": rel.entries.tolist(), "D": table.table.tolist(),
-                       "z": z, "r": r},
+            "tables": tables,
             "placement": placement_payload,
             "sensors": list(sensors),
         }
@@ -303,13 +283,13 @@ def cmd_run(args) -> int:
         return EXIT_OK if all_unique else EXIT_UNRESOLVED
 
     try:
-        trace, events, all_unique = _run_scenario(sys_net, x0, schedule, sensors, z, args)
+        trace = simulate(sys_net, x0, args.t0, args.horizon, args.dt, schedule)
+        events, all_unique = _detect_events(trace, sensors, cfg, table)
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"run: {exc}")
     payload = {
         "events": events,
-        "tables": {"R": rel.entries.tolist(), "D": table.table.tolist(),
-                   "z": z, "r": r},
+        "tables": tables,
         "placement": placement_payload,
         "sensors": list(sensors),
     }

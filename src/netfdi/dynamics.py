@@ -265,6 +265,31 @@ class SimulationTrace:
         # index at the very first (left) or last (right) sample
         return self.segments[0] if side == "left" else self.segments[-1]
 
+    def derivatives(self, sensors: Sequence[int], z: int) -> np.ndarray:
+        """Exact d^k y_p / dt^k for k = 0..z at every sample (zero input only).
+
+        Shaped (|sensors|, z + 1, o, n_samples).  On a segment with closed
+        loop A the k-th derivative of y_p is (e_p (x) C) A^k x, so the rows
+        (e_p (x) C) A^k of all sensors and orders are stacked into W and
+        applied in one product W @ states^T.  A boundary sample belongs to
+        both of its segments; the later one (right-hand derivatives) wins.
+        """
+        if not self.autonomous:
+            raise ValueError("exact derivatives need an autonomous trace (zero input)")
+        n, d, o = self.n_nodes, self.state_dim, self.output_dim
+        W = np.zeros((len(sensors), z + 1, o, n * d))
+        for si, p in enumerate(sensors):
+            if not 1 <= p <= n:
+                raise ValueError(f"sensor {p} outside 1..{n}")
+            W[si, 0, :, (p - 1) * d : p * d] = self.c_matrix
+        out = np.empty(W.shape[:3] + (len(self.times),))
+        for seg in self.segments:
+            for k in range(1, z + 1):
+                W[:, k] = W[:, k - 1] @ seg.matrix
+            sl = slice(seg.start, seg.stop + 1)
+            out[..., sl] = (W.reshape(-1, n * d) @ self.states[sl].T).reshape(W.shape[:3] + (-1,))
+        return out
+
     def to_csv(self, path: str | Path):
         """Write `t,x_1_1..x_N_d,y_1_1..y_N_o` rows with 17 significant digits."""
         n, d, o = self.n_nodes, self.state_dim, self.output_dim
@@ -285,6 +310,8 @@ def _snap_schedule(schedule: Sequence[FailureEvent], t0: float, dt: float,
     """Snap failure times to grid indices, validating the spacing rules."""
     snapped = []
     for ev in schedule:
+        if not np.isfinite(ev.time):
+            raise ValueError(f"failure time {ev.time} not alignable to the grid")
         idx = int(round((ev.time - t0) / dt))
         if abs(ev.time - (t0 + idx * dt)) > dt / 2 + 1e-12 * max(1.0, abs(ev.time)):
             raise ValueError(f"failure time {ev.time} not alignable to the grid")
@@ -309,6 +336,50 @@ def _rk4_step(A: np.ndarray, b_stack: np.ndarray, w: ExogenousInput,
     return x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+def _time_grid(t0: float, t_end: float, dt: float) -> np.ndarray:
+    """Uniform sample times t0, t0 + dt, ..., t_end (validated)."""
+    if dt <= 0:
+        raise ValueError(f"dt must be > 0, got {dt}")
+    if t_end <= t0:
+        raise ValueError(f"need t_end > t0, got [{t0}, {t_end}]")
+    n_steps = int(round((t_end - t0) / dt))
+    if n_steps < 1:
+        raise ValueError("horizon shorter than one step")
+    return t0 + dt * np.arange(n_steps + 1)
+
+
+def _initial_states(sys: NetworkSystem, x0, n_samples: int) -> np.ndarray:
+    """Uninitialized (n_samples, N d) state array with x0 in its first row."""
+    nd = sys.n_states
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    if x0.shape != (nd,):
+        raise ValueError(f"x0 must have {nd} entries, got {x0.shape}")
+    states = np.empty((n_samples, nd))
+    states[0] = x0
+    return states
+
+
+def _propagate_exact(A: np.ndarray, dt: float, states: np.ndarray, a: int, b: int):
+    """Fill states[a+1..b] from states[a] with the zero-input step expm(A dt)."""
+    phi = expm(A * dt)
+    for n in range(a, b):
+        np.matmul(phi, states[n], out=states[n + 1])
+
+
+def _trace(sys: NetworkSystem, times, states, snapped, boundaries, matrices, graphs,
+           autonomous: bool) -> SimulationTrace:
+    """Package simulated states with their outputs, schedule and segments."""
+    outputs = states @ sys.output_matrix().T
+    segments = tuple(
+        TraceSegment(boundaries[s], boundaries[s + 1], matrices[s], graphs[s])
+        for s in range(len(matrices)))
+    return SimulationTrace(times=times, states=states, outputs=outputs,
+                           schedule=tuple(ev for _, ev in snapped), segments=segments,
+                           n_nodes=sys.graph.n_nodes, state_dim=sys.model.d,
+                           output_dim=sys.model.o, c_matrix=sys.model.C.copy(),
+                           autonomous=autonomous)
+
+
 def simulate(sys: NetworkSystem, x0, t0: float, t_end: float, dt: float,
              schedule: Sequence[FailureEvent] = (),
              w: ExogenousInput | None = None) -> SimulationTrace:
@@ -328,14 +399,8 @@ def simulate(sys: NetworkSystem, x0, t0: float, t_end: float, dt: float,
     schedule : FailureEvents with distinct grid-aligned times in (t0, t_end).
     w : exogenous input; None means zero.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    if t_end <= t0:
-        raise ValueError(f"need t_end > t0, got [{t0}, {t_end}]")
-    n_steps = int(round((t_end - t0) / dt))
-    if n_steps < 1:
-        raise ValueError("horizon shorter than one step")
-    times = t0 + dt * np.arange(n_steps + 1)
+    times = _time_grid(t0, t_end, dt)
+    n_steps = len(times) - 1
 
     if w is None:
         w = ExogenousInput.zero()
@@ -348,13 +413,7 @@ def simulate(sys: NetworkSystem, x0, t0: float, t_end: float, dt: float,
         graphs.append(graphs[-1].remove_edge(ev.edge))
     matrices = [sys.closed_loop] + [closed_loop(g, sys.model) for g in graphs[1:]]
 
-    nd = sys.n_states
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape != (nd,):
-        raise ValueError(f"x0 must have {nd} entries, got {x0.shape}")
-
-    states = np.empty((n_steps + 1, nd))
-    states[0] = x0
+    states = _initial_states(sys, x0, n_steps + 1)
     refine_steps = {idx - 1 for idx, _ in snapped} | {idx for idx, _ in snapped}
     b_stack = np.kron(np.eye(sys.graph.n_nodes), sys.model.B)
 
@@ -362,9 +421,7 @@ def simulate(sys: NetworkSystem, x0, t0: float, t_end: float, dt: float,
         a, b = boundaries[seg], boundaries[seg + 1]
         A = matrices[seg]
         if w.is_zero:
-            phi = expm(A * dt)
-            for n in range(a, b):
-                states[n + 1] = phi @ states[n]
+            _propagate_exact(A, dt, states, a, b)
         else:
             for n in range(a, b):
                 sub = 10 if n in refine_steps else 1
@@ -375,15 +432,39 @@ def simulate(sys: NetworkSystem, x0, t0: float, t_end: float, dt: float,
                                   times[n] + sstep * h, x, h)
                 states[n + 1] = x
 
-    outputs = states @ np.kron(np.eye(sys.graph.n_nodes), sys.model.C).T
-    segments = tuple(
-        TraceSegment(boundaries[s], boundaries[s + 1], matrices[s], graphs[s])
-        for s in range(len(matrices)))
-    return SimulationTrace(times=times, states=states, outputs=outputs,
-                           schedule=tuple(ev for _, ev in snapped), segments=segments,
-                           n_nodes=sys.graph.n_nodes, state_dim=sys.model.d,
-                           output_dim=sys.model.o, c_matrix=sys.model.C.copy(),
-                           autonomous=w.is_zero)
+    return _trace(sys, times, states, snapped, boundaries, matrices, graphs, w.is_zero)
+
+
+def simulate_edge_failures(sys: NetworkSystem, x0, t0: float, t_end: float, dt: float,
+                           t_fail: float):
+    """One zero-input trace per edge label, that edge failing alone at t_fail.
+
+    Every scenario shares the healthy run up to the failure time, so it is
+    simulated once; each edge then only propagates its post-failure segment.
+    Yields, in edge-label order, traces equal bit for bit to
+    ``simulate(sys, x0, t0, t_end, dt, [FailureEvent(label, t_fail)])``.
+    The grid, x0 and the failure time are validated before the first trace
+    is built; traces are yielded one at a time.
+    """
+    times = _time_grid(t0, t_end, dt)
+    n_steps = len(times) - 1
+    # the edge label plays no part in snapping a time to the grid
+    [(idx, event)] = _snap_schedule([FailureEvent(0, t_fail)], t0, dt, n_steps)
+    healthy = _initial_states(sys, x0, n_steps + 1)
+    _propagate_exact(sys.closed_loop, dt, healthy, 0, idx)
+
+    def traces():
+        for label in sys.graph.edge_labels:
+            graph = sys.graph.remove_edge(label)
+            post = closed_loop(graph, sys.model)
+            states = np.empty_like(healthy)
+            states[: idx + 1] = healthy[: idx + 1]
+            _propagate_exact(post, dt, states, idx, n_steps)
+            yield _trace(sys, times, states, [(idx, FailureEvent(label, event.time))],
+                         [0, idx, n_steps], [sys.closed_loop, post], [sys.graph, graph],
+                         True)
+
+    return traces()
 
 
 def one_sided_derivative(sys_pre: NetworkSystem, sys_post: NetworkSystem,
@@ -487,13 +568,8 @@ def fault_replicant_check(sys: NetworkSystem, edge: int, x0, t_f: float,
 
     n_steps = len(faulty.times) - 1
     switch = int(round((t_f - 0.0) / dt)) if inside else n_steps
-    states = np.empty_like(faulty.states)
-    states[0] = np.asarray(x0, dtype=float).reshape(-1)
-    phi_healthy = expm(sys.closed_loop * dt)
-    for i in range(min(switch, n_steps)):
-        states[i + 1] = phi_healthy @ states[i]
+    states = _initial_states(sys, x0, n_steps + 1)
+    _propagate_exact(sys.closed_loop, dt, states, 0, min(switch, n_steps))
     if inside:
-        phi_replicant = expm((sys.closed_loop + correction) * dt)
-        for i in range(switch, n_steps):
-            states[i + 1] = phi_replicant @ states[i]
+        _propagate_exact(sys.closed_loop + correction, dt, states, switch, n_steps)
     return float(np.abs(faulty.states - states).max())

@@ -240,28 +240,13 @@ def detect(trace: SimulationTrace, sensors, cfg: DetectorConfig) -> list[JumpSig
     return _detect_finite_difference(trace, sensors, cfg)
 
 
-def _derivative_norms(trace: SimulationTrace, sensors, z: int) -> np.ndarray:
-    """Analytic per-sample norms of d^k y_p/dt^k, shaped (z, |S|, n_samples)."""
-    d = trace.state_dim
-    C = trace.c_matrix
-    out = np.zeros((z, len(sensors), len(trace.times)))
-    for seg in trace.segments:
-        sl = slice(seg.start, seg.stop + 1)
-        V = trace.states[sl]
-        At = seg.matrix.T
-        for k in range(1, z + 1):
-            V = V @ At
-            for si, p in enumerate(sensors):
-                dy = V[:, (p - 1) * d : p * d] @ C.T
-                out[k - 1, si, sl] = np.linalg.norm(dy, axis=1)
-    return out
-
-
 def _detect_analytic(trace, sensors, cfg) -> list[JumpSignature]:
     z = cfg.z
     d = trace.state_dim
     C = trace.c_matrix
-    scale = np.median(_derivative_norms(trace, sensors, z), axis=2)
+    dy = trace.derivatives(sensors, z)[:, 1:]
+    # norm over the output channels; einsum avoids a reduction per sample
+    scale = np.median(np.sqrt(np.einsum("skcn,skcn->skn", dy, dy)), axis=2)
 
     events = []
     for left_seg, right_seg in zip(trace.segments[:-1], trace.segments[1:]):
@@ -278,7 +263,7 @@ def _detect_analytic(trace, sensors, cfg) -> list[JumpSignature]:
                 if orders[si]:
                     continue
                 jump = np.linalg.norm(C @ diff[(p - 1) * d : p * d])
-                if jump > cfg.threshold_abs + cfg.threshold_rel * scale[k - 1, si]:
+                if jump > cfg.threshold_abs + cfg.threshold_rel * scale[si, k - 1]:
                     orders[si] = k
         if orders.any():
             events.append(JumpSignature(orders=orders, time=float(trace.times[b])))
@@ -382,8 +367,8 @@ def isolate(signature: JumpSignature, table: LookupTable) -> IsolationResult:
     if k.shape != (len(table.sensors),):
         raise ValueError(
             f"signature has {k.shape[0]} entries for {len(table.sensors)} sensors")
-    hits = tuple(label for idx, label in enumerate(table.edge_labels)
-                 if np.array_equal(table.table[:, idx], k))
+    matches = (table.table == k[:, None]).all(axis=0)
+    hits = tuple(table.edge_labels[idx] for idx in np.flatnonzero(matches))
     if len(hits) == 1:
         return IsolationResult("unique", hits)
     if hits:

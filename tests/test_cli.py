@@ -5,9 +5,11 @@ import sys
 import numpy as np
 import pytest
 
-from netfdi.cli import main
-from netfdi.fdi import JumpSignature, LookupTable, isolate
-from netfdi.graph import Digraph
+from netfdi.cli import _derivatives_csv, main
+from netfdi.dynamics import FailureEvent, NetworkSystem, SubsystemModel, simulate
+from netfdi.fdi import (DetectorConfig, JumpSignature, LookupTable, detect, isolate,
+                        lookup_table)
+from netfdi.graph import Digraph, Edge, gen_cycle
 
 CYCLE5_R = [[1, 2, 3, 4, 0], [0, 1, 2, 3, 4], [4, 0, 1, 2, 3],
             [3, 4, 0, 1, 2], [2, 3, 4, 0, 1]]
@@ -186,8 +188,7 @@ def test_run_config_rejects_unknown_field(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
-def test_run_sweep_all_edges(tmp_path, monkeypatch):
-    monkeypatch.setenv("NETFDI_THREADS", "2")
+def test_run_sweep_all_edges(tmp_path):
     graph, model = write_cycle_inputs(tmp_path)
     out_dir = tmp_path / "sweep"
     code = main(["run", str(graph), str(model), "--sensors", "2,3", "--z", "4",
@@ -199,6 +200,97 @@ def test_run_sweep_all_edges(tmp_path, monkeypatch):
     for entry in report["sweep"]:
         assert entry["events"][0]["verdict"] == "unique"
         assert entry["events"][0]["edges"] == [entry["edge"]]
+
+
+def _per_edge_sweep(graph, model, sensors, z, mode, x0, horizon, dt):
+    """What the sweep must report: one simulate -> detect -> isolate per edge."""
+    sys_net = NetworkSystem(graph, model)
+    table = lookup_table(graph, sensors, 1, z)
+    sweep = []
+    for label in graph.edge_labels:
+        trace = simulate(sys_net, x0, 0.0, horizon, dt, [FailureEvent(label, horizon / 2)])
+        events = []
+        for sig in detect(trace, sensors, DetectorConfig(z=z, mode=mode)):
+            verdict = isolate(sig, table)
+            events.append({"t": sig.time, "signature": [int(k) for k in sig.orders],
+                           "verdict": verdict.verdict, "edges": list(verdict.edges)})
+        sweep.append({"edge": label, "events": events})
+    return sweep
+
+
+def test_run_sweep_matches_per_edge_runs(tmp_path):
+    # node 4 has two in-links, so some verdicts are ambiguous
+    graph = Digraph(5, [Edge(1, 2), Edge(2, 3), Edge(3, 4), Edge(4, 5), Edge(5, 1),
+                        Edge(2, 4), Edge(1, 3)])
+    model = SubsystemModel([[-1.0]], [[1.0]], [[1.0]], [[0.8]])
+    graph_path, model_path = tmp_path / "graph.json", tmp_path / "model.json"
+    graph.save(graph_path)
+    model.save(model_path)
+    x0 = [1.0, -2.0, 3.0, 0.5, 2.0]
+    for mode in ("analytic", "finite-difference"):
+        out_dir = tmp_path / mode
+        code = main(["run", str(graph_path), str(model_path), "--sensors", "3,5",
+                     "--z", "3", "--dt", "0.01", "--horizon", "6", "--mode", mode,
+                     "--sweep-failures", "all-edges", "--x0", "1,-2,3,0.5,2",
+                     "--out-dir", str(out_dir)])
+        report = json.loads((out_dir / "report.json").read_text())
+        expected = _per_edge_sweep(graph, model, (3, 5), 3, mode, x0, 6.0, 0.01)
+        assert report["sweep"] == expected
+        verdicts = {ev["verdict"] for entry in expected for ev in entry["events"]}
+        assert "ambiguous" in verdicts
+        assert code == 2
+
+
+def test_run_sweep_rejects_bad_failure_time(tmp_path, capsys):
+    graph, model = write_cycle_inputs(tmp_path)
+    for spec in ("1@20", "1@nan", "1@inf"):
+        code = main(["run", str(graph), str(model), "--sensors", "2,3", "--z", "4",
+                     "--dt", "0.01", "--horizon", "10", "--sweep-failures", "all-edges",
+                     "--fail", spec, "--x0", "1,2,3,4,5",
+                     "--out-dir", str(tmp_path / "bad")])
+        assert code == 3
+        assert "sweep" in capsys.readouterr().err
+
+
+def _segment_loop_derivatives(trace, sensors, z):
+    """Reference: each segment's states times A_seg^T, k times over, per sensor."""
+    d, o = trace.state_dim, trace.output_dim
+    columns = {}
+    for p in sensors:
+        vals = np.empty((len(trace.times), z + 1, o))
+        for seg in trace.segments:
+            sl = slice(seg.start, seg.stop + 1)
+            V = trace.states[sl]
+            for k in range(z + 1):
+                vals[sl, k] = V[:, (p - 1) * d : p * d] @ trace.c_matrix.T
+                V = V @ seg.matrix.T
+        columns[p] = vals
+    return np.hstack([columns[p].transpose(0, 2, 1).reshape(len(trace.times), -1)
+                      for p in sensors])
+
+
+def test_derivatives_csv_matches_segment_loop(tmp_path):
+    two_by_two = SubsystemModel([[-1.0, 0.5], [0.0, -2.0]], [[1.0, 0.0], [0.3, 1.0]],
+                                [[1.0, 0.0], [0.2, 1.0]], [[0.4, 0.0], [0.1, 0.3]])
+    cases = [(gen_cycle(5), SubsystemModel([[-1.0]], [[1.0]], [[1.0]], [[1.0]]),
+              [1, 2, 3, 4, 5], (2, 3), 4),
+             (Digraph(3, [Edge(1, 2), Edge(2, 3), Edge(3, 1), Edge(1, 3)]), two_by_two,
+              [1.0, -1.0, 0.5, 2.0, -0.5, 1.5], (3, 1), 3)]
+    for graph, model, x0, sensors, z in cases:
+        trace = simulate(NetworkSystem(graph, model), x0, 0.0, 2.0, 0.01,
+                         [FailureEvent(2, 1.0)])
+        path = tmp_path / "derivatives.csv"
+        _derivatives_csv(path, trace, sensors, z)
+        lines = path.read_text().splitlines()
+        o = model.o
+        assert lines[0].split(",") == ["t"] + [f"y_{p}_{c}_d{k}" for p in sensors
+                                               for c in range(1, o + 1)
+                                               for k in range(z + 1)]
+        data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert np.array_equal(data[:, 0], trace.times)
+        expected = _segment_loop_derivatives(trace, sensors, z)
+        scale = np.abs(expected).max(axis=0)
+        assert np.allclose(data[:, 1:], expected, rtol=1e-12, atol=1e-15 * scale.max())
 
 
 def test_missing_graph_file_is_config_error(tmp_path, capsys):

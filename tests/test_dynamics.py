@@ -6,10 +6,11 @@ from netfdi.dynamics import (DegenerateModelError, ExogenousInput, FailureEvent,
                              NetworkSystem, SubsystemModel, closed_loop,
                              fault_replicant_check, jump_oracle, markov_parameter,
                              one_sided_derivative, q_matrix, relative_degree, simulate,
-                             theoretical_jump)
+                             simulate_edge_failures, theoretical_jump)
 from netfdi.graph import Digraph, Edge, gen_cycle, gen_star
 
-from corpusgen import damp_coupling, random_connected_digraph, random_stable_model
+from corpusgen import (chain_model, damp_coupling, random_connected_digraph,
+                       random_stable_model)
 from oracles import markov_parameter_limit, q_limit, relative_degree_slope
 
 
@@ -221,6 +222,50 @@ def test_simulate_snaps_failure_to_grid():
     assert trace.schedule[0].time == pytest.approx(0.5)
 
 
+def assert_traces_identical(got, want):
+    for field in ("times", "states", "outputs", "c_matrix"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert got.schedule == want.schedule
+    assert (got.n_nodes, got.state_dim, got.output_dim, got.autonomous) == \
+        (want.n_nodes, want.state_dim, want.output_dim, want.autonomous)
+    assert len(got.segments) == len(want.segments)
+    for seg_got, seg_want in zip(got.segments, want.segments):
+        assert (seg_got.start, seg_got.stop) == (seg_want.start, seg_want.stop)
+        assert np.array_equal(seg_got.matrix, seg_want.matrix)
+        assert list(seg_got.graph.edges()) == list(seg_want.graph.edges())
+
+
+def test_simulate_edge_failures_equal_simulate():
+    rng = np.random.default_rng(29)
+    g = random_connected_digraph(6, rng)
+    model = damp_coupling(g, chain_model(2, rng))
+    assert relative_degree(model) == 2
+    cases = [(example2_system(), np.arange(1.0, 6.0), 0.0, 4.0, 0.01, 2.004),
+             (NetworkSystem(g, model), rng.normal(size=12), 0.5, 2.5, 0.02, 1.3)]
+    for sys_net, x0, t0, t_end, dt, t_fail in cases:
+        traces = list(simulate_edge_failures(sys_net, x0, t0, t_end, dt, t_fail))
+        assert [tr.schedule[0].edge for tr in traces] == list(sys_net.graph.edge_labels)
+        for trace in traces:
+            label = trace.schedule[0].edge
+            want = simulate(sys_net, x0, t0, t_end, dt, [FailureEvent(label, t_fail)])
+            assert_traces_identical(trace, want)
+
+
+def test_simulate_edge_failures_validation():
+    sys_net = example2_system()
+    x0 = np.ones(5)
+    # grid, failure time and x0 are checked before the first trace is built
+    for bad_time in (0.0, 1.0, 2.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            simulate_edge_failures(sys_net, x0, 0.0, 1.0, 0.1, bad_time)
+    with pytest.raises(ValueError):
+        simulate_edge_failures(sys_net, x0, 0.0, 1.0, -0.1, 0.5)
+    with pytest.raises(ValueError):
+        simulate_edge_failures(sys_net, np.ones(4), 0.0, 1.0, 0.1, 0.5)
+    traces = simulate_edge_failures(sys_net, x0, 0.0, 1.0, 0.1, 0.52)
+    assert next(traces).schedule == (FailureEvent(1, 0.5),)
+
+
 def test_simulate_polynomial_input_matches_closed_form():
     # single leaky integrator driven by constant c: x(t) = c + (x0 - c) e^-t
     sys_net = NetworkSystem(Digraph(1), scalar_model())
@@ -276,6 +321,43 @@ def failed_pair(label=2):
 def x_at_failure(t_f=5.0):
     sys_pre = example2_system()
     return expm(sys_pre.closed_loop * t_f) @ np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+
+
+def test_trace_derivatives_match_one_sided_derivatives():
+    rng = np.random.default_rng(41)
+    for _ in range(3):
+        g = random_connected_digraph(4, rng)
+        model = damp_coupling(g, random_stable_model(rng))
+        sys_net = NetworkSystem(g, model)
+        label = g.edge_labels[0]
+        trace = simulate(sys_net, rng.normal(size=sys_net.n_states), 0.0, 1.0, 0.05,
+                         [FailureEvent(label, 0.5)])
+        post = sys_net.remove_edge(label)
+        sensors, z = (4, 1, 3), 4
+        dy = trace.derivatives(sensors, z)
+        assert dy.shape == (len(sensors), z + 1, model.o, len(trace.times))
+        for si, p in enumerate(sensors):
+            assert np.allclose(dy[si, 0], trace.output_of(p).T, rtol=1e-12, atol=1e-14)
+        # the healthy loop governs before the failure, the failed one from
+        # the boundary sample on
+        boundary = trace.segments[0].stop
+        for idx, side in ((3, "left"), (boundary, "right"), (15, "right")):
+            for si, p in enumerate(sensors):
+                for k in range(z + 1):
+                    want = one_sided_derivative(sys_net, post, trace.states[idx], p, k, side)
+                    assert np.allclose(dy[si, k, :, idx], want, rtol=1e-12,
+                                       atol=1e-14 * max(1.0, np.abs(want).max()))
+
+
+def test_trace_derivatives_validation():
+    sys_net = example2_system()
+    trace = simulate(sys_net, np.ones(5), 0.0, 1.0, 0.1)
+    with pytest.raises(ValueError):
+        trace.derivatives((6,), 2)
+    driven = simulate(NetworkSystem(Digraph(1), scalar_model()), [1.0], 0.0, 1.0, 0.1,
+                      w=ExogenousInput.polynomial(np.array([[[0.5]]])))
+    with pytest.raises(ValueError):
+        driven.derivatives((1,), 2)
 
 
 def test_one_sided_derivative_order_zero_continuous():

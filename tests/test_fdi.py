@@ -5,8 +5,8 @@ import pytest
 
 from netfdi.dynamics import (FailureEvent, NetworkSystem, SubsystemModel, jump_oracle,
                              simulate)
-from netfdi.fdi import (DetectorConfig, JumpSignature, default_order_budget, detect,
-                        detectable, estimate_one_sided_derivative, isolate,
+from netfdi.fdi import (DetectorConfig, JumpSignature, LookupTable, default_order_budget,
+                        detect, detectable, estimate_one_sided_derivative, isolate,
                         lookup_table, relation_matrix)
 from netfdi.graph import Digraph, Edge, gen_cycle, gen_star
 
@@ -373,6 +373,32 @@ def test_isolate_nomatch():
 def test_isolate_signature_dimension_check():
     with pytest.raises(ValueError):
         isolate(JumpSignature(np.array([1, 2, 3]), 5.0), cycle_table())
+
+
+def test_isolate_matches_column_scan():
+    """Vectorised matching agrees with a brute-force scan of the columns."""
+    rng = np.random.default_rng(53)
+    verdicts = set()
+    for _ in range(200):
+        n_sensors = int(rng.integers(1, 5))
+        n_edges = int(rng.integers(1, 12))
+        table = rng.integers(0, 4, size=(n_sensors, n_edges))
+        twins = rng.integers(0, n_edges, size=int(rng.integers(0, 4)))
+        table[:, rng.integers(0, n_edges, size=twins.size)] = table[:, twins]
+        labels = tuple(int(v) for v in rng.permutation(np.arange(1, 40))[:n_edges])
+        lookup = LookupTable(table=table, sensors=tuple(range(1, n_sensors + 1)),
+                             edge_labels=labels, r=1, z=3)
+        column = table[:, rng.integers(0, n_edges)]
+        for signature in (column, np.full(n_sensors, 7), rng.integers(0, 4, n_sensors)):
+            expected = tuple(label for idx, label in enumerate(labels)
+                             if np.array_equal(table[:, idx], signature))
+            result = isolate(JumpSignature(signature, 1.0), lookup)
+            assert result.edges == expected
+            assert all(type(label) is int for label in result.edges)
+            assert result.verdict == ("unique" if len(expected) == 1 else
+                                      "ambiguous" if expected else "nomatch")
+            verdicts.add(result.verdict)
+    assert verdicts == {"unique", "ambiguous", "nomatch"}
 
 
 def test_every_cycle_edge_isolated_uniquely():
