@@ -45,7 +45,7 @@ class SubsystemModel:
     Construction fails if the model has no well-defined relative degree.
     """
 
-    __slots__ = ("A", "B", "C", "Gamma", "_r")
+    __slots__ = ("A", "B", "C", "Gamma", "_r", "_mr_gamma")
 
     def __init__(self, A, B, C, Gamma):
         self.A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -65,6 +65,7 @@ class SubsystemModel:
                 f"got {self.Gamma.shape}")
         self._r = None
         self._r = relative_degree(self)
+        self._mr_gamma = markov_parameter(self, self._r) @ self.Gamma
 
     @property
     def d(self) -> int:
@@ -124,14 +125,17 @@ def q_matrix(model: SubsystemModel, dist: int) -> np.ndarray:
     """
     if dist < 0:
         raise ValueError(f"dist must be >= 0, got {dist}")
-    m_r = markov_parameter(model, relative_degree(model))
-    return np.linalg.matrix_power(m_r @ model.Gamma, dist + 1)
+    return np.linalg.matrix_power(model._mr_gamma, dist + 1)
 
 
 def closed_loop(g: Digraph, model: SubsystemModel) -> np.ndarray:
     """Stacked closed-loop matrix I_N (x) A + G (x) B Gamma C."""
+    n, d = g.n_nodes, model.d
     coupling = model.B @ model.Gamma @ model.C
-    return np.kron(np.eye(g.n_nodes), model.A) + np.kron(g.adjacency(), coupling)
+    # block (i, j) is I[i, j] A + G[i, j] B Gamma C, entry for entry the Kronecker form
+    blocks = (np.eye(n)[:, None, :, None] * model.A[:, None, :]
+              + g.adjacency()[:, None, :, None] * coupling[:, None, :])
+    return blocks.reshape(n * d, n * d)
 
 
 class NetworkSystem:

@@ -77,6 +77,20 @@ class LookupTable:
             raise KeyError(f"unknown edge label {label}") from None
 
 
+def _head_orders(g: Digraph, r: int, z: int) -> np.ndarray:
+    """N x N first-jump orders keyed by failed-edge head: [i-1, p-1] = r*(hops+1).
+
+    A row of R depends on its edge's head only, so R = H[heads].  Entries
+    are 0 where p is unreachable from i (hops -1 gives r*0) or the order
+    exceeds z.
+    """
+    if r < 1:
+        raise ValueError(f"relative degree must be >= 1, got {r}")
+    orders = r * (distances(g)._hops + 1)
+    orders[orders > z] = 0
+    return orders
+
+
 def relation_matrix(g: Digraph, r: int, z: int | None = None) -> RelationMatrix:
     """Build R from graph distances; weights never enter.
 
@@ -84,20 +98,12 @@ def relation_matrix(g: Digraph, r: int, z: int | None = None) -> RelationMatrix:
     r*(finite_diameter+1); pass a smaller budget to model a sensor that
     only exposes few derivatives.
     """
-    if r < 1:
-        raise ValueError(f"relative degree must be >= 1, got {r}")
     if z is None:
         z = default_order_budget(g, r)
     if z < r:
         raise ValueError(f"order budget z={z} below relative degree r={r}")
-    dmat = distances(g)
-    entries = np.zeros((g.n_edges, g.n_nodes), dtype=np.int64)
-    for row, (label, e) in enumerate(g.edges()):
-        for p in range(1, g.n_nodes + 1):
-            if dmat.is_finite(e.head, p):
-                k = r * (dmat[e.head, p] + 1)
-                if k <= z:
-                    entries[row, p - 1] = k
+    heads = [e.head - 1 for _, e in g.edges()]
+    entries = _head_orders(g, r, z)[heads]
     return RelationMatrix(entries=entries, edge_labels=g.edge_labels, r=r, z=z)
 
 
@@ -130,9 +136,7 @@ def detectable(g: Digraph, sensors, r: int, z: int, edge: int) -> bool:
     """
     sensors = _validated_sensors(sensors, g.n_nodes)
     head = g.edge(edge).head
-    dmat = distances(g)
-    return any(dmat.is_finite(head, p) and r * (dmat[head, p] + 1) <= z
-               for p in sensors)
+    return bool(_head_orders(g, r, z)[head - 1, [p - 1 for p in sensors]].any())
 
 
 @dataclass

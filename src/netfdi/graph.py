@@ -259,7 +259,6 @@ def walk_matrix(g: Digraph, k: int) -> np.ndarray:
         raise ValueError(f"walk length must be >= 0, got {k}")
     powers = g._memo.get("walk_powers")
     if powers is None or len(powers) <= k:
-        # rebuild locally and rebind atomically: safe under concurrent reads
         base = g.adjacency()
         powers = [np.eye(g.n_nodes)]
         while len(powers) <= k:

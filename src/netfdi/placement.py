@@ -31,25 +31,15 @@ from itertools import combinations
 
 import numpy as np
 
-from .fdi import RelationMatrix
+from .fdi import RelationMatrix, _validated_sensors
 
 #: exhaustive search refuses beyond this many nodes rather than running forever
 MAX_EXACT_NODES = 20
 
 
-def _members(R: RelationMatrix, sensors) -> tuple[int, ...]:
-    out = tuple(int(p) for p in sensors)
-    if len(set(out)) != len(out):
-        raise ValueError(f"duplicate sensors in {out}")
-    for p in out:
-        if not 1 <= p <= R.n_nodes:
-            raise ValueError(f"sensor {p} outside 1..{R.n_nodes}")
-    return out
-
-
 def coverage_deficit(R: RelationMatrix, sensors) -> int:
     """f_D: how many edges no chosen sensor would ever notice failing."""
-    members = _members(R, sensors)
+    members = _validated_sensors(sensors, R.n_nodes)
     if R.n_edges == 0:
         return 0
     if not members:
@@ -60,7 +50,7 @@ def coverage_deficit(R: RelationMatrix, sensors) -> int:
 
 def indicator_set(R: RelationMatrix, sensors, edge: int) -> frozenset:
     """All (jump order, sensor) pairs the failure of `edge` produces over M."""
-    members = _members(R, sensors)
+    members = _validated_sensors(sensors, R.n_nodes)
     row = R.row_index(edge)
     return frozenset((int(R.entries[row, p - 1]), p) for p in members)
 
@@ -73,7 +63,7 @@ def _row_keys(R: RelationMatrix, members: tuple[int, ...]) -> list[bytes]:
 
 def unidentified_edges(R: RelationMatrix, sensors) -> set[int]:
     """Edges whose indicator set collides with some other edge's."""
-    members = _members(R, sensors)
+    members = _validated_sensors(sensors, R.n_nodes)
     if R.n_edges <= 1:
         return set()
     if not members:
@@ -94,9 +84,24 @@ def unresolved_pairs(R: RelationMatrix, sensors) -> int:
     Sum of C(c, 2) over the classes of equal rows of R restricted to M, so
     P({}) = C(|E|, 2), and P = 0 exactly when f_I = 0.
     """
-    members = _members(R, sensors)
+    members = _validated_sensors(sensors, R.n_nodes)
     counts = Counter(_row_keys(R, members))
     return sum(c * (c - 1) // 2 for c in counts.values())
+
+
+def _greedy(R: RelationMatrix, deficit, picks) -> tuple[int, ...]:
+    """Grow `picks` until `deficit` reaches 0, one lowest-deficit node a round.
+
+    Ties go to the lowest node id.  The caller guarantees that the full
+    vertex set has deficit 0, so the loop always ends.
+    """
+    picks = list(picks)
+    value = deficit(R, picks)
+    while value != 0:
+        value, best = min((deficit(R, picks + [q]), q)
+                          for q in range(1, R.n_nodes + 1) if q not in picks)
+        picks.append(best)
+    return tuple(picks)
 
 
 def greedy_detection(R: RelationMatrix) -> tuple[int, ...]:
@@ -106,19 +111,7 @@ def greedy_detection(R: RelationMatrix) -> tuple[int, ...]:
     breaking ties toward the lowest node index.  Termination is guaranteed
     because every edge's head node relates to it at order r <= z.
     """
-    picks: list[int] = []
-    deficit = coverage_deficit(R, picks)
-    while deficit != 0:
-        best, best_val = None, None
-        for q in range(1, R.n_nodes + 1):
-            if q in picks:
-                continue
-            val = coverage_deficit(R, picks + [q])
-            if best_val is None or val < best_val:
-                best, best_val = q, val
-        picks.append(best)
-        deficit = best_val
-    return tuple(picks)
+    return _greedy(R, coverage_deficit, [])
 
 
 def greedy_isolation(R: RelationMatrix, m_d) -> tuple[int, ...] | None:
@@ -126,42 +119,19 @@ def greedy_isolation(R: RelationMatrix, m_d) -> tuple[int, ...] | None:
 
     Seeding with M_D keeps the result detection-feasible: an edge can be
     resolved purely through order-0 relations, which would leave it
-    undetectable without the seed.  Returns None exactly when even the full
-    vertex set cannot resolve all edges (f_I(V) != 0).
+    undetectable without the seed.  Feasibility is decided first, from
+    f_I(V): None is returned at once when even the full vertex set cannot
+    resolve all edges, and otherwise the greedy is sure to reach f_I = 0.
     """
-    picks = list(_members(R, m_d))
-    deficit = resolution_deficit(R, picks)
-    while deficit != 0 and len(picks) < R.n_nodes:
-        best, best_val = None, None
-        for q in range(1, R.n_nodes + 1):
-            if q in picks:
-                continue
-            val = resolution_deficit(R, picks + [q])
-            if best_val is None or val < best_val:
-                best, best_val = q, val
-        picks.append(best)
-        deficit = best_val
-    if deficit != 0:
+    m_d = _validated_sensors(m_d, R.n_nodes)
+    if resolution_deficit(R, range(1, R.n_nodes + 1)) != 0:
         return None
-    return tuple(picks)
+    return _greedy(R, resolution_deficit, m_d)
 
 
 def binary_incidence(R: RelationMatrix) -> np.ndarray:
     """Binary pattern of R; row q marks the nodes that notice edge q failing."""
     return (R.entries != 0).astype(np.int64)
-
-
-def _coverage_masks(R: RelationMatrix) -> list[int]:
-    """Per node, a bitmask over edge rows it covers (for exhaustive search)."""
-    pattern = binary_incidence(R)
-    masks = []
-    for p in range(R.n_nodes):
-        mask = 0
-        for row in range(R.n_edges):
-            if pattern[row, p]:
-                mask |= 1 << row
-        masks.append(mask)
-    return masks
 
 
 def _guard_exact(R: RelationMatrix):
@@ -171,6 +141,21 @@ def _guard_exact(R: RelationMatrix):
             f"{MAX_EXACT_NODES}-node limit")
 
 
+def _detection_sets(R: RelationMatrix):
+    """Every sensor set with f_D = 0, in (size, lexicographic) order."""
+    # per node, an int bitmask over the edge rows it covers
+    packed = np.packbits(binary_incidence(R).T, axis=1, bitorder="little")
+    masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    full = (1 << R.n_edges) - 1
+    for size in range(R.n_nodes + 1):
+        for combo in combinations(range(1, R.n_nodes + 1), size):
+            acc = 0
+            for q in combo:
+                acc |= masks[q - 1]
+            if acc == full:
+                yield combo
+
+
 def brute_force_min_detection(R: RelationMatrix) -> tuple[int, ...]:
     """Smallest sensor set with f_D = 0, by cardinality-ordered enumeration.
 
@@ -178,18 +163,10 @@ def brute_force_min_detection(R: RelationMatrix) -> tuple[int, ...]:
     returned.  Refuses graphs beyond MAX_EXACT_NODES nodes.
     """
     _guard_exact(R)
-    if R.n_edges == 0:
-        return ()
-    masks = _coverage_masks(R)
-    full = (1 << R.n_edges) - 1
-    for size in range(1, R.n_nodes + 1):
-        for combo in combinations(range(1, R.n_nodes + 1), size):
-            acc = 0
-            for q in combo:
-                acc |= masks[q - 1]
-            if acc == full:
-                return combo
-    raise ValueError("no detection set exists (some edge has an all-zero row)")
+    best = next(_detection_sets(R), None)
+    if best is None:
+        raise ValueError("no detection set exists (some edge has an all-zero row)")
+    return best
 
 
 def brute_force_min_isolation(R: RelationMatrix) -> tuple[int, ...] | None:
@@ -199,23 +176,10 @@ def brute_force_min_isolation(R: RelationMatrix) -> tuple[int, ...] | None:
     seeded greedy.  Isolation is feasible at all iff f_I(V) = 0.
     """
     _guard_exact(R)
-    if R.n_edges == 0:
-        return ()
-    every = tuple(range(1, R.n_nodes + 1))
-    if resolution_deficit(R, every) != 0:
+    if resolution_deficit(R, range(1, R.n_nodes + 1)) != 0:
         return None
-    masks = _coverage_masks(R)
-    full = (1 << R.n_edges) - 1
-    for size in range(1, R.n_nodes + 1):
-        for combo in combinations(every, size):
-            acc = 0
-            for q in combo:
-                acc |= masks[q - 1]
-            if acc != full:
-                continue
-            if resolution_deficit(R, combo) == 0:
-                return combo
-    return None
+    return next(combo for combo in _detection_sets(R)
+                if resolution_deficit(R, combo) == 0)
 
 
 def harmonic(d: int) -> float:

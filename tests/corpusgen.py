@@ -111,6 +111,19 @@ def random_connected_digraph(n: int, rng: np.random.Generator, edge_prob: float 
     return Digraph(n, edges)
 
 
+def random_single_parent_digraph(n: int, rng: np.random.Generator) -> Digraph:
+    """Random out-tree on shuffled labels, its root fed by one more edge half the time.
+
+    Every node has at most one incoming edge, so no two edges share a head
+    and isolating every single failure is feasible.
+    """
+    label = rng.permutation(n) + 1
+    edges = [Edge(int(label[rng.integers(0, i)]), int(label[i])) for i in range(1, n)]
+    if n > 1 and rng.random() < 0.5:
+        edges.append(Edge(int(label[rng.integers(1, n)]), int(label[0])))
+    return Digraph(n, edges)
+
+
 # -- subsystem draws -------------------------------------------------------------
 
 

@@ -2,11 +2,14 @@
 
 Everything here deliberately avoids the library's own code paths: distances
 come from Floyd-Warshall instead of BFS, walk counts from explicit DFS
-enumeration instead of matrix powers, and frequency-domain quantities from
-numeric large-s limits instead of Markov-parameter algebra.
+enumeration instead of matrix powers, frequency-domain quantities from
+numeric large-s limits instead of Markov-parameter algebra, and sensor
+placement from plain loops over the entries of R.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -117,3 +120,51 @@ def q_limit(model, dist: int, r: int) -> np.ndarray:
                 weight *= (0.0 - xs[j]) / (xs[i] - xs[j])
         total = total + weight * f(s_i)
     return total
+
+
+# -- sensor placement: the plain loops, on R's entries alone ----------------------
+
+
+def uncovered_edges(entries: np.ndarray, sensors) -> int:
+    """f_D: rows of R that are 0 at every chosen sensor."""
+    return sum(1 for row in entries if not any(row[p - 1] for p in sensors))
+
+
+def unresolved_edges(entries: np.ndarray, sensors) -> int:
+    """f_I: rows of R whose entries at the chosen sensors equal another row's."""
+    keys = [tuple(int(row[p - 1]) for p in sensors) for row in entries]
+    return sum(1 for key in keys if keys.count(key) > 1)
+
+
+def greedy_reference(entries: np.ndarray, deficit, picks=()) -> tuple[int, ...] | None:
+    """Add the lowest-deficit node (lowest id on ties) until the deficit is 0.
+
+    Runs round after round over every remaining node and gives None when
+    the full vertex set still leaves a nonzero deficit.
+    """
+    n = entries.shape[1]
+    picks = list(picks)
+    value = deficit(entries, picks)
+    while value != 0 and len(picks) < n:
+        best, best_value = None, None
+        for q in range(1, n + 1):
+            if q in picks:
+                continue
+            candidate = deficit(entries, picks + [q])
+            if best_value is None or candidate < best_value:
+                best, best_value = q, candidate
+        picks.append(best)
+        value = best_value
+    return tuple(picks) if value == 0 else None
+
+
+def exhaustive_reference(entries: np.ndarray, isolation: bool) -> tuple[int, ...] | None:
+    """First set in (size, lexicographic) order with f_D = 0, and f_I = 0 if asked."""
+    n = entries.shape[1]
+    for size in range(n + 1):
+        for combo in itertools.combinations(range(1, n + 1), size):
+            if uncovered_edges(entries, combo) != 0:
+                continue
+            if not isolation or unresolved_edges(entries, combo) == 0:
+                return combo
+    return None

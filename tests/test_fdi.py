@@ -1,3 +1,4 @@
+from collections import Counter
 from math import factorial
 
 import numpy as np
@@ -8,9 +9,11 @@ from netfdi.dynamics import (FailureEvent, NetworkSystem, SubsystemModel, jump_o
 from netfdi.fdi import (DetectorConfig, JumpSignature, LookupTable, default_order_budget,
                         detect, detectable, estimate_one_sided_derivative, isolate,
                         lookup_table, relation_matrix)
-from netfdi.graph import Digraph, Edge, gen_cycle, gen_star
+from netfdi.graph import Digraph, Edge, gen_cycle, gen_random_geometric, gen_star
+from netfdi.placement import resolution_deficit
 
 from corpusgen import random_connected_digraph
+from oracles import floyd_warshall_hops
 
 CYCLE5_R = np.array([
     [1, 2, 3, 4, 0],
@@ -82,6 +85,38 @@ def test_relation_matrix_ignores_weights():
     for r, z in ((1, 4), (2, 8)):
         assert np.array_equal(relation_matrix(g, r, z).entries,
                               relation_matrix(unweighted, r, z).entries)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_relation_matrix_is_keyed_by_head(r):
+    rng = np.random.default_rng(50 + r)
+    graphs = [random_connected_digraph(int(rng.integers(2, 9)), rng) for _ in range(25)]
+    for g in graphs:
+        hops = floyd_warshall_hops(g.adjacency())
+        heads = [e.head for _, e in g.edges()]
+        default = default_order_budget(g, r)
+        for z in (default - 1, default, default + 1):
+            rel = relation_matrix(g, r, z)
+            orders = r * (hops[np.array(heads) - 1] + 1)
+            expected = np.where(orders <= z, orders, 0)
+            assert np.array_equal(rel.entries, expected)
+            for a in range(g.n_edges):
+                for b in range(g.n_edges):
+                    if heads[a] == heads[b]:
+                        assert np.array_equal(rel.entries[a], rel.entries[b])
+        # rows differ exactly when heads differ, so only shared heads stay unresolved
+        in_degree = Counter(heads)
+        shared = sum(1 for head in heads if in_degree[head] >= 2)
+        every = range(1, g.n_nodes + 1)
+        assert resolution_deficit(relation_matrix(g, r), every) == shared
+
+
+def test_resolution_deficit_of_all_nodes_counts_shared_heads_rgg50():
+    g = gen_random_geometric(50, 1.0, 0.25, 20240517)
+    in_degree = Counter(e.head for _, e in g.edges())
+    shared = sum(c for c in in_degree.values() if c >= 2)
+    assert shared == 188
+    assert resolution_deficit(relation_matrix(g, r=1), range(1, 51)) == shared
 
 
 def test_lookup_table_cycle_golden():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from netfdi.fdi import relation_matrix
+import netfdi.placement as placement
+from netfdi.fdi import default_order_budget, relation_matrix
 from netfdi.graph import Digraph, Edge, gen_cycle, gen_star
 from netfdi.placement import (MAX_EXACT_NODES, approximation_report, binary_incidence,
                               brute_force_min_detection, brute_force_min_isolation,
@@ -9,7 +10,10 @@ from netfdi.placement import (MAX_EXACT_NODES, approximation_report, binary_inci
                               harmonic, indicator_set, resolution_deficit,
                               unidentified_edges, unresolved_pairs)
 
-from corpusgen import connected_digraphs_up_to, random_connected_digraph
+from corpusgen import (connected_digraphs_up_to, random_connected_digraph,
+                       random_single_parent_digraph)
+from oracles import (exhaustive_reference, greedy_reference, uncovered_edges,
+                     unresolved_edges)
 
 
 def cycle_rel():
@@ -119,6 +123,41 @@ def test_greedy_outputs_satisfy_both_deficits():
             assert coverage_deficit(rel, m_i) == 0
         else:
             assert resolution_deficit(rel, tuple(range(1, n + 1))) != 0
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_placement_matches_reference_loops(r):
+    rng = np.random.default_rng(40 + r)
+    graphs = []
+    for _ in range(20):
+        graphs.append(random_connected_digraph(int(rng.integers(2, 9)), rng))
+        graphs.append(random_single_parent_digraph(int(rng.integers(2, 11)), rng))
+    for g in graphs:
+        z = int(rng.integers(r, default_order_budget(g, r) + 1))
+        rel = relation_matrix(g, r=r, z=z)
+        m_d = greedy_detection(rel)
+        assert m_d == greedy_reference(rel.entries, uncovered_edges)
+        # a detection set already isolates whenever isolation is feasible, so
+        # seeds that are not detection sets are what make the isolation rounds run
+        partial = tuple(int(q) for q in np.flatnonzero(rng.random(g.n_nodes) < 0.3) + 1)
+        for seed in (m_d, (), partial):
+            assert greedy_isolation(rel, seed) == greedy_reference(rel.entries,
+                                                                   unresolved_edges, seed)
+        assert brute_force_min_detection(rel) == exhaustive_reference(rel.entries, False)
+        assert brute_force_min_isolation(rel) == exhaustive_reference(rel.entries, True)
+
+
+def test_greedy_isolation_decides_infeasibility_from_full_set(monkeypatch):
+    calls = []
+    counted = placement.resolution_deficit
+
+    def counting(R, sensors):
+        calls.append(tuple(sensors))
+        return counted(R, sensors)
+
+    monkeypatch.setattr(placement, "resolution_deficit", counting)
+    assert greedy_isolation(star_rel(), (5,)) is None
+    assert calls == [(1, 2, 3, 4, 5)]
 
 
 # -- exhaustive optima ------------------------------------------------------------------
