@@ -70,9 +70,11 @@ def _parse_sensors(spec, n_nodes: int) -> tuple[int, ...] | None:
         raise ConfigError(f"sensors: expected comma-separated integers, got {spec!r}")
     if not sensors:
         raise ConfigError("sensors: empty list")
-    for p in sensors:
+    for i, p in enumerate(sensors):
         if not 1 <= p <= n_nodes:
             raise ConfigError(f"sensors: node {p} outside 1..{n_nodes}")
+        if p in sensors[:i]:
+            raise ConfigError(f"sensors: duplicate node {p}")
     return sensors
 
 

@@ -18,7 +18,8 @@ orders, so C(|E|, 2) - P is a coverage function over edge pairs) and has the
 same zero set as f_I, so a greedy on P would carry the set-cover guarantee
 for isolation.  greedy_isolation runs on f_I, so its harmonic factor is an
 empirical ratio, not a guarantee.  Exhaustive solvers provide
-the optima at desk scale for checking both.
+the optima at desk scale for checking both; their depth-first search drops
+every prefix that cannot complete a cover.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -142,18 +142,34 @@ def _guard_exact(R: RelationMatrix):
 
 
 def _detection_sets(R: RelationMatrix):
-    """Every sensor set with f_D = 0, in (size, lexicographic) order."""
+    """Every sensor set with f_D = 0, in (size, lexicographic) order.
+
+    Each size is walked depth first.  A prefix ending at node q is dropped,
+    with every later sibling, when its cover joined with the masks of nodes
+    q+1..N still misses an edge: that union only shrinks as q grows.
+    """
     # per node, an int bitmask over the edge rows it covers
     packed = np.packbits(binary_incidence(R).T, axis=1, bitorder="little")
     masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
     full = (1 << R.n_edges) - 1
-    for size in range(R.n_nodes + 1):
-        for combo in combinations(range(1, R.n_nodes + 1), size):
-            acc = 0
-            for q in combo:
-                acc |= masks[q - 1]
+    n = R.n_nodes
+    rest = [0] * (n + 1)    # rest[q]: OR of the masks of nodes q+1..N
+    for q in range(n - 1, -1, -1):
+        rest[q] = rest[q + 1] | masks[q]
+
+    def extend(prefix, acc, start, left):
+        if not left:
             if acc == full:
-                yield combo
+                yield prefix
+            return
+        for q in range(start, n - left + 2):
+            cover = acc | masks[q - 1]
+            if cover | rest[q] != full:
+                return
+            yield from extend(prefix + (q,), cover, q + 1, left - 1)
+
+    for size in range(n + 1):
+        yield from extend((), 0, 1, size)
 
 
 def brute_force_min_detection(R: RelationMatrix) -> tuple[int, ...]:
@@ -173,13 +189,19 @@ def brute_force_min_isolation(R: RelationMatrix) -> tuple[int, ...] | None:
     """Smallest sensor set with f_I = 0 and f_D = 0; None when impossible.
 
     The detection side-constraint keeps these optima comparable with the
-    seeded greedy.  Isolation is feasible at all iff f_I(V) = 0.
+    seeded greedy.  Isolation is feasible at all iff f_I(V) = 0, and then
+    the detection optimum is the isolation optimum.  R = H[heads], so edges
+    with one head share a row, and f_I(V) = 0 means every node has in-degree
+    <= 1.  Each node then has one backward chain, and the only node at hop
+    distance delta from p is the one delta steps back on p's chain.  In a
+    cover M, edge e is seen by some p in M at order r(delta + 1); an edge
+    with the same entry at p has the same head, so it is e.  Every cover
+    isolates.
     """
     _guard_exact(R)
     if resolution_deficit(R, range(1, R.n_nodes + 1)) != 0:
         return None
-    return next(combo for combo in _detection_sets(R)
-                if resolution_deficit(R, combo) == 0)
+    return brute_force_min_detection(R)
 
 
 def harmonic(d: int) -> float:

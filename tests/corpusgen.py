@@ -124,6 +124,22 @@ def random_single_parent_digraph(n: int, rng: np.random.Generator) -> Digraph:
     return Digraph(n, edges)
 
 
+def random_out_tree_leaves_first(n: int, rng: np.random.Generator) -> tuple[Digraph, int]:
+    """Random recursive out-tree on n >= 2 nodes with its L leaves numbered 1..L.
+
+    Returns the graph and L.  A leaf's incoming edge is seen by that leaf
+    alone, so the leaves are the smallest sensor set with f_D = 0, and a
+    size-ordered search has to pass every smaller set to find it.
+    """
+    parents = [int(rng.integers(0, i)) for i in range(1, n)]
+    inner = set(parents)
+    leaves = [v for v in range(n) if v not in inner]
+    order = leaves + sorted(inner)
+    label = {v: k + 1 for k, v in enumerate(order)}
+    edges = [Edge(label[parent], label[child]) for child, parent in enumerate(parents, start=1)]
+    return Digraph(n, edges), len(leaves)
+
+
 # -- subsystem draws -------------------------------------------------------------
 
 

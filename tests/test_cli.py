@@ -62,6 +62,20 @@ def test_analyze_bad_sensor_field(tmp_path, capsys):
     assert "sensors" in capsys.readouterr().err
 
 
+def test_duplicate_sensors_are_config_errors(tmp_path, capsys):
+    graph, model = write_cycle_inputs(tmp_path)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"graph": str(graph), "model": str(model),
+                               "sensors": [3, 3], "z": 4}))
+    for argv, node in (
+            (["run", str(graph), str(model), "--sensors", "1,1", "--z", "4",
+              "--out-dir", str(tmp_path / "run")], 1),
+            (["run", "--config", str(cfg), "--out-dir", str(tmp_path / "cfg")], 3),
+            (["analyze", str(graph), "--sensors", "2,2", "--out", str(tmp_path / "t.json")], 2)):
+        assert main(argv) == 3
+        assert f"sensors: duplicate node {node}" in capsys.readouterr().err
+
+
 def test_place_star_reports_impossibility(tmp_path, capsys):
     star = tmp_path / "star.json"
     main(["gen", "star", "--n", "5", "-o", str(star)])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from netfdi.placement import (MAX_EXACT_NODES, approximation_report, binary_inci
                               unidentified_edges, unresolved_pairs)
 
 from corpusgen import (connected_digraphs_up_to, random_connected_digraph,
-                       random_single_parent_digraph)
+                       random_out_tree_leaves_first, random_single_parent_digraph)
 from oracles import (exhaustive_reference, greedy_reference, uncovered_edges,
                      unresolved_edges)
 
@@ -176,6 +178,64 @@ def test_brute_force_golden():
 def test_brute_force_lexicographically_smallest():
     # cycle optima of size 2 start at (1, 2) in lexicographic order
     assert brute_force_min_detection(cycle_rel()) == (1, 2)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_detection_sets_keep_size_then_lexicographic_order(r):
+    # the pruned walk must yield exactly the covers a plain scan yields, in its order
+    rng = np.random.default_rng(60 + r)
+    for _ in range(30):
+        g = random_connected_digraph(int(rng.integers(2, 9)), rng,
+                                     edge_prob=float(rng.uniform(0.15, 0.5)))
+        budget = default_order_budget(g, r)
+        for z in sorted({max(r, budget - 1), budget}):
+            rel = relation_matrix(g, r=r, z=z)
+            nodes = range(1, g.n_nodes + 1)
+            scan = (combo for size in range(g.n_nodes + 1)
+                    for combo in itertools.combinations(nodes, size)
+                    if uncovered_edges(rel.entries, combo) == 0)
+            k = 40
+            assert (list(itertools.islice(placement._detection_sets(rel), k))
+                    == list(itertools.islice(scan, k)))
+
+
+def test_brute_force_finds_leaves_of_out_trees_numbered_first():
+    # every leaf must be a sensor, so a size-ordered scan passes all smaller sets
+    rng = np.random.default_rng(62)
+    for n in list(range(2, MAX_EXACT_NODES + 1)) + [MAX_EXACT_NODES] * 5:
+        g, leaves = random_out_tree_leaves_first(n, rng)
+        rel = relation_matrix(g, r=int(rng.integers(1, 3)))
+        expected = tuple(range(1, leaves + 1))
+        assert brute_force_min_detection(rel) == expected
+        assert brute_force_min_isolation(rel) == expected
+
+
+def test_detection_sets_isolate_on_single_parent_graphs():
+    # the premise of taking the isolation optimum from the detection optimum,
+    # checked on every subset with the plain loops alone
+    rng = np.random.default_rng(63)
+    for _ in range(200):
+        g = random_single_parent_digraph(int(rng.integers(2, 9)), rng)
+        r = int(rng.integers(1, 3))
+        z = int(rng.integers(r, default_order_budget(g, r) + 1))
+        entries = relation_matrix(g, r=r, z=z).entries
+        for size in range(g.n_nodes + 1):
+            for combo in itertools.combinations(range(1, g.n_nodes + 1), size):
+                if uncovered_edges(entries, combo) == 0:
+                    assert unresolved_edges(entries, combo) == 0
+
+
+def test_brute_force_isolation_checks_deficit_once_when_feasible(monkeypatch):
+    calls = []
+    counted = placement.resolution_deficit
+
+    def counting(R, sensors):
+        calls.append(tuple(sensors))
+        return counted(R, sensors)
+
+    monkeypatch.setattr(placement, "resolution_deficit", counting)
+    assert brute_force_min_isolation(cycle_rel()) == (1, 2)
+    assert calls == [(1, 2, 3, 4, 5)]
 
 
 def test_brute_force_size_guard():
