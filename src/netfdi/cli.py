@@ -245,10 +245,8 @@ def cmd_run(args) -> int:
     if sensors is None:
         report = approximation_report(rel)
         placement_payload = report.to_dict()
-        if report.m_i is not None:
-            sensors = report.m_i
-        else:
-            sensors = report.m_d
+        sensors = report.m_d
+        if report.m_i is None:
             print("warning: isolation impossible (f_I(V) != 0); "
                   "auto sensors degrade to detection-only", file=sys.stderr)
 

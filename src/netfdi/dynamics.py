@@ -253,22 +253,6 @@ class SimulationTrace:
         o = self.output_dim
         return self.outputs[:, (p - 1) * o : p * o]
 
-    def state_of(self, i: int) -> np.ndarray:
-        d = self.state_dim
-        return self.states[:, (i - 1) * d : i * d]
-
-    def segment_at(self, index: int, side: str) -> TraceSegment:
-        """Segment governing the samples just left/right of `index`."""
-        if side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        for seg in self.segments:
-            if side == "left" and seg.start < index <= seg.stop:
-                return seg
-            if side == "right" and seg.start <= index < seg.stop:
-                return seg
-        # index at the very first (left) or last (right) sample
-        return self.segments[0] if side == "left" else self.segments[-1]
-
     def derivatives(self, sensors: Sequence[int], z: int) -> np.ndarray:
         """Exact d^k y_p / dt^k for k = 0..z at every sample (zero input only).
 

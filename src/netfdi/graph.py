@@ -11,9 +11,10 @@ edge label stay valid after a failure.
 from __future__ import annotations
 
 import json
-from collections import deque
+import math
 from dataclasses import dataclass
 from pathlib import Path
+from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -72,6 +73,8 @@ class Digraph:
     __slots__ = ("n_nodes", "_edges", "_memo")
 
     def __init__(self, n_nodes: int, edges: Iterable[Edge | tuple] = ()):
+        if not isinstance(n_nodes, Integral):
+            raise ValueError(f"n_nodes must be an integer, got {n_nodes!r}")
         if n_nodes < 1:
             raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
         normalized = []
@@ -90,18 +93,19 @@ class Digraph:
         g.n_nodes = int(n_nodes)
         g._edges = dict(labeled)
         g._memo = {}
-        g._validate()
         return g
 
     def _validate(self):
         seen = set()
         for label, e in self._edges.items():
+            if not (isinstance(e.tail, Integral) and isinstance(e.head, Integral)):
+                raise ValueError(f"edge {label}: endpoints ({e.tail!r},{e.head!r}) must be integers")
             if not (1 <= e.tail <= self.n_nodes and 1 <= e.head <= self.n_nodes):
                 raise ValueError(f"edge {label}: endpoints ({e.tail},{e.head}) outside 1..{self.n_nodes}")
             if e.tail == e.head:
                 raise ValueError(f"edge {label}: self-loop on node {e.tail} not allowed")
-            if e.weight <= 0:
-                raise ValueError(f"edge {label}: weight must be positive, got {e.weight}")
+            if not (math.isfinite(e.weight) and e.weight > 0):
+                raise ValueError(f"edge {label}: weight must be positive and finite, got {e.weight}")
             if (e.tail, e.head) in seen:
                 raise ValueError(f"duplicate edge ({e.tail},{e.head})")
             seen.add((e.tail, e.head))
@@ -136,12 +140,11 @@ class Digraph:
             self._memo["adjacency"] = cached
         return cached.copy()
 
-    def successors(self, node: int) -> list[int]:
-        """Nodes reachable from `node` in one hop."""
-        return [e.head for e in self._edges.values() if e.tail == node]
-
     def remove_edge(self, label: int) -> "Digraph":
-        """Graph without the given edge; remaining labels are unchanged."""
+        """Graph without the given edge; remaining labels are unchanged.
+
+        A subset of a valid edge set is valid, so nothing is re-validated.
+        """
         if label not in self._edges:
             raise KeyError(f"unknown edge label {label}")
         remaining = {l: e for l, e in self._edges.items() if l != label}
@@ -194,9 +197,6 @@ class DistanceMatrix:
         h = self._hops[q - 1, p - 1]
         return INFINITE if h < 0 else int(h)
 
-    def is_finite(self, q: int, p: int) -> bool:
-        return self._hops[q - 1, p - 1] >= 0
-
     @property
     def n(self) -> int:
         return self._hops.shape[0]
@@ -218,21 +218,25 @@ def distances(g: Digraph) -> DistanceMatrix:
     if cached is not None:
         return cached
     n = g.n_nodes
-    succ: list[list[int]] = [[] for _ in range(n + 1)]
+    succ: list[list[int]] = [[] for _ in range(n)]
     for e in g._edges.values():
-        succ[e.tail].append(e.head)
-    hops = np.full((n, n), -1, dtype=np.int64)
-    for q in range(1, n + 1):
-        hops[q - 1, q - 1] = 0
-        frontier = deque([q])
+        succ[int(e.tail) - 1].append(int(e.head) - 1)
+    rows = []
+    for q in range(n):
+        row = [-1] * n
+        row[q] = 0
+        frontier, hop = [q], 0
         while frontier:
-            u = frontier.popleft()
-            du = hops[q - 1, u - 1]
-            for v in succ[u]:
-                if hops[q - 1, v - 1] < 0:
-                    hops[q - 1, v - 1] = du + 1
-                    frontier.append(v)
-    result = DistanceMatrix(hops)
+            hop += 1
+            reached = []
+            for u in frontier:
+                for v in succ[u]:
+                    if row[v] < 0:
+                        row[v] = hop
+                        reached.append(v)
+            frontier = reached
+        rows.append(row)
+    result = DistanceMatrix(np.array(rows, dtype=np.int64))
     g._memo["distances"] = result
     return result
 

@@ -15,11 +15,17 @@ the optimal sensor count.  -f_I is *not* submodular: sensors can be
 complementary, resolving an edge together that neither resolves alone.
 -P is submodular (a sensor separates exactly the pairs it sees at different
 orders, so C(|E|, 2) - P is a coverage function over edge pairs) and has the
-same zero set as f_I, so a greedy on P would carry the set-cover guarantee
-for isolation.  greedy_isolation runs on f_I, so its harmonic factor is an
-empirical ratio, not a guarantee.  Exhaustive solvers provide
-the optima at desk scale for checking both; their depth-first search drops
-every prefix that cannot complete a cover.
+same zero set as f_I.
+
+Isolation needs no greedy of its own.  R = H[heads], so edges with one head
+share a row, and isolation is feasible (f_I(V) = 0) exactly when every node
+has in-degree <= 1.  Then every detection set already isolates (proof in
+brute_force_min_isolation), so the greedy detection set is the isolation
+set, the detection optimum is the isolation optimum, and the set-cover
+guarantee of the detection greedy is a guarantee for isolation too.
+greedy_isolation from a seed that is not a detection set is not covered by
+it.  Exhaustive solvers provide the optima at desk scale; their depth-first
+search drops every prefix that cannot complete a cover.
 """
 
 from __future__ import annotations
@@ -216,13 +222,14 @@ class PlacementReport:
     """Greedy placement outcome with set-cover quality bookkeeping.
 
     opt_d / opt_i are exhaustive optima when requested (None otherwise);
-    m_i and opt_i are None when isolation is impossible.  d_max is the
-    largest column sum of the binary incidence pattern, d_max_isolation the
-    largest single-node resolution gain |E| - f_I({q}).  harmonic_bound is
-    the set-cover guarantee H(d_max) for m_d (-f_D is submodular).  m_i is
-    greedy on f_I, which is not submodular, so harmonic_bound_isolation =
-    H(d_max_isolation) is an empirical ratio, not a guarantee; the test
-    corpus checks that m_i stays within it.
+    m_i and opt_i are None when isolation is impossible (f_I(V) != 0), and
+    otherwise equal m_d and opt_d, since every detection set isolates.
+    d_max is the largest column sum of the binary incidence pattern,
+    d_max_isolation the largest single-node resolution gain |E| - f_I({q}).
+    harmonic_bound = H(d_max) is the set-cover guarantee for m_d (-f_D is
+    submodular).  When isolation is feasible a node resolves every edge it
+    sees, so d_max <= d_max_isolation, and |m_i| = |m_d| <= H(d_max) * |opt_i|
+    <= harmonic_bound_isolation * |opt_i| is a guarantee.
     """
 
     m_d: tuple[int, ...]
@@ -254,30 +261,26 @@ class PlacementReport:
 
 
 def approximation_report(R: RelationMatrix, exact: bool = False) -> PlacementReport:
-    """Run both greedy routines and assemble the quality report.
+    """Run the detection greedy and assemble the quality report.
 
-    With exact=True the exhaustive optima are computed too (desk scale
-    only; the node guard applies).
+    The isolation set and optimum are the detection ones whenever isolation
+    is feasible.  With exact=True the exhaustive optimum is computed too
+    (desk scale only; the node guard applies).
     """
     m_d = greedy_detection(R)
-    m_i = greedy_isolation(R, m_d)
+    f_i_of_v = resolution_deficit(R, range(1, R.n_nodes + 1))
+    m_i = m_d if f_i_of_v == 0 else None
     f_d_trace = tuple(coverage_deficit(R, m_d[:i]) for i in range(len(m_d) + 1))
-    if m_i is not None:
-        f_i_trace = tuple(resolution_deficit(R, m_i[:i])
-                          for i in range(len(m_d), len(m_i) + 1))
-    else:
-        f_i_trace = (resolution_deficit(R, m_d),)
-    every = tuple(range(1, R.n_nodes + 1))
-    f_i_of_v = resolution_deficit(R, every)
+    f_i_trace = (resolution_deficit(R, m_d),)
 
-    opt_d = opt_i = None
-    if exact:
-        opt_d = brute_force_min_detection(R)
-        opt_i = brute_force_min_isolation(R)
+    opt_d = brute_force_min_detection(R) if exact else None
+    opt_i = opt_d if m_i is not None else None
 
     if R.n_edges:
         d_max = int(binary_incidence(R).sum(axis=0).max())
-        d_max_iso = max(R.n_edges - resolution_deficit(R, (q,)) for q in every)
+        # |E| - f_I({q}): the edges whose entry in column q no other edge shares
+        d_max_iso = max(int((np.unique(col, return_counts=True)[1] == 1).sum())
+                        for col in R.entries.T)
         h_det = harmonic(d_max) if d_max >= 1 else 0.0
         h_iso = harmonic(d_max_iso) if d_max_iso >= 1 else 0.0
         ratio = math.log(R.n_edges) + 1.0

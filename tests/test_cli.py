@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import netfdi
 from netfdi.cli import _derivatives_csv, main
 from netfdi.dynamics import FailureEvent, NetworkSystem, SubsystemModel, simulate
 from netfdi.fdi import (DetectorConfig, JumpSignature, LookupTable, detect, isolate,
@@ -314,6 +317,19 @@ def test_missing_graph_file_is_config_error(tmp_path, capsys):
     assert "graph" in capsys.readouterr().err
 
 
+def test_malformed_graph_files_are_config_errors(tmp_path, capsys):
+    # json accepts NaN and Infinity, so these parse and must fail validation
+    for name, text in (
+            ("float_tail", '{"n": 3, "edges": [{"tail": 1.5, "head": 2, "w": 1.0}]}'),
+            ("float_n", '{"n": 2.7, "edges": [{"tail": 1, "head": 2, "w": 1.0}]}'),
+            ("nan_weight", '{"n": 3, "edges": [{"tail": 1, "head": 2, "w": NaN}]}'),
+            ("inf_weight", '{"n": 3, "edges": [{"tail": 1, "head": 2, "w": Infinity}]}')):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        assert main(["place", str(path)]) == 3, name
+        assert "graph:" in capsys.readouterr().err, name
+
+
 def test_usage_error_maps_to_config_exit():
     assert main(["reproduce", "bogus"]) == 3
 
@@ -349,9 +365,13 @@ def test_reproduce_rgg_deterministic(tmp_path):
 
 def test_console_entry_point(tmp_path):
     out = tmp_path / "g.json"
+    # the child finds the package where this interpreter imported it from
+    package_root = str(Path(netfdi.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "netfdi.cli", "gen", "cycle", "--n", "4",
          "-o", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert Digraph.load(out).n_edges == 4

@@ -75,18 +75,30 @@ def test_walk_counting_zero_below_distance_positive_at_distance():
 
 def test_distances_match_floyd_warshall():
     rng = np.random.default_rng(11)
-    for n in (2, 3, 5, 7):
+    graphs = [random_connected_digraph(n, rng) for n in (2, 3, 5, 7) for _ in range(5)]
+    # not strongly connected: a single node, no edges, a path, two components,
+    # and sparse random arc sets with no connectivity requirement at all
+    unreachable = [Digraph(1), Digraph(4), gen_star(5),
+                   Digraph(4, [Edge(1, 2), Edge(2, 3), Edge(3, 4)]),
+                   Digraph(6, [Edge(1, 2), Edge(2, 1), Edge(4, 5), Edge(5, 6)])]
+    for n in (3, 6, 9):
         for _ in range(5):
-            g = random_connected_digraph(n, rng)
-            d = distances(g)
-            fw = floyd_warshall_hops(g.adjacency())
-            for q in range(1, n + 1):
-                for p in range(1, n + 1):
-                    expected = fw[q - 1, p - 1]
-                    if np.isinf(expected):
-                        assert d[q, p] is INFINITE
-                    else:
-                        assert d[q, p] == int(expected)
+            arcs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+                    if i != j and rng.random() < 0.15]
+            unreachable.append(Digraph(n, arcs))
+    for g in unreachable:
+        assert diameter(g) is INFINITE or g.n_nodes == 1
+    for g in graphs + unreachable:
+        n = g.n_nodes
+        d = distances(g)
+        fw = floyd_warshall_hops(g.adjacency())
+        for q in range(1, n + 1):
+            for p in range(1, n + 1):
+                expected = fw[q - 1, p - 1]
+                if np.isinf(expected):
+                    assert d[q, p] is INFINITE
+                else:
+                    assert d[q, p] == int(expected)
 
 
 def test_gen_cycle_edge_label_convention():
@@ -165,6 +177,33 @@ def test_digraph_validation():
         Digraph(3, [Edge(1, 2, weight=0.0)])
     with pytest.raises(ValueError):
         Digraph(0)
+    with pytest.raises(ValueError, match="n_nodes"):
+        Digraph(2.7)
+    with pytest.raises(ValueError, match="edge 2"):
+        Digraph(3, [Edge(2, 3), Edge(1.5, 2)])
+    with pytest.raises(ValueError, match="edge 1"):
+        Digraph(3, [Edge(1, 2.0)])
+    for weight in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="edge 2"):
+            Digraph(3, [Edge(2, 3), Edge(1, 2, weight)])
+    # numpy integers are integers
+    g = Digraph(np.int64(3), [Edge(np.int64(1), np.int32(2), np.float64(0.5))])
+    assert g.n_nodes == 3
+    assert distances(g)[1, 2] == 1
+    assert g.adjacency()[1, 0] == 0.5
+
+
+def test_remove_edge_does_not_revalidate(monkeypatch):
+    g = gen_cycle(5)
+
+    def refuse(self):
+        raise AssertionError("remove_edge re-validated a subset of valid edges")
+
+    monkeypatch.setattr(Digraph, "_validate", refuse)
+    h = g.remove_edge(3).remove_edge(1)
+    assert h.edge_labels == (2, 4, 5)
+    with pytest.raises(KeyError):
+        h.remove_edge(3)
 
 
 def test_infinite_ordering():

@@ -362,6 +362,62 @@ def test_approximation_report_star():
     assert report.to_dict()["M_I"] is None
 
 
+def _report_corpus(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        if rng.random() < 0.4:
+            g = random_single_parent_digraph(int(rng.integers(1, 14)), rng)
+        else:
+            g = random_connected_digraph(int(rng.integers(2, 10)), rng)
+        r = int(rng.integers(1, 3))
+        z = int(rng.integers(r, default_order_budget(g, r) + 1))
+        yield relation_matrix(g, r=r, z=z)
+
+
+def test_report_isolation_agrees_with_public_routines():
+    # the report takes M_I and opt_I from detection; the isolation routines
+    # must reach the same sets on their own
+    feasible = 0
+    for rel in _report_corpus(71):
+        report = approximation_report(rel, exact=rel.n_nodes <= 12)
+        assert report.m_i == greedy_isolation(rel, report.m_d)
+        if report.opt_d is not None:
+            assert report.opt_i == brute_force_min_isolation(rel)
+        assert report.f_i_trace == (resolution_deficit(rel, report.m_d),)
+        feasible += report.m_i is not None
+    assert 0 < feasible < 40
+
+
+def test_d_max_isolation_is_largest_single_sensor_gain():
+    rels = [relation_matrix(Digraph(3), r=1), relation_matrix(Digraph(1), r=2),
+            relation_matrix(Digraph(3, [Edge(2, 3)]), r=1), star_rel(), cycle_rel()]
+    rels += list(_report_corpus(72))
+    for rel in rels:
+        gains = [rel.n_edges - resolution_deficit(rel, (q,))
+                 for q in range(1, rel.n_nodes + 1)]
+        expected = max(gains) if rel.n_edges else 0
+        assert approximation_report(rel).d_max_isolation == expected
+    assert [approximation_report(rel).d_max_isolation for rel in rels[:3]] == [0, 0, 1]
+
+
+def test_approximation_report_deficit_calls_do_not_grow_with_nodes(monkeypatch):
+    calls = []
+    counted = placement.resolution_deficit
+
+    def counting(R, sensors):
+        calls.append(tuple(sensors))
+        return counted(R, sensors)
+
+    monkeypatch.setattr(placement, "resolution_deficit", counting)
+    rng = np.random.default_rng(73)
+    rels = [star_rel(), cycle_rel(), relation_matrix(gen_cycle(40), r=1),
+            relation_matrix(random_single_parent_digraph(30, rng), r=2)]
+    for rel in rels:
+        calls.clear()
+        approximation_report(rel, exact=rel.n_nodes <= MAX_EXACT_NODES)
+        assert len(calls) <= 2
+
+
 def test_greedy_within_harmonic_bound_small_corpus():
     for g in connected_digraphs_up_to(4):
         if g.n_edges == 0:
