@@ -10,8 +10,8 @@ from .dynamics import (DegenerateModelError, ExogenousInput, FailureEvent,
                        q_matrix, relative_degree, simulate, simulate_edge_failures,
                        theoretical_jump)
 from .fdi import (DetectorConfig, IsolationResult, JumpSignature, LookupTable,
-                  RelationMatrix, default_order_budget, detect, detectable,
-                  estimate_one_sided_derivative, isolate, lookup_table,
+                  RelationMatrix, default_order_budget, detect, detect_edge_failures,
+                  detectable, estimate_one_sided_derivative, isolate, lookup_table,
                   relation_matrix)
 from .placement import (PlacementReport, approximation_report, binary_incidence,
                         brute_force_min_detection, brute_force_min_isolation,

@@ -25,8 +25,8 @@ import numpy as np
 
 from .dynamics import (FailureEvent, NetworkSystem, SubsystemModel, relative_degree,
                        simulate, simulate_edge_failures)
-from .fdi import (DetectorConfig, default_order_budget, detect, isolate, lookup_table,
-                  relation_matrix)
+from .fdi import (DetectorConfig, default_order_budget, detect, detect_edge_failures,
+                  isolate, lookup_table, relation_matrix)
 from .graph import Digraph, gen_cycle, gen_random_geometric, gen_star
 from .placement import approximation_report
 
@@ -211,11 +211,11 @@ def _resolve_x0(spec, sys_net, seed):
     return x0
 
 
-def _detect_events(trace, sensors, cfg, table):
-    """Detect and isolate every event of one trace: (report events, all unique)."""
+def _report_events(signatures, table):
+    """Isolate every detected event of one trace: (report events, all unique)."""
     events = []
     all_unique = True
-    for sig in detect(trace, sensors, cfg):
+    for sig in signatures:
         verdict = isolate(sig, table)
         all_unique &= verdict.is_unique
         events.append({
@@ -225,6 +225,31 @@ def _detect_events(trace, sensors, cfg, table):
             "edges": list(verdict.edges),
         })
     return events, all_unique
+
+
+SWEEP_OUTCOMES = ("unique-correct", "unique-wrong", "ambiguous-with-truth",
+                  "ambiguous-without-truth", "nomatch", "missed", "undetectable-by-table",
+                  "spurious")
+
+
+def _sweep_outcome(edge: int, events, column, t_fail: float, tol: float) -> str:
+    """Outcome of one swept edge against its known failure and its table column.
+
+    A second event, or one farther than tol from t_fail, is spurious; so is
+    an event for an edge whose column says no sensor can see it.
+    """
+    if len(events) > 1 or any(abs(ev["t"] - t_fail) > tol for ev in events):
+        return "spurious"
+    if not events:
+        return "missed" if column.any() else "undetectable-by-table"
+    if not column.any():
+        return "spurious"
+    verdict, edges = events[0]["verdict"], events[0]["edges"]
+    if verdict == "unique":
+        return "unique-correct" if edges == [edge] else "unique-wrong"
+    if verdict == "ambiguous":
+        return "ambiguous-with-truth" if edge in edges else "ambiguous-without-truth"
+    return "nomatch"
 
 
 def cmd_run(args) -> int:
@@ -262,18 +287,29 @@ def cmd_run(args) -> int:
     if args.sweep_failures == "all-edges":
         mid = args.t0 + (args.horizon - args.t0) / 2
         t_fail = schedule[0].time if schedule else mid
-        sweep = []
-        all_unique = True
         try:
-            for trace in simulate_edge_failures(sys_net, x0, args.t0, args.horizon,
-                                                args.dt, t_fail):
-                events, ok = _detect_events(trace, sensors, cfg, table)
-                sweep.append({"edge": trace.schedule[0].edge, "events": events})
-                all_unique &= ok
+            if cfg.mode == "analytic":
+                # the analytic verdicts need only the state at the failure
+                detected = detect_edge_failures(sys_net, x0, args.t0, args.horizon,
+                                                args.dt, t_fail, sensors, z)
+            else:
+                detected = [detect(trace, sensors, cfg) for trace in simulate_edge_failures(
+                    sys_net, x0, args.t0, args.horizon, args.dt, t_fail)]
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"sweep: {exc}")
+        sweep = []
+        summary = dict.fromkeys(SWEEP_OUTCOMES, 0)
+        all_unique = True
+        # an event within one stencil width of t_fail belongs to the failure
+        tol = cfg.stencil_width * args.dt
+        for label, signatures in zip(g.edge_labels, detected):
+            events, ok = _report_events(signatures, table)
+            sweep.append({"edge": label, "events": events})
+            summary[_sweep_outcome(label, events, table.column(label), t_fail, tol)] += 1
+            all_unique &= ok
         payload = {
             "sweep": sweep,
+            "summary": summary,
             "tables": tables,
             "placement": placement_payload,
             "sensors": list(sensors),
@@ -284,7 +320,7 @@ def cmd_run(args) -> int:
 
     try:
         trace = simulate(sys_net, x0, args.t0, args.horizon, args.dt, schedule)
-        events, all_unique = _detect_events(trace, sensors, cfg, table)
+        events, all_unique = _report_events(detect(trace, sensors, cfg), table)
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"run: {exc}")
     payload = {

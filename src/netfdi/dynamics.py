@@ -423,6 +423,24 @@ def simulate(sys: NetworkSystem, x0, t0: float, t_end: float, dt: float,
     return _trace(sys, times, states, snapped, boundaries, matrices, graphs, w.is_zero)
 
 
+def _healthy_prefix(sys: NetworkSystem, x0, t0: float, t_end: float, dt: float,
+                    t_fail: float) -> tuple[np.ndarray, int, float, np.ndarray]:
+    """Validated grid, snapped failure and states with the healthy run filled up to it.
+
+    Returns (times, idx, time, states): ``time`` is t_fail snapped to grid
+    index idx, as ``simulate`` schedules it, and states[: idx + 1] equal
+    those of ``simulate`` with any failure at t_fail, bit for bit; the later
+    rows are left uninitialized.
+    """
+    times = _time_grid(t0, t_end, dt)
+    n_steps = len(times) - 1
+    # the edge label plays no part in snapping a time to the grid
+    [(idx, event)] = _snap_schedule([FailureEvent(0, t_fail)], t0, dt, n_steps)
+    states = _initial_states(sys, x0, n_steps + 1)
+    _propagate_exact(sys.closed_loop, dt, states, 0, idx)
+    return times, idx, event.time, states
+
+
 def simulate_edge_failures(sys: NetworkSystem, x0, t0: float, t_end: float, dt: float,
                            t_fail: float):
     """One zero-input trace per edge label, that edge failing alone at t_fail.
@@ -434,12 +452,8 @@ def simulate_edge_failures(sys: NetworkSystem, x0, t0: float, t_end: float, dt: 
     The grid, x0 and the failure time are validated before the first trace
     is built; traces are yielded one at a time.
     """
-    times = _time_grid(t0, t_end, dt)
+    times, idx, time, healthy = _healthy_prefix(sys, x0, t0, t_end, dt, t_fail)
     n_steps = len(times) - 1
-    # the edge label plays no part in snapping a time to the grid
-    [(idx, event)] = _snap_schedule([FailureEvent(0, t_fail)], t0, dt, n_steps)
-    healthy = _initial_states(sys, x0, n_steps + 1)
-    _propagate_exact(sys.closed_loop, dt, healthy, 0, idx)
 
     def traces():
         for label in sys.graph.edge_labels:
@@ -448,7 +462,7 @@ def simulate_edge_failures(sys: NetworkSystem, x0, t0: float, t_end: float, dt: 
             states = np.empty_like(healthy)
             states[: idx + 1] = healthy[: idx + 1]
             _propagate_exact(post, dt, states, idx, n_steps)
-            yield _trace(sys, times, states, [(idx, FailureEvent(label, event.time))],
+            yield _trace(sys, times, states, [(idx, FailureEvent(label, time))],
                          [0, idx, n_steps], [sys.closed_loop, post], [sys.graph, graph],
                          True)
 

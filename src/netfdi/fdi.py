@@ -5,8 +5,9 @@ derivative that jumps at each sensor: order r*(dist(head, sensor)+1), or no
 jump at all within the order budget z.  Collecting those orders per edge
 gives the relation matrix R (edges x nodes) and, restricted to a sensor
 set, the lookup table D whose columns are failure signatures.  Detection
-scans a trace for jumps, isolation matches the observed signature against
-the columns of D.
+scans a trace for jumps (analytically, only the state at each failure is
+needed, so every single-edge failure can be checked from one state);
+isolation matches the observed signature against the columns of D.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .dynamics import SimulationTrace
+from .dynamics import NetworkSystem, SimulationTrace, _healthy_prefix
 from .graph import Digraph, distances, finite_diameter
 
 
@@ -151,12 +152,15 @@ class JumpSignature:
 class DetectorConfig:
     """Detector knobs.
 
-    mode 'analytic' reads exact one-sided derivatives off the trace's
-    segment matrices (no differentiation error); 'finite-difference'
-    estimates them from output samples alone with one-sided stencils of
-    `stencil_width` points.  A jump at order k counts when its norm exceeds
-    threshold_abs + threshold_rel * scale, with scale the median norm of
-    that derivative over the trace.
+    mode 'analytic' computes the jump of every derivative order exactly from
+    the state at each failure and the trace's segment matrices; a jump at
+    order k counts when it exceeds 16 times a running bound on its own
+    roundoff (see ``_first_jumps``), so no knob enters.  'finite-difference'
+    estimates derivatives from output samples alone with one-sided stencils
+    of `stencil_width` points; there a jump at order k counts when its norm
+    exceeds threshold_abs + threshold_rel * scale + a sample-roundoff floor,
+    with scale the median norm of that derivative over the trace.
+    threshold_rel and threshold_abs apply to finite-difference mode only.
     """
 
     z: int
@@ -244,34 +248,132 @@ def detect(trace: SimulationTrace, sensors, cfg: DetectorConfig) -> list[JumpSig
     return _detect_finite_difference(trace, sensors, cfg)
 
 
-def _detect_analytic(trace, sensors, cfg) -> list[JumpSignature]:
-    z = cfg.z
-    d = trace.state_dim
-    C = trace.c_matrix
-    dy = trace.derivatives(sensors, z)[:, 1:]
-    # norm over the output channels; einsum avoids a reduction per sample
-    scale = np.median(np.sqrt(np.einsum("skcn,skcn->skn", dy, dy)), axis=2)
+def _first_jumps(A_pre, x, heads, tails, deltas, C, sensors, z: int) -> np.ndarray:
+    """First jump orders at the sensors for m single-block failures from one state.
 
+    Column e is the failure that adds the d x d block deltas[e] to the
+    closed loop A_pre at block (heads[e], tails[e]) (0-based node
+    positions), at state x.  Its jump δ_k = (A_post^k - A_pre^k) x is built
+    by the telescoped recursion δ_0 = 0,
+    δ_k = A_pre δ_{k-1} + [Δ δ_{k-1}]_head + [Δ A_pre^{k-1} x]_head,
+    which never subtracts two nearly equal trajectories, so a jump many
+    orders of magnitude below the state is still resolved.  Alongside runs
+    a componentwise bound on its roundoff (running error analysis, Higham,
+    Accuracy and Stability of Numerical Algorithms, 3.3):
+    b_k = |A_post| b_{k-1} + γ (|A_post| |δ_{k-1}| + |Δ| |A_pre^{k-1} x|),
+    γ = 8 eps N d.  Sensor p fires at the first k <= z with
+    |C δ_k[p]| > 16 |C| (b_k[p] + γ |δ_k[p]|) in some output channel.
+    Returns the orders shaped (|sensors|, m), 0 where a sensor never fires.
+    A_pre^k x is shared by all columns, and each order costs one product
+    with A_pre plus a gather from the tail and a scatter to the head blocks.
+
+    The bound grows like |A_post|^k, not like A_post^k: for a subsystem
+    realisation far from normal (|A| much larger than A's spectral radius)
+    it can outgrow a true jump at high orders, which then reads as 0 or
+    at a later order.
+    """
+    nd = A_pre.shape[0]
+    d = C.shape[1]
+    m = len(heads)
+    gamma = 8.0 * np.finfo(float).eps * nd
+    span = np.arange(d)
+    head_rows = span[:, None] + d * np.asarray(heads, dtype=np.int64)   # (d, m)
+    tail_rows = span[:, None] + d * np.asarray(tails, dtype=np.int64)
+    cols = np.arange(m)
+    deltas = np.asarray(deltas, dtype=float).reshape(m, d, d)
+    a_blocks = A_pre[head_rows.T[:, :, None], tail_rows.T[:, None, :]]
+    abs_pre = np.abs(A_pre)
+    # |A_post| = |A_pre| with each column's failed block replaced
+    abs_fix = np.abs(a_blocks + deltas) - np.abs(a_blocks)
+    abs_deltas = np.abs(deltas)
+    sensor_rows = (np.asarray(sensors, dtype=np.int64)[:, None] - 1) * d + span   # (|S|, d)
+    abs_c = np.abs(C)
+
+    def at_heads(blocks, gathered):
+        """(N d, m) matrix with blocks[e] @ gathered[:, e] in column e's head rows."""
+        out = np.zeros((nd, m))
+        out[head_rows, cols] = np.einsum("eab,be->ae", blocks, gathered)
+        return out
+
+    v = np.asarray(x, dtype=float).reshape(nd)
+    jump = np.zeros((nd, m))
+    bound = np.zeros((nd, m))
+    orders = np.zeros((len(sensors), m), dtype=np.int64)
+    for k in range(1, z + 1):
+        v_tail = v[tail_rows]
+        carried = bound + gamma * np.abs(jump)
+        bound = (abs_pre @ carried + at_heads(abs_fix, carried[tail_rows, cols])
+                 + gamma * at_heads(abs_deltas, np.abs(v_tail)))
+        jump = (A_pre @ jump + at_heads(deltas, jump[tail_rows, cols])
+                + at_heads(deltas, v_tail))
+        v = A_pre @ v
+        seen = jump[sensor_rows]
+        limit = bound[sensor_rows] + gamma * np.abs(seen)
+        fired = (np.abs(np.einsum("oa,sam->som", C, seen))
+                 > 16.0 * np.einsum("oa,sam->som", abs_c, limit)).any(axis=1)
+        orders[fired & (orders == 0)] = k
+    return orders
+
+
+def _detect_analytic(trace, sensors, cfg) -> list[JumpSignature]:
+    """One first-jump kernel call per failure, from the state at its boundary.
+
+    The failure's matrix change must be exactly the scheduled edge's one
+    (head, tail) block; anything else (a hand-built trace, several edges
+    changing at once) is outside what the orders mean and raises ValueError.
+    """
+    d = trace.state_dim
+    if len(trace.schedule) != len(trace.segments) - 1:
+        raise ValueError(f"trace has {len(trace.segments)} segments for "
+                         f"{len(trace.schedule)} scheduled failures")
     events = []
-    for left_seg, right_seg in zip(trace.segments[:-1], trace.segments[1:]):
-        b = left_seg.stop
-        x_b = trace.states[b]
-        orders = np.zeros(len(sensors), dtype=np.int64)
-        v_pre = x_b.copy()
-        v_post = x_b.copy()
-        for k in range(1, z + 1):
-            v_pre = left_seg.matrix @ v_pre
-            v_post = right_seg.matrix @ v_post
-            diff = v_post - v_pre
-            for si, p in enumerate(sensors):
-                if orders[si]:
-                    continue
-                jump = np.linalg.norm(C @ diff[(p - 1) * d : p * d])
-                if jump > cfg.threshold_abs + cfg.threshold_rel * scale[si, k - 1]:
-                    orders[si] = k
+    for left, right, event in zip(trace.segments[:-1], trace.segments[1:], trace.schedule):
+        try:
+            edge = left.graph.edge(event.edge)
+        except KeyError:
+            raise ValueError(f"failure at t={event.time}: edge {event.edge} is not in "
+                             "the graph before it") from None
+        head = slice((edge.head - 1) * d, edge.head * d)
+        tail = slice((edge.tail - 1) * d, edge.tail * d)
+        change = right.matrix - left.matrix
+        delta = change[head, tail].copy()
+        change[head, tail] = 0.0
+        if change.any():
+            raise ValueError(
+                f"failure at t={event.time}: the closed loop changes outside the "
+                f"({edge.head}, {edge.tail}) block of edge {event.edge}")
+        b = left.stop
+        orders = _first_jumps(left.matrix, trace.states[b], [edge.head - 1],
+                              [edge.tail - 1], delta, trace.c_matrix, sensors, cfg.z)[:, 0]
         if orders.any():
             events.append(JumpSignature(orders=orders, time=float(trace.times[b])))
     return events
+
+
+def detect_edge_failures(sys: NetworkSystem, x0, t0: float, t_end: float, dt: float,
+                         t_fail: float, sensors, z: int) -> list[list[JumpSignature]]:
+    """Analytic detection of every single-edge failure at t_fail, without simulating.
+
+    Returns, in edge-label order, what ``detect`` in analytic mode gives on
+    ``simulate(sys, x0, t0, t_end, dt, [FailureEvent(label, t_fail)])``: the
+    healthy run is stepped to the failure once, exactly as ``simulate``
+    does, and one batched ``_first_jumps`` call covers all edges, edge e
+    adding -w_e B Gamma C at its (head, tail) block.  The grid, x0 and the
+    failure time are validated as in ``simulate``.
+    """
+    sensors = _validated_sensors(sensors, sys.graph.n_nodes)
+    if not sensors:
+        raise ValueError("sensor set must be nonempty")
+    times, idx, _, states = _healthy_prefix(sys, x0, t0, t_end, dt, t_fail)
+    edges = [e for _, e in sys.graph.edges()]
+    model = sys.model
+    coupling = model.B @ model.Gamma @ model.C
+    deltas = -np.array([e.weight for e in edges]).reshape(-1, 1, 1) * coupling
+    orders = _first_jumps(sys.closed_loop, states[idx], [e.head - 1 for e in edges],
+                          [e.tail - 1 for e in edges], deltas, model.C, sensors, z)
+    time = float(times[idx])
+    return [[JumpSignature(orders=col.copy(), time=time)] if col.any() else []
+            for col in orders.T]
 
 
 def _detect_finite_difference(trace, sensors, cfg) -> list[JumpSignature]:

@@ -2,17 +2,18 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import netfdi
-from netfdi.cli import _derivatives_csv, main
+from netfdi.cli import SWEEP_OUTCOMES, _derivatives_csv, _sweep_outcome, main
 from netfdi.dynamics import FailureEvent, NetworkSystem, SubsystemModel, simulate
-from netfdi.fdi import (DetectorConfig, JumpSignature, LookupTable, detect, isolate,
-                        lookup_table)
-from netfdi.graph import Digraph, Edge, gen_cycle
+from netfdi.fdi import (DetectorConfig, JumpSignature, LookupTable, default_order_budget,
+                        detect, isolate, lookup_table)
+from netfdi.graph import Digraph, Edge, gen_cycle, gen_random_geometric
 
 CYCLE5_R = [[1, 2, 3, 4, 0], [0, 1, 2, 3, 4], [4, 0, 1, 2, 3],
             [3, 4, 0, 1, 2], [2, 3, 4, 0, 1]]
@@ -375,3 +376,114 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert Digraph.load(out).n_edges == 4
+
+
+def test_analytic_sweep_matches_per_edge_runs_on_rgg(tmp_path):
+    graph = gen_random_geometric(16, 1.0, 0.4, 3)
+    graph_path = tmp_path / "graph.json"
+    graph.save(graph_path)
+    x0 = np.random.default_rng(4).normal(0.0, 1.0, graph.n_nodes)
+    z = default_order_budget(graph, 1)
+    for gamma in (1.0, 0.02):
+        model = SubsystemModel([[-1.0]], [[1.0]], [[1.0]], [[gamma]])
+        model_path = tmp_path / f"model_{gamma}.json"
+        model.save(model_path)
+        out_dir = tmp_path / f"out_{gamma}"
+        code = main(["run", str(graph_path), str(model_path), "--sensors", "1,4,7,10",
+                     "--z", str(z), "--dt", "0.01", "--horizon", "1",
+                     "--sweep-failures", "all-edges", "--x0=" + ",".join(map(repr, x0.tolist())),
+                     "--out-dir", str(out_dir)])
+        report = json.loads((out_dir / "report.json").read_text())
+        expected = _per_edge_sweep(graph, model, (1, 4, 7, 10), z, "analytic", x0, 1.0, 0.01)
+        assert report["sweep"] == expected
+        assert code in (0, 2)
+        assert sum(report["summary"].values()) == graph.n_edges
+        assert report["summary"]["unique-correct"] > 0
+
+
+def test_analytic_sweep_needs_no_per_edge_simulation(tmp_path, monkeypatch):
+    import netfdi.cli
+    import netfdi.dynamics
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(netfdi.cli, "simulate_edge_failures",
+                        counting("simulate_edge_failures", netfdi.cli.simulate_edge_failures))
+    monkeypatch.setattr(netfdi.dynamics, "expm", counting("expm", netfdi.dynamics.expm))
+    monkeypatch.setattr(NetworkSystem, "remove_edge",
+                        counting("NetworkSystem.remove_edge", NetworkSystem.remove_edge))
+    monkeypatch.setattr(Digraph, "remove_edge",
+                        counting("Digraph.remove_edge", Digraph.remove_edge))
+    graph, model = write_cycle_inputs(tmp_path)
+    argv = ["run", str(graph), str(model), "--sensors", "2,3", "--z", "4", "--dt", "0.01",
+            "--horizon", "1", "--sweep-failures", "all-edges", "--x0", "1,2,3,4,5"]
+    assert main(argv + ["--out-dir", str(tmp_path / "analytic")]) == 0
+    # one matrix exponential steps the shared healthy run to the failure
+    assert calls == Counter({"expm": 1})
+    calls.clear()
+    assert main(argv + ["--mode", "finite-difference",
+                        "--out-dir", str(tmp_path / "fd")]) == 0
+    assert calls == Counter({"simulate_edge_failures": 1, "expm": 6, "Digraph.remove_edge": 5})
+
+
+def test_sweep_of_edgeless_graph_is_empty(tmp_path):
+    graph_path, model_path = tmp_path / "graph.json", tmp_path / "model.json"
+    Digraph(3, []).save(graph_path)
+    model_path.write_text(json.dumps({"A": [[-1.0]], "B": [[1.0]], "C": [[1.0]],
+                                      "Gamma": [[1.0]]}))
+    for mode in ("analytic", "finite-difference"):
+        out_dir = tmp_path / mode
+        code = main(["run", str(graph_path), str(model_path), "--sensors", "1,2",
+                     "--dt", "0.01", "--horizon", "1", "--mode", mode,
+                     "--sweep-failures", "all-edges", "--x0", "1,2,3",
+                     "--out-dir", str(out_dir)])
+        assert code == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["sweep"] == []
+        assert set(report["summary"].values()) == {0}
+
+
+def test_sweep_summary_counts_outcomes(tmp_path):
+    graph, model = write_cycle_inputs(tmp_path)
+    star = tmp_path / "star.json"
+    main(["gen", "star", "--n", "5", "-o", str(star)])
+    cases = [
+        (graph, "2,3", "4", {"unique-correct": 5}),
+        # only edge 1 -> 2 reaches sensor 2 within budget 1
+        (graph, "2", "1", {"unique-correct": 1, "undetectable-by-table": 4}),
+        (star, "5", "1", {"ambiguous-with-truth": 4}),
+        (star, "1,2", "1", {"undetectable-by-table": 4}),
+    ]
+    for k, (graph_path, sensors, z, counts) in enumerate(cases):
+        for mode in ("analytic", "finite-difference"):
+            out_dir = tmp_path / f"case{k}_{mode}"
+            main(["run", str(graph_path), str(model), "--sensors", sensors, "--z", z,
+                  "--dt", "0.01", "--horizon", "2", "--mode", mode,
+                  "--sweep-failures", "all-edges", "--x0", "1,2,3,4,5",
+                  "--out-dir", str(out_dir)])
+            summary = json.loads((out_dir / "report.json").read_text())["summary"]
+            assert list(summary) == list(SWEEP_OUTCOMES)
+            assert summary == {**dict.fromkeys(SWEEP_OUTCOMES, 0), **counts}, (k, mode)
+
+
+def test_sweep_outcome_classes():
+    unique = lambda *edges: {"t": 1.0, "verdict": "unique", "edges": list(edges)}
+    column, silent = np.array([1, 2]), np.array([0, 0])
+    assert _sweep_outcome(3, [unique(3)], column, 1.0, 0.01) == "unique-correct"
+    assert _sweep_outcome(3, [unique(4)], column, 1.0, 0.01) == "unique-wrong"
+    ambiguous = {"t": 1.0, "verdict": "ambiguous", "edges": [2, 3]}
+    assert _sweep_outcome(3, [ambiguous], column, 1.0, 0.01) == "ambiguous-with-truth"
+    assert _sweep_outcome(4, [ambiguous], column, 1.0, 0.01) == "ambiguous-without-truth"
+    nomatch = {"t": 1.0, "verdict": "nomatch", "edges": []}
+    assert _sweep_outcome(3, [nomatch], column, 1.0, 0.01) == "nomatch"
+    assert _sweep_outcome(3, [], column, 1.0, 0.01) == "missed"
+    assert _sweep_outcome(3, [], silent, 1.0, 0.01) == "undetectable-by-table"
+    assert _sweep_outcome(3, [unique(3)], silent, 1.0, 0.01) == "spurious"
+    assert _sweep_outcome(3, [unique(3), unique(3)], column, 1.0, 0.01) == "spurious"
+    late = {**unique(3), "t": 1.5}
+    assert _sweep_outcome(3, [late], column, 1.0, 0.01) == "spurious"

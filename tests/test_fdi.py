@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 from math import factorial
 
@@ -5,14 +6,15 @@ import numpy as np
 import pytest
 
 from netfdi.dynamics import (FailureEvent, NetworkSystem, SubsystemModel, jump_oracle,
-                             simulate)
-from netfdi.fdi import (DetectorConfig, JumpSignature, LookupTable, default_order_budget,
-                        detect, detectable, estimate_one_sided_derivative, isolate,
-                        lookup_table, relation_matrix)
+                             markov_parameter, relative_degree, simulate)
+from netfdi.fdi import (DetectorConfig, JumpSignature, LookupTable, _first_jumps,
+                        default_order_budget, detect, detectable,
+                        estimate_one_sided_derivative, isolate, lookup_table,
+                        relation_matrix)
 from netfdi.graph import Digraph, Edge, gen_cycle, gen_random_geometric, gen_star
 from netfdi.placement import resolution_deficit
 
-from corpusgen import random_connected_digraph
+from corpusgen import chain_model, damp_coupling, random_connected_digraph, random_stable_model
 from oracles import floyd_warshall_hops
 
 CYCLE5_R = np.array([
@@ -447,3 +449,128 @@ def test_every_cycle_edge_isolated_uniquely():
         result = isolate(events[0], table)
         assert result.verdict == "unique"
         assert result.edge == label
+
+
+# -- first-jump kernel and weak coupling ------------------------------------------------
+
+
+def _rotated(model, angle=0.5):
+    """Model in a rotated state basis: same Markov parameters, but CB is only ~1e-17."""
+    c, s = np.cos(angle), np.sin(angle)
+    Q = np.array([[c, -s], [s, c]])
+    return SubsystemModel(Q @ model.A @ Q.T, Q @ model.B, model.C @ Q.T, model.Gamma)
+
+
+def _weak_coupling_models(gamma):
+    companion = SubsystemModel([[0.0, 1.0], [-2.0, -3.0]], [[0.0], [1.0]], [[1.0, 0.0]],
+                               [[gamma]])
+    return {"scalar": SubsystemModel([[-1.0]], [[1.0]], [[1.0]], [[gamma]]),
+            "companion": companion, "rotated": _rotated(companion)}
+
+
+def _assert_signatures_equal_table(g, model, x0, sensors, z=None):
+    """Every edge's detect(simulate(...)) signature is its lookup-table column."""
+    r = relative_degree(model)
+    table = lookup_table(g, sensors, r, z)
+    sys_net = NetworkSystem(g, model)
+    cfg = DetectorConfig(z=table.z)
+    for label in g.edge_labels:
+        trace = simulate(sys_net, x0, 0.0, 0.2, 0.1, [FailureEvent(label, 0.1)])
+        events = detect(trace, sensors, cfg)
+        column = table.column(label)
+        if not column.any():
+            assert events == [], (r, label)
+            continue
+        assert len(events) == 1, (r, label)
+        assert events[0].time == pytest.approx(0.1)
+        assert events[0].orders.tolist() == column.tolist(), (r, label)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.05, 0.01, 1e-3, 1e-5])
+@pytest.mark.parametrize("kind", ["scalar", "companion", "rotated"])
+def test_analytic_detection_matches_table_under_weak_coupling(gamma, kind):
+    model = _weak_coupling_models(gamma)[kind]
+    if kind == "rotated":
+        cb = markov_parameter(model, 1)
+        assert cb.any() and np.abs(cb).max() < 1e-12   # r = 2 only up to roundoff
+    rng = np.random.default_rng(71)
+    g = random_connected_digraph(7, rng)
+    x0 = rng.normal(0.0, 1.0, g.n_nodes * model.d)
+    _assert_signatures_equal_table(g, model, x0, tuple(range(1, g.n_nodes + 1)))
+
+
+def test_analytic_detection_matches_table_on_rgg50_weak_coupling():
+    g = gen_random_geometric(50, 1.0, 0.25, 20240517)
+    model = _weak_coupling_models(0.01)["companion"]
+    x0 = np.random.default_rng(1).normal(0.0, 1.0, 2 * g.n_nodes)
+    _assert_signatures_equal_table(g, model, x0, tuple(range(1, 51)))
+
+
+def _kernel_columns(sys_net, x, sensors, z, labels):
+    g, model = sys_net.graph, sys_net.model
+    edges = [g.edge(label) for label in labels]
+    coupling = model.B @ model.Gamma @ model.C
+    deltas = np.array([-e.weight * coupling for e in edges]).reshape(-1, model.d, model.d)
+    return _first_jumps(sys_net.closed_loop, x, [e.head - 1 for e in edges],
+                        [e.tail - 1 for e in edges], deltas, model.C, sensors, z)
+
+
+def test_first_jumps_batched_equal_single_columns_and_relation_matrix():
+    # Gamma spans four decades.  Draws whose M_r Gamma is close to nilpotent
+    # are left out: their first jump is smaller than the natural scale of
+    # that order by about (rho(M_r Gamma) / |M_r Gamma|)^dist, below what the
+    # roundoff bound can separate.
+    rng = np.random.default_rng(0)
+    checked = 0
+    for it in range(120):
+        n = int(rng.integers(2, 9))
+        g = random_connected_digraph(n, rng)
+        model = random_stable_model(rng) if it % 2 == 0 else chain_model(int(rng.integers(1, 4)), rng)
+        model = damp_coupling(g, model)
+        model = SubsystemModel(model.A, model.B, model.C,
+                               model.Gamma * 10 ** rng.uniform(-4, 0))
+        x = rng.normal(size=n * model.d)
+        r = relative_degree(model)
+        mr_gamma = markov_parameter(model, r) @ model.Gamma
+        if np.abs(np.linalg.eigvals(mr_gamma)).max() < 0.1 * np.linalg.norm(mr_gamma, 2):
+            continue
+        rel = relation_matrix(g, r)
+        sys_net = NetworkSystem(g, model)
+        sensors = tuple(range(1, n + 1))
+        batched = _kernel_columns(sys_net, x, sensors, rel.z, g.edge_labels)
+        assert batched.dtype == np.int64 and batched.shape == (n, g.n_edges)
+        for q, label in enumerate(g.edge_labels):
+            single = _kernel_columns(sys_net, x, sensors, rel.z, [label])
+            assert single[:, 0].tolist() == batched[:, q].tolist()
+        np.testing.assert_array_equal(batched.T, rel.entries)
+        checked += 1
+    assert checked >= 100
+
+
+def test_first_jumps_without_edges_is_empty():
+    sys_net = NetworkSystem(Digraph(3, []), scalar_model())
+    orders = _kernel_columns(sys_net, np.ones(3), (1, 2), 2, [])
+    assert orders.shape == (2, 0) and orders.dtype == np.int64
+
+
+def test_detect_analytic_rejects_changes_outside_the_failed_block():
+    trace = example2_trace(dt=1e-2)
+    left, right = trace.segments
+    failed = trace.schedule[0].edge
+    edge = left.graph.edge(failed)
+    own = (edge.head - 1, edge.tail - 1)
+    for blocks in ([(0, 3)], [own, (0, 3)]):   # another block alone, or besides its own
+        matrix = left.matrix.copy()
+        for block in blocks:
+            matrix[block] += 0.5
+        forged = dataclasses.replace(
+            trace, segments=(left, dataclasses.replace(right, matrix=matrix)))
+        with pytest.raises(ValueError, match="outside"):
+            detect(forged, (2, 3), DetectorConfig(z=4))
+    # the schedule names the failed edge; one that is not in the graph is refused
+    forged = dataclasses.replace(trace, schedule=(FailureEvent(9, 5.0),))
+    with pytest.raises(ValueError):
+        detect(forged, (2, 3), DetectorConfig(z=4))
+    forged = dataclasses.replace(trace, schedule=())
+    with pytest.raises(ValueError):
+        detect(forged, (2, 3), DetectorConfig(z=4))
