@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import (FailureEvent, NetworkSystem, SubsystemModel, relative_degree,
-                       simulate, simulate_edge_failures)
+from .dynamics import (FailureEvent, NetworkSystem, SubsystemModel, _write_csv,
+                       relative_degree, simulate, simulate_edge_failures)
 from .fdi import (DetectorConfig, default_order_budget, detect, detect_edge_failures,
                   isolate, lookup_table, relation_matrix)
 from .graph import Digraph, gen_cycle, gen_random_geometric, gen_star
@@ -113,11 +113,8 @@ def _derivatives_csv(path: Path, trace, sensors, z: int):
     header = ["t"] + [f"y_{p}_{c}_d{k}"
                       for p in sensors for c in range(1, o + 1) for k in range(z + 1)]
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        rows = values.transpose(3, 0, 2, 1).reshape(len(trace.times), -1)
-        for t, row in zip(trace.times.tolist(), rows):
-            fh.write(",".join([f"{t:.17g}"] + [f"{v:.17g}" for v in row.tolist()]) + "\n")
+    _write_csv(path, header, trace.times,
+               values.transpose(3, 0, 2, 1).reshape(len(trace.times), -1))
 
 
 # -- subcommands -----------------------------------------------------------------

@@ -15,6 +15,13 @@ check the other:
                          r * (dist + 1) with value
                          -g_ij [G^dist]_pi (M_r Gamma)^(dist+1) C x_j(t_f),
                          where M_r is the first nonzero Markov parameter.
+
+Prediction reads memoised structure: each ``SubsystemModel`` keeps the powers
+(M_r Gamma)^(dist+1) it has been asked for in ``_q_powers``, and each
+``Digraph`` keeps its hop array and walk powers in ``_memo``.  A failure
+changes one block of the closed loop, so post-failure matrices are the
+pre-failure one with that block overwritten by the model's ``_failed_block``
+(``_post_failure_loop``).
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from .graph import Digraph, INFINITE, distances, walk_matrix
+from .graph import Digraph, _walk_power, distances
 
 #: absolute tolerance below which a Markov parameter counts as zero
 NONZERO_ATOL = 1e-12
@@ -45,7 +52,7 @@ class SubsystemModel:
     Construction fails if the model has no well-defined relative degree.
     """
 
-    __slots__ = ("A", "B", "C", "Gamma", "_r", "_mr_gamma")
+    __slots__ = ("A", "B", "C", "Gamma", "_r", "_mr_gamma", "_q_powers", "_failed_block")
 
     def __init__(self, A, B, C, Gamma):
         self.A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -66,6 +73,9 @@ class SubsystemModel:
         self._r = None
         self._r = relative_degree(self)
         self._mr_gamma = markov_parameter(self, self._r) @ self.Gamma
+        self._q_powers = {}
+        # a failed edge's closed-loop block, as a rebuild writes it: 0 A + 0 B Gamma C
+        self._failed_block = 0.0 * self.A + 0.0 * (self.B @ self.Gamma @ self.C)
 
     @property
     def d(self) -> int:
@@ -125,7 +135,15 @@ def q_matrix(model: SubsystemModel, dist: int) -> np.ndarray:
     """
     if dist < 0:
         raise ValueError(f"dist must be >= 0, got {dist}")
-    return np.linalg.matrix_power(model._mr_gamma, dist + 1)
+    return _q_power(model, dist).copy()
+
+
+def _q_power(model: SubsystemModel, dist: int) -> np.ndarray:
+    """Memoised (M_r Gamma)^(dist+1) of the model; shared, never to be mutated."""
+    power = model._q_powers.get(dist)
+    if power is None:
+        power = model._q_powers[dist] = np.linalg.matrix_power(model._mr_gamma, dist + 1)
+    return power
 
 
 def closed_loop(g: Digraph, model: SubsystemModel) -> np.ndarray:
@@ -136,6 +154,20 @@ def closed_loop(g: Digraph, model: SubsystemModel) -> np.ndarray:
     blocks = (np.eye(n)[:, None, :, None] * model.A[:, None, :]
               + g.adjacency()[:, None, :, None] * coupling[:, None, :])
     return blocks.reshape(n * d, n * d)
+
+
+def _post_failure_loop(a_pre: np.ndarray, model: SubsystemModel, head: int,
+                       tail: int) -> np.ndarray:
+    """Closed loop after edge (tail -> head) fails, from the one before it.
+
+    Only block (head, tail) changes.  It gets the values a rebuild gives it,
+    0.0 A + 0.0 B Gamma C, signed zeros included, so the result equals
+    ``closed_loop`` of the mutated graph byte for byte.
+    """
+    d = model.d
+    a_post = a_pre.copy()
+    a_post[(head - 1) * d : head * d, (tail - 1) * d : tail * d] = model._failed_block
+    return a_post
 
 
 class NetworkSystem:
@@ -149,8 +181,13 @@ class NetworkSystem:
         self.closed_loop = closed_loop(graph, model)
 
     def remove_edge(self, label: int) -> "NetworkSystem":
-        """System after the given link fails (closed loop reassembled)."""
-        return NetworkSystem(self.graph.remove_edge(label), self.model)
+        """System after the given link fails (one block of the closed loop rewritten)."""
+        e = self.graph.edge(label)
+        post = NetworkSystem.__new__(NetworkSystem)
+        post.graph = self.graph.remove_edge(label)
+        post.model = self.model
+        post.closed_loop = _post_failure_loop(self.closed_loop, self.model, e.head, e.tail)
+        return post
 
     @property
     def n_states(self) -> int:
@@ -267,8 +304,7 @@ class SimulationTrace:
         n, d, o = self.n_nodes, self.state_dim, self.output_dim
         W = np.zeros((len(sensors), z + 1, o, n * d))
         for si, p in enumerate(sensors):
-            if not 1 <= p <= n:
-                raise ValueError(f"sensor {p} outside 1..{n}")
+            _check_sensor(p, n)
             W[si, 0, :, (p - 1) * d : p * d] = self.c_matrix
         out = np.empty(W.shape[:3] + (len(self.times),))
         for seg in self.segments:
@@ -284,13 +320,25 @@ class SimulationTrace:
         header = (["t"]
                   + [f"x_{i}_{l}" for i in range(1, n + 1) for l in range(1, d + 1)]
                   + [f"y_{i}_{c}" for i in range(1, n + 1) for c in range(1, o + 1)])
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for row_t, row_x, row_y in zip(self.times, self.states, self.outputs):
-                cells = [f"{row_t:.17g}"]
-                cells += [f"{v:.17g}" for v in row_x]
-                cells += [f"{v:.17g}" for v in row_y]
-                fh.write(",".join(cells) + "\n")
+        _write_csv(path, header, self.times, self.states, self.outputs)
+
+
+def _write_csv(path: str | Path, header: Sequence[str], times: np.ndarray,
+               *blocks: np.ndarray):
+    """Write the header, then per sample `t,<row of each block>` with 17 significant digits.
+
+    Each block is shaped (n_samples, width).  One "%.17g,...\n" template is
+    filled per row, over that row's floats; `%.17g` prints every double
+    (signed zeros, inf, nan, subnormals) as `format(v, ".17g")` does.
+    """
+    template = ",".join(["%.17g"] * len(header)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for t, *rows in zip(times.tolist(), *blocks):
+            cells = [t]
+            for row in rows:
+                cells += row.tolist()
+            fh.write(template % tuple(cells))
 
 
 def _snap_schedule(schedule: Sequence[FailureEvent], t0: float, dt: float,
@@ -397,9 +445,11 @@ def simulate(sys: NetworkSystem, x0, t0: float, t_end: float, dt: float,
     # Segment boundaries and the graph in force on each segment.
     boundaries = [0] + [idx for idx, _ in snapped] + [n_steps]
     graphs = [sys.graph]
+    matrices = [sys.closed_loop]
     for _, ev in snapped:
+        e = graphs[-1].edge(ev.edge)
         graphs.append(graphs[-1].remove_edge(ev.edge))
-    matrices = [sys.closed_loop] + [closed_loop(g, sys.model) for g in graphs[1:]]
+        matrices.append(_post_failure_loop(matrices[-1], sys.model, e.head, e.tail))
 
     states = _initial_states(sys, x0, n_steps + 1)
     refine_steps = {idx - 1 for idx, _ in snapped} | {idx for idx, _ in snapped}
@@ -456,9 +506,9 @@ def simulate_edge_failures(sys: NetworkSystem, x0, t0: float, t_end: float, dt: 
     n_steps = len(times) - 1
 
     def traces():
-        for label in sys.graph.edge_labels:
+        for label, e in sys.graph.edges():
             graph = sys.graph.remove_edge(label)
-            post = closed_loop(graph, sys.model)
+            post = _post_failure_loop(sys.closed_loop, sys.model, e.head, e.tail)
             states = np.empty_like(healthy)
             states[: idx + 1] = healthy[: idx + 1]
             _propagate_exact(post, dt, states, idx, n_steps)
@@ -467,6 +517,17 @@ def simulate_edge_failures(sys: NetworkSystem, x0, t0: float, t_end: float, dt: 
                          True)
 
     return traces()
+
+
+def _check_sensor(p: int, n_nodes: int):
+    if not 1 <= p <= n_nodes:
+        raise ValueError(f"sensor {p} outside 1..{n_nodes}")
+
+
+def _check_sensor_and_order(sys: NetworkSystem, p: int, k: int):
+    _check_sensor(p, sys.graph.n_nodes)
+    if k < 0:
+        raise ValueError(f"derivative order must be >= 0, got {k}")
 
 
 def one_sided_derivative(sys_pre: NetworkSystem, sys_post: NetworkSystem,
@@ -478,8 +539,7 @@ def one_sided_derivative(sys_pre: NetworkSystem, sys_post: NetworkSystem,
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if k < 0:
-        raise ValueError(f"derivative order must be >= 0, got {k}")
+    _check_sensor_and_order(sys_pre, p, k)
     A = sys_pre.closed_loop if side == "left" else sys_post.closed_loop
     v = np.asarray(x_tf, dtype=float).reshape(-1)
     for _ in range(k):
@@ -495,6 +555,7 @@ def jump_oracle(sys_pre: NetworkSystem, sys_post: NetworkSystem,
     Returns (e_p (x) C)(A_post^k - A_pre^k) x(t_f) with no reference to the
     closed-form prediction; serves as the independent check of it.
     """
+    _check_sensor_and_order(sys_pre, p, k)
     x = np.asarray(x_tf, dtype=float).reshape(-1)
     v_pre = x.copy()
     v_post = x.copy()
@@ -533,17 +594,17 @@ def theoretical_jump(g: Digraph, model: SubsystemModel, edge: int, p: int,
     When no directed i -> p path exists the failure never shows at p and an
     unobservable prediction is returned.
     """
+    _check_sensor(p, g.n_nodes)
     e = g.edge(edge)
-    dist = distances(g)[e.head, p]
-    if dist is INFINITE:
+    dist = int(distances(g)._hops[e.head - 1, p - 1])
+    if dist < 0:
         return JumpPrediction(observable=False, order=None, value=None)
-    r = relative_degree(model)
-    order = r * (dist + 1)
-    walk = walk_matrix(g, dist)[p - 1, e.head - 1]
+    order = model._r * (dist + 1)
+    walk = _walk_power(g, dist)[p - 1, e.head - 1]
     d = model.d
     x = np.asarray(x_tf, dtype=float).reshape(-1)
     x_j = x[(e.tail - 1) * d : e.tail * d]
-    value = -e.weight * walk * (q_matrix(model, dist) @ (model.C @ x_j))
+    value = -e.weight * walk * (_q_power(model, dist) @ (model.C @ x_j))
     return JumpPrediction(observable=True, order=order, value=value)
 
 

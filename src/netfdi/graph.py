@@ -261,6 +261,11 @@ def walk_matrix(g: Digraph, k: int) -> np.ndarray:
     """
     if k < 0:
         raise ValueError(f"walk length must be >= 0, got {k}")
+    return _walk_power(g, k).copy()
+
+
+def _walk_power(g: Digraph, k: int) -> np.ndarray:
+    """Memoised G^k (k >= 0) of the graph; shared, never to be mutated."""
     powers = g._memo.get("walk_powers")
     if powers is None or len(powers) <= k:
         base = g.adjacency()
@@ -268,7 +273,7 @@ def walk_matrix(g: Digraph, k: int) -> np.ndarray:
         while len(powers) <= k:
             powers.append(powers[-1] @ base)
         g._memo["walk_powers"] = powers
-    return powers[k].copy()
+    return powers[k]
 
 
 def remove_edge(g: Digraph, label: int) -> Digraph:

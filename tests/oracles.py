@@ -122,6 +122,34 @@ def q_limit(model, dist: int, r: int) -> np.ndarray:
     return total
 
 
+def reference_jump(g, model, edge: int, p: int, x_tf):
+    """(observable, order, value) of the closed-form first jump, recomputed plainly.
+
+    The formula of ``theoretical_jump`` with nothing memoised: Floyd-Warshall
+    hops, a fresh walk power G^dist by repeated products, the relative
+    degree from the first Markov parameter above 1e-12 and a fresh
+    matrix_power of M_r Gamma.  Every product is taken in the library's
+    order, so the value must agree with it bit for bit.
+    """
+    e = g.edge(edge)
+    adj = g.adjacency()
+    hops = floyd_warshall_hops(adj)[e.head - 1, p - 1]
+    if not np.isfinite(hops):
+        return False, None, None
+    dist = int(hops)
+    r = next(k for k in range(1, model.A.shape[0] + 1)
+             if np.abs(model.C @ np.linalg.matrix_power(model.A, k - 1) @ model.B).max() > 1e-12)
+    mr_gamma = model.C @ np.linalg.matrix_power(model.A, r - 1) @ model.B @ model.Gamma
+    walk = np.eye(g.n_nodes)
+    for _ in range(dist):
+        walk = walk @ adj
+    d = model.A.shape[0]
+    x_j = np.asarray(x_tf, dtype=float).reshape(-1)[(e.tail - 1) * d : e.tail * d]
+    value = (-e.weight * walk[p - 1, e.head - 1]
+             * (np.linalg.matrix_power(mr_gamma, dist + 1) @ (model.C @ x_j)))
+    return True, r * (dist + 1), value
+
+
 # -- sensor placement: the plain loops, on R's entries alone ----------------------
 
 

@@ -3,15 +3,17 @@ import pytest
 from scipy.linalg import expm
 
 from netfdi.dynamics import (DegenerateModelError, ExogenousInput, FailureEvent,
-                             NetworkSystem, SubsystemModel, closed_loop,
+                             NetworkSystem, SimulationTrace, SubsystemModel, closed_loop,
                              fault_replicant_check, jump_oracle, markov_parameter,
                              one_sided_derivative, q_matrix, relative_degree, simulate,
                              simulate_edge_failures, theoretical_jump)
-from netfdi.graph import Digraph, Edge, gen_cycle, gen_star
+from netfdi.graph import (INFINITE, Digraph, Edge, distances, gen_cycle, gen_star,
+                          walk_matrix)
 
-from corpusgen import (chain_model, damp_coupling, random_connected_digraph,
-                       random_stable_model)
-from oracles import markov_parameter_limit, q_limit, relative_degree_slope
+from corpusgen import (chain_model, connected_digraphs_up_to, damp_coupling,
+                       random_connected_digraph, random_stable_model)
+from oracles import (markov_parameter_limit, q_limit, reference_jump,
+                     relative_degree_slope)
 
 
 def scalar_model():
@@ -310,6 +312,25 @@ def test_trace_csv_format(tmp_path):
     assert np.array_equal(parsed[:, 1:7], trace.states)
 
 
+def test_trace_csv_bytes_equal_per_cell_loop(tmp_path):
+    specials = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 0.1, -1.0 / 3.0,
+                1.7976931348623157e308, 2.2250738585072014e-308, 1e16, 123456789.0]
+    states = np.array(specials[:12]).reshape(4, 3)
+    outputs = np.array(specials[1:13][::-1]).reshape(4, 3)
+    times = np.array([0.0, 0.1, -0.0, 5e-324])
+    trace = SimulationTrace(times=times, states=states, outputs=outputs, schedule=(),
+                            segments=(), n_nodes=3, state_dim=1, output_dim=1,
+                            c_matrix=np.eye(1))
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    lines = ["t,x_1_1,x_2_1,x_3_1,y_1_1,y_2_1,y_3_1"]
+    for row_t, row_x, row_y in zip(times, states, outputs):
+        cells = [f"{row_t:.17g}"] + [f"{v:.17g}" for v in row_x] + [f"{v:.17g}" for v in row_y]
+        lines.append(",".join(cells))
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert b"-0," in path.read_bytes() and b"nan" in path.read_bytes()
+
+
 # -- one-sided derivatives and jumps -------------------------------------------------
 
 
@@ -474,3 +495,142 @@ def test_fault_replicant_random_instances():
         label = int(rng.choice(g.edge_labels))
         dev = fault_replicant_check(sys_net, label, x0, 2.5, 5.0, dt=0.01)
         assert dev <= 1e-9 * max(1.0, np.abs(x0).max())
+
+
+def test_sensor_and_order_out_of_range_raise():
+    sys_pre, sys_post = failed_pair()
+    x = x_at_failure()
+    with pytest.raises(ValueError, match=r"sensor 0 outside 1\.\.5"):
+        theoretical_jump(sys_pre.graph, sys_pre.model, 2, 0, x)
+    with pytest.raises(ValueError, match=r"sensor 6 outside 1\.\.5"):
+        theoretical_jump(sys_pre.graph, sys_pre.model, 2, 6, x)
+    with pytest.raises(ValueError, match="derivative order must be >= 0, got -1"):
+        jump_oracle(sys_pre, sys_post, x, 2, -1)
+    with pytest.raises(ValueError, match=r"sensor 0 outside 1\.\.5"):
+        jump_oracle(sys_pre, sys_post, x, 0, 1)
+    with pytest.raises(ValueError, match=r"sensor 0 outside 1\.\.5"):
+        one_sided_derivative(sys_pre, sys_post, x, 0, 1, "left")
+
+
+# -- memoised prediction and the post-failure closed loop ------------------------------
+
+
+def signed_models():
+    """One model per d in {1, 2, 3} with A[0, 0] < 0 and (B Gamma C)[0, 0] < 0.
+
+    Block (0, 0) of a failed edge then holds 0.0 * A + 0.0 * B Gamma C = -0.0,
+    which a block of plain zeros would get wrong.
+    """
+    rng = np.random.default_rng(77)
+    models = []
+    for d in (1, 2, 3):
+        A = rng.normal(0.0, 0.3, (d, d)) - np.eye(d)
+        B = rng.normal(0.0, 1.0, (d, 2))
+        C = rng.normal(0.0, 1.0, (2, d))
+        Gamma = rng.normal(0.0, 1.0, (2, 2))
+        if (B @ Gamma @ C)[0, 0] > 0:
+            Gamma = -Gamma
+        model = SubsystemModel(A, B, C, Gamma)
+        coupling = model.B @ model.Gamma @ model.C
+        assert model.A[0, 0] < 0 and coupling[0, 0] < 0
+        models.append(model)
+    return models
+
+
+def jump_corpus():
+    rng = np.random.default_rng(8)
+    graphs = connected_digraphs_up_to(3)
+    graphs += [random_connected_digraph(int(rng.integers(4, 8)), rng) for _ in range(6)]
+    models = signed_models() + [chain_model(3, rng), random_stable_model(rng)]
+    for gi, g0 in enumerate(graphs):
+        g = Digraph(g0.n_nodes, [Edge(e.tail, e.head, float(rng.uniform(0.3, 1.7)))
+                                 for _, e in g0.edges()])
+        model = models[gi % len(models)]
+        yield g, model, rng.normal(0.0, 1.0, g.n_nodes * model.d)
+
+
+def test_post_failure_closed_loop_is_bytewise_rebuild():
+    negative_zeros = 0
+    for g, model, x in jump_corpus():
+        sys_net = NetworkSystem(g, model)
+        for label, e in g.edges():
+            want = closed_loop(g.remove_edge(label), model)
+            got = sys_net.remove_edge(label)
+            assert got.closed_loop.tobytes() == want.tobytes()
+            assert got.graph == g.remove_edge(label) and got.model is model
+            [trace] = [tr for tr in simulate_edge_failures(sys_net, x, 0.0, 0.2, 0.1, 0.1)
+                       if tr.schedule[0].edge == label]
+            assert trace.segments[1].matrix.tobytes() == want.tobytes()
+            d = model.d
+            block = want[(e.head - 1) * d : e.head * d, (e.tail - 1) * d : e.tail * d]
+            negative_zeros += int(np.signbit(block).sum())
+        if g.n_edges >= 2:
+            first, second = g.edge_labels[:2]
+            trace = simulate(sys_net, x, 0.0, 0.3, 0.1,
+                             [FailureEvent(second, 0.2), FailureEvent(first, 0.1)])
+            once = g.remove_edge(first)
+            for seg, graph in zip(trace.segments, (g, once, once.remove_edge(second))):
+                assert seg.matrix.tobytes() == closed_loop(graph, model).tobytes()
+    assert negative_zeros > 0
+
+
+def test_theoretical_jump_bit_identical_to_reference():
+    observable = 0
+    for g, model, x in jump_corpus():
+        for label in g.edge_labels:
+            for p in range(1, g.n_nodes + 1):
+                pred = theoretical_jump(g, model, label, p, x)
+                want_observable, want_order, want_value = reference_jump(g, model, label, p, x)
+                assert (pred.observable, pred.order) == (want_observable, want_order)
+                if want_observable:
+                    assert type(pred.order) is int
+                    assert pred.value.tobytes() == want_value.tobytes()
+                    observable += 1
+                else:
+                    assert pred.value is None
+    assert observable > 200
+
+
+def test_predictions_survive_mutating_returned_arrays():
+    g = gen_cycle(5)
+    model = SubsystemModel([[-1.0, 0.5], [0.2, -2.0]], [[0.0], [1.0]], [[1.0, 0.3]],
+                           [[0.8]])
+    x = np.linspace(-1.0, 1.0, 10)
+
+    def predictions():
+        return [theoretical_jump(g, model, label, p, x)
+                for label in g.edge_labels for p in range(1, 6)]
+
+    before = predictions()
+    for dist in range(5):
+        q_matrix(model, dist)[...] = 7.0
+        walk_matrix(g, dist)[...] = 7.0
+    assert q_matrix(model, 0).tobytes() == model._mr_gamma.tobytes()
+    after = predictions()
+    for old, new in zip(before, after):
+        assert (old.order, old.value.tobytes()) == (new.order, new.value.tobytes())
+
+
+def test_matrix_power_runs_once_per_model_and_dist(monkeypatch):
+    rng = np.random.default_rng(12)
+    g = random_connected_digraph(7, rng)
+    model = damp_coupling(g, chain_model(2, rng))
+    x = rng.normal(0.0, 1.0, g.n_nodes * model.d)
+    calls = []
+    real = np.linalg.matrix_power
+
+    def counting(a, n):
+        calls.append(n)
+        return real(a, n)
+
+    monkeypatch.setattr(np.linalg, "matrix_power", counting)
+    hops = distances(g)
+    exponents = sorted({hops[e.head, p] + 1 for _, e in g.edges()
+                        for p in range(1, g.n_nodes + 1) if hops[e.head, p] is not INFINITE})
+    predictions = 0
+    for _ in range(2):
+        for label in g.edge_labels:
+            for p in range(1, g.n_nodes + 1):
+                predictions += theoretical_jump(g, model, label, p, x).observable
+    assert predictions > 2 * len(exponents)
+    assert sorted(calls) == exponents
