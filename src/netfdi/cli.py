@@ -25,8 +25,8 @@ import numpy as np
 
 from .dynamics import (FailureEvent, NetworkSystem, SubsystemModel, _write_csv,
                        relative_degree, simulate, simulate_edge_failures)
-from .fdi import (DetectorConfig, default_order_budget, detect, detect_edge_failures,
-                  isolate, lookup_table, relation_matrix)
+from .fdi import (DetectorConfig, _validated_sensors, default_order_budget, detect,
+                  detect_edge_failures, isolate, lookup_table, relation_matrix)
 from .graph import Digraph, gen_cycle, gen_random_geometric, gen_star
 from .placement import approximation_report
 
@@ -39,48 +39,35 @@ class ConfigError(Exception):
     """Invalid configuration; the message names the offending field."""
 
 
-def _load_graph(path: str) -> Digraph:
+def _load(field: str, path, read):
+    """read(path), with a missing or malformed file as a config error naming the field."""
     try:
-        return Digraph.load(path)
+        return read(path)
     except FileNotFoundError:
-        raise ConfigError(f"graph: file not found: {path}")
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"graph: cannot parse {path}: {exc}")
+        raise ConfigError(f"{field}: file not found: {path}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{field}: cannot parse {path}: {exc}")
 
 
-def _load_model(path: str) -> SubsystemModel:
-    try:
-        return SubsystemModel.load(path)
-    except FileNotFoundError:
-        raise ConfigError(f"model: file not found: {path}")
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"model: cannot parse {path}: {exc}")
-
-
-def _parse_sensors(spec, n_nodes: int) -> tuple[int, ...] | None:
-    """Comma list (or JSON array) of node ids, or None for 'auto'."""
-    if isinstance(spec, str) and spec.strip().lower() == "auto":
+def _parse_sensors(spec: str, n_nodes: int) -> tuple[int, ...] | None:
+    """Comma list of node ids, or None for 'auto'."""
+    if spec.strip().lower() == "auto":
         return None
     try:
-        if isinstance(spec, str):
-            sensors = tuple(int(tok) for tok in spec.split(",") if tok.strip())
-        else:
-            sensors = tuple(int(tok) for tok in spec)
-    except (TypeError, ValueError):
+        sensors = [int(tok) for tok in spec.split(",") if tok.strip()]
+    except ValueError:
         raise ConfigError(f"sensors: expected comma-separated integers, got {spec!r}")
     if not sensors:
         raise ConfigError("sensors: empty list")
-    for i, p in enumerate(sensors):
-        if not 1 <= p <= n_nodes:
-            raise ConfigError(f"sensors: node {p} outside 1..{n_nodes}")
-        if p in sensors[:i]:
-            raise ConfigError(f"sensors: duplicate node {p}")
-    return sensors
+    try:
+        return _validated_sensors(sensors, n_nodes)
+    except ValueError as exc:
+        raise ConfigError(f"sensors: {exc}")
 
 
 def _parse_fail(specs) -> list[FailureEvent]:
     events = []
-    for spec in specs or ():
+    for spec in specs:
         try:
             edge_text, time_text = spec.split("@")
             events.append(FailureEvent(int(edge_text), float(time_text)))
@@ -89,12 +76,12 @@ def _parse_fail(specs) -> list[FailureEvent]:
     return events
 
 
-def _parse_z(spec, g: Digraph, r: int) -> int:
-    if isinstance(spec, str) and spec.strip().lower() == "auto":
+def _parse_z(spec: str, g: Digraph, r: int) -> int:
+    if spec.strip().lower() == "auto":
         return default_order_budget(g, r)
     try:
         z = int(spec)
-    except (TypeError, ValueError):
+    except ValueError:
         raise ConfigError(f"z: expected integer or 'auto', got {spec!r}")
     if z < r:
         raise ConfigError(f"z: budget {z} below relative degree {r}")
@@ -136,7 +123,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load("graph", args.graph, Digraph.load)
     r = args.r
     if r < 1:
         raise ConfigError(f"r: must be >= 1, got {r}")
@@ -160,7 +147,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_place(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load("graph", args.graph, Digraph.load)
     if args.r < 1:
         raise ConfigError(f"r: must be >= 1, got {args.r}")
     z = _parse_z(args.z, g, args.r)
@@ -178,8 +165,8 @@ def cmd_place(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    g = _load_graph(args.graph)
-    model = _load_model(args.model)
+    g = _load("graph", args.graph, Digraph.load)
+    model = _load("model", args.model, SubsystemModel.load)
     sys_net = NetworkSystem(g, model)
     x0 = _resolve_x0(args.x0, sys_net, args.seed)
     schedule = _parse_fail(args.fail)
@@ -197,11 +184,8 @@ def _resolve_x0(spec, sys_net, seed):
         rng = np.random.default_rng(seed)
         return rng.normal(0.0, 1.0, sys_net.n_states)
     try:
-        if isinstance(spec, str):
-            x0 = np.array([float(tok) for tok in spec.split(",") if tok.strip()])
-        else:
-            x0 = np.asarray(spec, dtype=float)
-    except (TypeError, ValueError):
+        x0 = np.array([float(tok) for tok in spec.split(",") if tok.strip()])
+    except ValueError:
         raise ConfigError(f"x0: expected comma-separated reals, got {spec!r}")
     if x0.size != sys_net.n_states:
         raise ConfigError(f"x0: expected {sys_net.n_states} entries, got {x0.size}")
@@ -250,12 +234,10 @@ def _sweep_outcome(edge: int, events, column, t_fail: float, tol: float) -> str:
 
 
 def cmd_run(args) -> int:
-    if args.config:
-        args = _merge_config(args)
     if not args.graph or not args.model:
         raise ConfigError("graph/model: required (positionally or via --config)")
-    g = _load_graph(args.graph)
-    model = _load_model(args.model)
+    g = _load("graph", args.graph, Digraph.load)
+    model = _load("model", args.model, SubsystemModel.load)
     sys_net = NetworkSystem(g, model)
     r = relative_degree(model)
     z = _parse_z(args.z, g, r)
@@ -334,27 +316,6 @@ def cmd_run(args) -> int:
     return EXIT_OK if all_unique else EXIT_UNRESOLVED
 
 
-def _merge_config(args):
-    """Overlay run.json values onto argparse defaults (flags win)."""
-    try:
-        data = json.loads(Path(args.config).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config: file not found: {args.config}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config: cannot parse {args.config}: {exc}")
-    known = {"graph", "model", "sensors", "z", "dt", "t0", "horizon", "fail",
-             "mode", "seed", "out_dir", "x0", "sweep_failures"}
-    for key, value in data.items():
-        if key not in known:
-            raise ConfigError(f"config: unknown field {key!r}")
-        if getattr(args, key, None) in (None, [], ()) or key not in args._explicit:
-            setattr(args, key, value)
-    for field in ("graph", "model"):
-        if getattr(args, field, None) is None:
-            raise ConfigError(f"config: missing required field {field!r}")
-    return args
-
-
 # RGG reproduction constants; pinned so reports are bit-stable run to run.
 RGG_NODES = 50
 RGG_REGION = 1.0
@@ -370,12 +331,9 @@ def cmd_reproduce(args) -> int:
         model = SubsystemModel([[-1.0]], [[1.0]], [[1.0]], [[1.0]])
         g.save(out_dir / "graph.json")
         model.save(out_dir / "model.json")
-        ns = argparse.Namespace(
-            graph=str(out_dir / "graph.json"), model=str(out_dir / "model.json"),
-            sensors="2,3", z="4", dt=1e-3, t0=0.0, horizon=10.0, fail=["2@5"],
-            mode="analytic", seed=0, out_dir=str(out_dir), x0="1,2,3,4,5",
-            sweep_failures=None, config=None, _explicit=set())
-        return cmd_run(ns)
+        return main(["run", str(out_dir / "graph.json"), str(out_dir / "model.json"),
+                     "--sensors", "2,3", "--z", "4", "--dt", "1e-3", "--horizon", "10",
+                     "--fail", "2@5", "--x0", "1,2,3,4,5", "--out-dir", str(out_dir)])
     if args.name == "star5":
         g = gen_star(5)
         g.save(out_dir / "graph.json")
@@ -407,7 +365,42 @@ def cmd_reproduce(args) -> int:
 # -- argument parsing --------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+class _Repeated(argparse.Action):
+    """A repeatable flag whose first explicit use replaces the default list."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        items = getattr(namespace, self.dest)
+        setattr(namespace, self.dest, ([] if items is self.default else items) + [values])
+
+
+def _config_defaults(p_run: argparse.ArgumentParser, path: str) -> dict:
+    """Run defaults from a JSON config, each field read exactly as its argument is.
+
+    A JSON array stands for a comma list, or for the repeats of a repeatable flag.
+    """
+    data = _load("config", path, lambda p: json.loads(Path(p).read_text()))
+    if not isinstance(data, dict):
+        raise ConfigError(f"config: expected a JSON object in {path}")
+    actions = {a.dest: a for a in p_run._actions if a.dest not in ("help", "config")}
+    defaults = {}
+    for key, value in data.items():
+        action = actions.get(key)
+        if action is None:
+            raise ConfigError(f"config: unknown field {key!r}")
+        tokens = [v if isinstance(v, str) else json.dumps(v)
+                  for v in (value if isinstance(value, list) else [value])]
+        repeated = isinstance(action, _Repeated)
+        try:
+            values = [p_run._get_values(action, [tok])
+                      for tok in (tokens if repeated else [",".join(tokens)])]
+        except argparse.ArgumentError as exc:
+            raise ConfigError(f"config: {exc}")
+        defaults[key] = values if repeated else values[0]
+    return defaults
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The netfdi parser and its run subparser, the one reader of run settings."""
     parser = argparse.ArgumentParser(prog="netfdi", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -457,7 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--dt", type=float, default=1e-3)
     p_run.add_argument("--t0", type=float, default=0.0)
     p_run.add_argument("--horizon", type=float, default=10.0)
-    p_run.add_argument("--fail", action="append", default=[])
+    p_run.add_argument("--fail", action=_Repeated, default=[])
     p_run.add_argument("--mode", choices=["analytic", "finite-difference"],
                        default="analytic")
     p_run.add_argument("--x0", default=None)
@@ -471,21 +464,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("name", choices=["cycle5", "star5", "rgg"])
     p_rep.add_argument("--out-dir", default="netfdi_out")
     p_rep.set_defaults(func=cmd_reproduce)
-    return parser
+    return parser, p_run
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, p_run = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # config values become run defaults, so explicit arguments still win
+            p_run.set_defaults(**_config_defaults(p_run, args.config))
+            args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; those are config errors here
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
-    args._explicit = {a.lstrip("-").replace("-", "_").split("=")[0]
-                      for a in (argv if argv is not None else sys.argv[1:])
-                      if a.startswith("--")}
-    try:
-        return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -70,6 +70,9 @@ class SubsystemModel:
             raise ValueError(
                 f"Gamma must be {self.B.shape[1]}x{self.C.shape[0]} (inputs x outputs), "
                 f"got {self.Gamma.shape}")
+        for name in ("A", "B", "C", "Gamma"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} has non-finite entries")
         self._r = None
         self._r = relative_degree(self)
         self._mr_gamma = markov_parameter(self, self._r) @ self.Gamma
@@ -374,6 +377,9 @@ def _rk4_step(A: np.ndarray, b_stack: np.ndarray, w: ExogenousInput,
 
 def _time_grid(t0: float, t_end: float, dt: float) -> np.ndarray:
     """Uniform sample times t0, t0 + dt, ..., t_end (validated)."""
+    for name, value in (("t0", t0), ("t_end", t_end), ("dt", dt)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     if t_end <= t0:
@@ -390,6 +396,8 @@ def _initial_states(sys: NetworkSystem, x0, n_samples: int) -> np.ndarray:
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape != (nd,):
         raise ValueError(f"x0 must have {nd} entries, got {x0.shape}")
+    if not np.isfinite(x0).all():
+        raise ValueError("x0 has non-finite entries")
     states = np.empty((n_samples, nd))
     states[0] = x0
     return states

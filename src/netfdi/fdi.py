@@ -12,12 +12,13 @@ isolation matches the observed signature against the columns of D.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import comb, factorial
 
 import numpy as np
 
-from .dynamics import NetworkSystem, SimulationTrace, _healthy_prefix
+from .dynamics import NetworkSystem, SimulationTrace, _check_sensor, _healthy_prefix
 from .graph import Digraph, distances, finite_diameter
 
 
@@ -109,13 +110,19 @@ def relation_matrix(g: Digraph, r: int, z: int | None = None) -> RelationMatrix:
 
 
 def _validated_sensors(sensors, n_nodes: int) -> tuple[int, ...]:
-    out = tuple(int(p) for p in sensors)
+    """Sensors as a tuple of ints; each an integer in 1..n_nodes, none repeated."""
+    out = []
+    for p in sensors:
+        try:
+            p = operator.index(p)
+        except TypeError:
+            raise ValueError(f"sensor {p!r} is not an integer") from None
+        _check_sensor(p, n_nodes)
+        out.append(p)
     if len(set(out)) != len(out):
-        raise ValueError(f"duplicate sensors in {out}")
-    for p in out:
-        if not 1 <= p <= n_nodes:
-            raise ValueError(f"sensor {p} outside 1..{n_nodes}")
-    return out
+        p = next(p for i, p in enumerate(out) if p in out[:i])
+        raise ValueError(f"duplicate node {p}")
+    return tuple(out)
 
 
 def lookup_table(g: Digraph, sensors, r: int, z: int | None = None) -> LookupTable:
@@ -148,6 +155,11 @@ class JumpSignature:
     time: float
 
 
+#: finite-difference jump thresholds, absolute and relative (see DetectorConfig)
+THRESHOLD_REL = 1e-3
+THRESHOLD_ABS = 1e-9
+
+
 @dataclass
 class DetectorConfig:
     """Detector knobs.
@@ -158,16 +170,13 @@ class DetectorConfig:
     roundoff (see ``_first_jumps``), so no knob enters.  'finite-difference'
     estimates derivatives from output samples alone with one-sided stencils
     of `stencil_width` points; there a jump at order k counts when its norm
-    exceeds threshold_abs + threshold_rel * scale + a sample-roundoff floor,
+    exceeds THRESHOLD_ABS + THRESHOLD_REL * scale + a sample-roundoff floor,
     with scale the median norm of that derivative over the trace.
-    threshold_rel and threshold_abs apply to finite-difference mode only.
     """
 
     z: int
     mode: str = "analytic"
     stencil_width: int | None = None
-    threshold_rel: float = 1e-3
-    threshold_abs: float = 1e-9
 
     def __post_init__(self):
         if self.z < 1:
@@ -179,8 +188,6 @@ class DetectorConfig:
         if self.stencil_width < self.z + 2:
             raise ValueError(
                 f"stencil_width must be >= z+2 = {self.z + 2}, got {self.stencil_width}")
-        if self.threshold_rel <= 0 or self.threshold_abs <= 0:
-            raise ValueError("thresholds must be positive")
 
 
 def _stencil_coefficients(offsets: np.ndarray, k: int) -> np.ndarray:
@@ -411,7 +418,7 @@ def _detect_finite_difference(trace, sensors, cfg) -> list[JumpSignature]:
         rough_r = np.einsum("now,w->no", windows[scan], smooth_c)
         roughness += np.linalg.norm(rough_l, axis=1) + np.linalg.norm(rough_r, axis=1)
 
-    threshold = (cfg.threshold_abs + cfg.threshold_rel * scale + noise_floor)[:, :, None]
+    threshold = (THRESHOLD_ABS + THRESHOLD_REL * scale + noise_floor)[:, :, None]
     flagged = (jumps > threshold).any(axis=(0, 1))
     flagged_idx = np.nonzero(flagged)[0]
     if flagged_idx.size == 0:

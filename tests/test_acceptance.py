@@ -129,49 +129,51 @@ def test_criterion_03_jump_theory_matches_oracle():
         n, o = g.n_nodes, model.o
         x = rng.normal(0.0, 1.0, sys_pre.n_states)
         xn = np.linalg.norm(x)
-        a_pre = sys_pre.closed_loop
         c_stack = np.kron(np.eye(n), model.C)
-        for label, _ in g.edges():
+        preds = [[theoretical_jump(g, model, label, p, x) for p in range(1, n + 1)]
+                 for label in g.edge_labels]
+        # per edge, orders up to the largest predicted one (at least 3) are checked
+        caps = [max([pr.order for pr in row if pr.observable] + [3]) for row in preds]
+        k_max = max(caps)
+        # batched oracle values: same formula as jump_oracle, all (edge, k, p) at once
+        v_pre = [x]
+        for _ in range(k_max):
+            v_pre.append(sys_pre.closed_loop @ v_pre[-1])
+        v_post = np.empty((g.n_edges, k_max, sys_pre.n_states))
+        spots, directs = [], []
+        for e, label in enumerate(g.edge_labels):
             sys_post = sys_pre.remove_edge(label)
-            a_post = sys_post.closed_loop
-            preds = {p: theoretical_jump(g, model, label, p, x)
-                     for p in range(1, n + 1)}
-            k_cap = max([pr.order for pr in preds.values() if pr.observable],
-                        default=0)
-            k_cap = max(k_cap, 3)
-            # batched oracle values: same formula as jump_oracle, all (p, k) at once
-            v_pre = x.copy()
-            v_post = x.copy()
-            jumps = np.empty((k_cap, n * o))
-            for k in range(1, k_cap + 1):
-                v_pre = a_pre @ v_pre
-                v_post = a_post @ v_post
-                jumps[k - 1] = c_stack @ (v_post - v_pre)
-            norms = np.linalg.norm(jumps.reshape(k_cap, n, o), axis=2)
-            # tie the batch to the public oracle on a random (p, k)
+            v = x
+            for k in range(k_max):
+                v = v_post[e, k] = sys_post.closed_loop @ v
+            # tie the batch to the public oracle on a random (p, k) of every edge
             sp = int(rng.integers(1, n + 1))
-            sk = int(rng.integers(1, k_cap + 1))
-            direct = jump_oracle(sys_pre, sys_post, x, sp, sk)
-            assert np.allclose(direct, jumps[sk - 1].reshape(n, o)[sp - 1],
-                               rtol=1e-12, atol=1e-12)
-            spot_checks += 1
-            for p, pred in preds.items():
-                if not pred.observable:
-                    max_zero_resid = max(max_zero_resid, norms[:, p - 1].max() / xn)
-                    zero_checks += k_cap
-                    continue
-                if pred.order > 1:
-                    below = norms[: pred.order - 1, p - 1].max() / xn
-                    max_zero_resid = max(max_zero_resid, below)
-                    zero_checks += pred.order - 1
-                vec = jumps[pred.order - 1].reshape(n, o)[p - 1]
-                oracle_norm = np.linalg.norm(vec)
-                if oracle_norm > 1e-4 * xn:
-                    rel = np.linalg.norm(pred.value - vec) / oracle_norm
-                    max_match_rel = max(max_match_rel, rel)
-                    matches += 1
-                else:
-                    degenerate += 1
+            sk = int(rng.integers(1, caps[e] + 1))
+            directs.append(jump_oracle(sys_pre, sys_post, x, sp, sk))
+            spots.append((e, sk - 1, sp - 1))
+        jumps = ((v_post - np.array(v_pre[1:])) @ c_stack.T).reshape(g.n_edges, k_max, n, o)
+        # np.allclose(directs, batched, rtol=1e-12, atol=1e-12), written out
+        batched = jumps[tuple(np.array(spots).T)]
+        assert (np.abs(np.array(directs) - batched) <= 1e-12 + 1e-12 * np.abs(batched)).all()
+        spot_checks += g.n_edges
+        # predicted first order per (edge, sensor); the edge's cap + 1 if none
+        orders = np.array([[pr.order if pr.observable else cap + 1 for pr in row]
+                           for row, cap in zip(preds, caps)])
+        norms = np.linalg.norm(jumps, axis=3)
+        # every order below the predicted first one (up to the cap if none) is zero
+        below = np.arange(1, k_max + 1)[:, None] < orders[:, None, :]
+        max_zero_resid = max(max_zero_resid, norms[below].max(initial=0.0) / xn)
+        zero_checks += int(below.sum())
+        seen_e, seen_p = np.nonzero(orders <= np.array(caps)[:, None])
+        seen_k = orders[seen_e, seen_p] - 1
+        oracle_norms = norms[seen_e, seen_k, seen_p]
+        big = oracle_norms > 1e-4 * xn
+        values = np.array([preds[e][p].value for e, p in zip(seen_e, seen_p)]).reshape(-1, o)
+        rel = (np.linalg.norm(values[big] - jumps[seen_e, seen_k, seen_p][big], axis=1)
+               / oracle_norms[big])
+        max_match_rel = max(max_match_rel, rel.max(initial=0.0))
+        matches += int(big.sum())
+        degenerate += int(big.size - big.sum())
     elapsed = time.perf_counter() - t_start
     ok = (max_zero_resid <= 1e-9 and max_match_rel <= 1e-6
           and zero_checks > 500_000 and matches > 100_000 and elapsed < 60.0)

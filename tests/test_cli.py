@@ -185,25 +185,97 @@ def test_run_star_auto_sensors_degrades_and_flags_ambiguity(tmp_path, capsys):
     assert report["events"][0]["verdict"] == "ambiguous"
 
 
-def test_run_config_file(tmp_path):
+def test_run_config_file(tmp_path, capsys):
     graph, model = write_cycle_inputs(tmp_path)
+    star = tmp_path / "star.json"
+    main(["gen", "star", "--n", "5", "-o", str(star)])
+    settings = {"graph": str(graph), "model": str(model), "sensors": "2,3", "z": 4,
+                "dt": 0.01, "horizon": 10.0, "fail": ["2@5"], "x0": [1, 2, 3, 4, 5]}
+
+    def run(tag, extra=(), **fields):
+        cfg = tmp_path / f"{tag}.json"
+        cfg.write_text(json.dumps({**settings, **fields}))
+        out_dir = tmp_path / tag
+        code = main(["run", "--config", str(cfg), "--out-dir", str(out_dir), *extra])
+        report = out_dir / "report.json"
+        return code, json.loads(report.read_text()) if code in (0, 2) else None
+
+    code, report = run("cfg")
+    assert code == 0
+    assert report["sensors"] == [2, 3]
+    assert [(ev["t"], ev["verdict"], ev["edges"]) for ev in report["events"]] == \
+        [(pytest.approx(5.0), "unique", [2])]
+    # explicit arguments win in every spelling argparse accepts
+    for extra in (["--sensors", "3"], ["--sens", "3"], ["--sensors=3"]):
+        assert run("override", extra)[1]["sensors"] == [3], extra
+    code, report = run("positional", [str(star), str(model)])
+    assert code == 0 and len(report["tables"]["R"]) == 4 and report["events"] == []
+    # an explicit --fail replaces the config's list instead of adding to it
+    for extra in (["--fail", "3@4"], ["--fa=3@4"]):
+        code, report = run("fail", extra)
+        assert [(ev["t"], ev["edges"]) for ev in report["events"]] == \
+            [(pytest.approx(4.0), [3])], extra
+    # a field is read as its flag is: strings convert, arrays are comma lists
+    code, report = run("dt_text", dt="0.01", sensors=[2, 3], x0="1,2,3,4,5")
+    assert code == 0 and report["sensors"] == [2, 3]
+    assert len((tmp_path / "dt_text" / "trace.csv").read_text().splitlines()) == 1002
+    capsys.readouterr()
+    for fields, name in (({"dt": True}, "--dt"), ({"dt": "fast"}, "--dt"),
+                         ({"sweep_failures": "every-edge"}, "--sweep-failures"),
+                         ({"mode": "exact"}, "--mode"), ({"seed": 1.5}, "--seed"),
+                         ({"sensors": [2.7, 3]}, "sensors"), ({"z": 4.5}, "z")):
+        assert run("bad", **fields)[0] == 3, fields
+        assert name in capsys.readouterr().err, fields
+
+
+def test_run_flags_and_config_write_identical_files(tmp_path):
+    graph, model = write_cycle_inputs(tmp_path)
+    flags = ["--sensors", "2,3", "--z", "4", "--dt", "0.01", "--horizon", "10",
+             "--fail", "2@5", "--fail", "4@7", "--x0", "1,2,3,4,5",
+             "--mode", "finite-difference", "--seed", "3"]
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
-        "graph": str(graph), "model": str(model), "sensors": "2,3", "z": 4,
-        "dt": 0.01, "horizon": 10.0, "fail": ["2@5"], "x0": "1,2,3,4,5",
-    }))
-    out_dir = tmp_path / "cfg_out"
-    code = main(["run", "--config", str(cfg), "--out-dir", str(out_dir)])
-    assert code == 0
-    report = json.loads((out_dir / "report.json").read_text())
-    assert report["events"][0]["verdict"] == "unique"
+        "graph": str(graph), "model": str(model), "sensors": [2, 3], "z": "4",
+        "dt": 0.01, "horizon": 10, "fail": ["2@5", "4@7"], "x0": [1.0, 2, 3, 4, 5],
+        "mode": "finite-difference", "seed": 3, "out_dir": str(tmp_path / "cfg")}))
+    assert main(["run", str(graph), str(model), *flags,
+                 "--out-dir", str(tmp_path / "flags")]) == 0
+    assert main(["run", "--config", str(cfg)]) == 0
+    for name in ("report.json", "trace.csv", "derivatives.csv"):
+        assert (tmp_path / "flags" / name).read_bytes() == \
+            (tmp_path / "cfg" / name).read_bytes(), name
 
 
 def test_run_config_rejects_unknown_field(tmp_path, capsys):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"graph": "g.json", "model": "m.json", "bogus": 1}))
+    # fields are dests, never flag abbreviations; a config names no other config
+    for fields, name in (({"bogus": 1}, "bogus"), ({"sens": "2"}, "sens"),
+                         ({"config": "other.json"}, "config")):
+        cfg.write_text(json.dumps({"graph": "g.json", "model": "m.json", **fields}))
+        assert main(["run", "--config", str(cfg)]) == 3
+        assert f"unknown field {name!r}" in capsys.readouterr().err
+    cfg.write_text(json.dumps(["g.json", "m.json"]))
     assert main(["run", "--config", str(cfg)]) == 3
-    assert "bogus" in capsys.readouterr().err
+    assert "config" in capsys.readouterr().err
+    assert main(["run", "--config", str(tmp_path / "missing.json")]) == 3
+    assert "config: file not found" in capsys.readouterr().err
+
+
+def test_non_finite_inputs_are_config_errors(tmp_path, capsys):
+    graph, model = write_cycle_inputs(tmp_path)
+    bad_model = tmp_path / "nan_model.json"
+    bad_model.write_text('{"A": [[NaN]], "B": [[1.0]], "C": [[1.0]], "Gamma": [[1.0]]}')
+    base = ["--sensors", "2,3", "--z", "4", "--dt", "0.01", "--fail", "2@5",
+            "--out-dir", str(tmp_path / "out")]
+    for argv, name in (
+            ([str(graph), str(bad_model), "--mode", "finite-difference"], "A has non-finite"),
+            ([str(graph), str(bad_model)], "A has non-finite"),
+            ([str(graph), str(model), "--x0", "1,nan,3,4,5"], "x0 has non-finite"),
+            ([str(graph), str(model), "--horizon", "inf"], "t_end must be finite"),
+            ([str(graph), str(model), "--horizon", "inf", "--sweep-failures", "all-edges"],
+             "t_end must be finite")):
+        assert main(["run", *argv, *base]) == 3, argv
+        assert name in capsys.readouterr().err, argv
 
 
 def test_run_sweep_all_edges(tmp_path):
@@ -343,6 +415,13 @@ def test_reproduce_cycle5(tmp_path):
     assert report["tables"]["R"] == CYCLE5_R
     assert report["events"][0]["verdict"] == "unique"
     assert report["events"][0]["edges"] == [2]
+    # the scenario is a plain run of the paper's example 2
+    run_dir = tmp_path / "run"
+    assert main(["run", str(out_dir / "graph.json"), str(out_dir / "model.json"),
+                 "--sensors", "2,3", "--z", "4", "--fail", "2@5", "--x0", "1,2,3,4,5",
+                 "--out-dir", str(run_dir)]) == 0
+    for name in ("report.json", "trace.csv", "derivatives.csv"):
+        assert (out_dir / name).read_bytes() == (run_dir / name).read_bytes(), name
 
 
 def test_reproduce_star5(tmp_path):

@@ -51,6 +51,14 @@ def test_model_dimension_validation():
         SubsystemModel([[-1.0]], [[1.0]], [[1.0]], [[1.0, 0.0]])
 
 
+def test_model_rejects_non_finite_entries():
+    good = {"A": [[-1.0]], "B": [[1.0]], "C": [[1.0]], "Gamma": [[1.0]]}
+    for name in good:
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"^{name} has non-finite entries"):
+                SubsystemModel(**{**good, name: [[bad]]})
+
+
 def test_relative_degree_matches_large_s_slope():
     rng = np.random.default_rng(3)
     models = [random_stable_model(rng) for _ in range(10)]
@@ -216,6 +224,20 @@ def test_simulate_schedule_validation():
         simulate(sys_net, x0, 0.0, 1.0, 0.1, [FailureEvent(99, 0.5)])
     with pytest.raises(ValueError):
         simulate(sys_net, np.ones(4), 0.0, 1.0, 0.1)
+
+
+def test_simulate_rejects_non_finite_x0():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="x0 has non-finite entries"):
+            simulate(example2_system(), [1.0, bad, 3.0, 4.0, 5.0], 0.0, 1.0, 0.1)
+
+
+def test_simulate_rejects_non_finite_grid():
+    sys_net = example2_system()
+    for grid, name in (((np.nan, 1.0, 0.1), "t0"), ((0.0, np.inf, 0.1), "t_end"),
+                       ((0.0, 1.0, np.nan), "dt"), ((-np.inf, 1.0, 0.1), "t0")):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            simulate(sys_net, np.ones(5), *grid)
 
 
 def test_simulate_snaps_failure_to_grid():

@@ -152,6 +152,14 @@ def test_lookup_table_validation():
         lookup_table(gen_cycle(5), (2, 2), r=1, z=4)
     with pytest.raises(ValueError):
         lookup_table(gen_cycle(5), (9,), r=1, z=4)
+    with pytest.raises(ValueError, match="duplicate node 2"):
+        lookup_table(gen_cycle(5), (3, 2, 2), r=1, z=4)
+    # a sensor is a node id: no rounding of reals, as for graph endpoints
+    for bad in ((2.7, 3.9), (2.0, 3), ("2", 3)):
+        with pytest.raises(ValueError, match="not an integer"):
+            lookup_table(gen_cycle(5), bad, r=1, z=4)
+    table = lookup_table(gen_cycle(5), np.array([2, 3]), r=1, z=4)
+    assert table.sensors == (2, 3) and all(type(p) is int for p in table.sensors)
 
 
 # -- detectability -------------------------------------------------------------------
@@ -240,8 +248,6 @@ def test_detector_config_validation():
         DetectorConfig(z=4, stencil_width=5)
     with pytest.raises(ValueError):
         DetectorConfig(z=4, mode="magic")
-    with pytest.raises(ValueError):
-        DetectorConfig(z=4, threshold_rel=0.0)
 
 
 # -- detection -------------------------------------------------------------------------
