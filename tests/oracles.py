@@ -4,14 +4,18 @@ Everything here deliberately avoids the library's own code paths: distances
 come from Floyd-Warshall instead of BFS, walk counts from explicit DFS
 enumeration instead of matrix powers, frequency-domain quantities from
 numeric large-s limits instead of Markov-parameter algebra, and sensor
-placement from plain loops over the entries of R.
+placement from plain loops over the entries of R, and finite-difference
+detection from shifted sums with stencil weights of its own.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import comb, factorial
 
 import numpy as np
+
+from netfdi.fdi import THRESHOLD_ABS, THRESHOLD_REL
 
 
 def floyd_warshall_hops(pattern: np.ndarray) -> np.ndarray:
@@ -148,6 +152,70 @@ def reference_jump(g, model, edge: int, p: int, x_tf):
     value = (-e.weight * walk[p - 1, e.head - 1]
              * (np.linalg.matrix_power(mr_gamma, dist + 1) @ (model.C @ x_j)))
     return True, r * (dist + 1), value
+
+
+def finite_difference_reference(trace, sensors, z: int) -> list[tuple[tuple[int, ...], float]]:
+    """(orders, time) of each finite-difference detector event, by plain loops.
+
+    The detector's rule restated sensor by sensor and order by order.  At
+    scan sample n a left stencil over samples n-w+1..n and a right one over
+    n..n+w-1 (w = z + 3) estimate y^(k); their weights solve the Taylor
+    system sum_i c_i o_i^m / m! = [m == k] on the integer offsets o_i,
+    built here from exact integer ratios.  Order k jumps at n when
+    |right - left| exceeds THRESHOLD_ABS + THRESHOLD_REL * median|left| +
+    64 eps max|y| sum|c_left|.  Flags at most w samples apart form one
+    cluster covering every sample from its first to its last flag; the
+    event sits at the cluster sample whose two windows have the smallest
+    (w-1)-th differences, and a sensor's order is its first jumping k.
+    """
+    w = z + 3
+    scan = np.arange(w - 1, len(trace.times) - w + 1)
+    left_offsets, right_offsets = range(-(w - 1), 1), range(w)
+
+    def weights(offsets, k):
+        taylor = [[o**m / factorial(m) for o in offsets] for m in range(w)]
+        return np.linalg.solve(np.array(taylor), np.eye(w)[k]) / trace.dt**k
+
+    def stencil(y, c, start):
+        """sum_i c_i y[start + i], for every start."""
+        total = np.zeros((len(start), y.shape[1]))
+        for i, c_i in enumerate(c):
+            total += c_i * y[start + i]
+        return total
+
+    smooth = [(-1) ** i * comb(w - 1, i) for i in range(w)]
+    jumps, thresholds = {}, {}
+    roughness = np.zeros(len(scan))
+    for s, p in enumerate(sensors):
+        y = trace.output_of(p)
+        amplitude = max(np.linalg.norm(row) for row in y)
+        for k in range(1, z + 1):
+            c_left = weights(left_offsets, k)
+            left = stencil(y, c_left, scan - (w - 1))
+            right = stencil(y, weights(right_offsets, k), scan)
+            jumps[s, k] = np.linalg.norm(right - left, axis=1)
+            thresholds[s, k] = (THRESHOLD_ABS
+                                + THRESHOLD_REL * np.median(np.linalg.norm(left, axis=1))
+                                + 64.0 * np.finfo(float).eps * amplitude * np.abs(c_left).sum())
+        roughness += (np.linalg.norm(stencil(y, smooth, scan - (w - 1)), axis=1)
+                      + np.linalg.norm(stencil(y, smooth, scan), axis=1))
+
+    flagged = [n for n in range(len(scan))
+               if any(jumps[key][n] > thresholds[key] for key in jumps)]
+    clusters = []
+    for n in flagged:
+        if clusters and n - clusters[-1][-1] <= w:
+            clusters[-1].append(n)
+        else:
+            clusters.append([n])
+    events = []
+    for cluster in clusters:
+        best = min(range(cluster[0], cluster[-1] + 1), key=lambda n: roughness[n])
+        orders = tuple(next((k for k in range(1, z + 1) if jumps[s, k][best] > thresholds[s, k]), 0)
+                       for s in range(len(sensors)))
+        if any(orders):
+            events.append((orders, float(trace.times[scan[best]])))
+    return events
 
 
 # -- sensor placement: the plain loops, on R's entries alone ----------------------

@@ -8,14 +8,14 @@ import pytest
 from netfdi.dynamics import (FailureEvent, NetworkSystem, SubsystemModel, jump_oracle,
                              markov_parameter, relative_degree, simulate)
 from netfdi.fdi import (DetectorConfig, JumpSignature, LookupTable, _first_jumps,
-                        default_order_budget, detect, detectable,
+                        default_order_budget, detect, detect_edge_failures, detectable,
                         estimate_one_sided_derivative, isolate, lookup_table,
                         relation_matrix)
 from netfdi.graph import Digraph, Edge, gen_cycle, gen_random_geometric, gen_star
 from netfdi.placement import resolution_deficit
 
 from corpusgen import chain_model, damp_coupling, random_connected_digraph, random_stable_model
-from oracles import floyd_warshall_hops
+from oracles import finite_difference_reference, floyd_warshall_hops
 
 CYCLE5_R = np.array([
     [1, 2, 3, 4, 0],
@@ -193,7 +193,7 @@ def test_detectable_matches_jump_oracle_observability():
 
 
 def test_estimate_polynomial_exactness():
-    cfg = DetectorConfig(z=3, mode="finite-difference", stencil_width=6)
+    cfg = DetectorConfig(z=3, mode="finite-difference")
     dt = 1e-3
     t = np.arange(0, 12) * dt + 0.3
     for k in (1, 2, 3):
@@ -206,7 +206,7 @@ def test_estimate_polynomial_exactness():
 
 
 def test_estimate_exponential_left():
-    cfg = DetectorConfig(z=1, mode="finite-difference", stencil_width=5)
+    cfg = DetectorConfig(z=2, mode="finite-difference")
     dt = 1e-3
     t = 1.0 - dt * np.arange(9)[::-1]
     y = np.exp(-t)
@@ -219,7 +219,7 @@ def test_estimate_detects_second_derivative_step():
     J, dt = 2.5, 1e-3
     t = dt * np.arange(-8, 9)
     y = np.where(t < 0, 0.5 * t**2, 0.5 * (1 + J) * t**2)
-    cfg = DetectorConfig(z=2, mode="finite-difference", stencil_width=6)
+    cfg = DetectorConfig(z=3, mode="finite-difference")
     mid = 8
     left = estimate_one_sided_derivative(t[: mid + 1], y[: mid + 1], 2, "left", cfg)
     right = estimate_one_sided_derivative(t[mid:], y[mid:], 2, "right", cfg)
@@ -227,7 +227,7 @@ def test_estimate_detects_second_derivative_step():
 
 
 def test_estimate_validation():
-    cfg = DetectorConfig(z=2, mode="finite-difference", stencil_width=6)
+    cfg = DetectorConfig(z=3, mode="finite-difference")
     t = np.arange(4) * 0.1
     with pytest.raises(ValueError):
         estimate_one_sided_derivative(t, t, 1, "left", cfg)
@@ -237,6 +237,9 @@ def test_estimate_validation():
     t = np.arange(8) * 0.1
     with pytest.raises(ValueError):
         estimate_one_sided_derivative(t, t, 1, "sideways", cfg)
+    # a negative order must not index the stencil rows from the end
+    with pytest.raises(ValueError, match="derivative order must be >= 0, got -1"):
+        estimate_one_sided_derivative(t, t**2, -1, "left", cfg)
 
 
 def test_detector_config_validation():
@@ -245,9 +248,19 @@ def test_detector_config_validation():
     with pytest.raises(ValueError):
         DetectorConfig(z=0)
     with pytest.raises(ValueError):
-        DetectorConfig(z=4, stencil_width=5)
-    with pytest.raises(ValueError):
         DetectorConfig(z=4, mode="magic")
+
+
+@pytest.mark.parametrize("z", [0, -3, 2.5])
+def test_order_budget_must_be_a_positive_integer(z):
+    with pytest.raises(ValueError, match="order budget z"):
+        DetectorConfig(z=z)
+    sys_net = NetworkSystem(gen_cycle(5), scalar_model())
+    with pytest.raises(ValueError, match="order budget z"):
+        detect_edge_failures(sys_net, [1, 2, 3, 4, 5], 0.0, 2.0, 1e-2, 1.0, (2, 3), z)
+    # the same call with a valid budget sees edge 2 at orders (1, 2)
+    found = detect_edge_failures(sys_net, [1, 2, 3, 4, 5], 0.0, 2.0, 1e-2, 1.0, (2, 3), 4)
+    assert found[1][0].orders.tolist() == [1, 2]
 
 
 # -- detection -------------------------------------------------------------------------
@@ -305,6 +318,14 @@ def test_detect_analytic_refuses_driven_traces():
     assert events[0].orders.tolist() == [1, 2]
 
 
+def test_finite_difference_budget_past_twenty_orders():
+    # z = 19 gives a 22-point stencil, whose Taylor moments need 21!
+    sys_net = NetworkSystem(gen_cycle(5), scalar_model())
+    trace = simulate(sys_net, [1, 2, 3, 4, 5], 0.0, 2.0, 1e-2, [FailureEvent(2, 1.0)])
+    events = detect(trace, (2, 3), DetectorConfig(z=19, mode="finite-difference"))
+    assert [(e.orders.tolist(), e.time) for e in events] == [([1, 2], pytest.approx(1.0))]
+
+
 def test_fd_and_analytic_agree_up_to_third_order():
     trace = example2_trace(dt=1e-3)
     sensors = (2, 3, 4)  # node 4 sees the edge-2 failure at order 3
@@ -313,6 +334,45 @@ def test_fd_and_analytic_agree_up_to_third_order():
     assert len(analytic) == len(fd) == 1
     assert analytic[0].orders.tolist() == [1, 2, 3]
     assert fd[0].orders.tolist() == analytic[0].orders.tolist()
+
+
+def _fd_reference_corpus():
+    """Seeded traces: d, o in {1, 2}, one and two failures, one driven, two coarse."""
+    from netfdi.dynamics import ExogenousInput
+    rng = np.random.default_rng(20261018)
+    g = gen_cycle(5)
+    traces = []
+    for d in (1, 2):
+        for o in (1, 2):
+            model = random_stable_model(rng, d_max=2, io_max=2)
+            while model.A.shape[0] != d or model.C.shape[0] != o:
+                model = random_stable_model(rng, d_max=2, io_max=2)
+            sys_net = NetworkSystem(g, damp_coupling(g, model))
+            for schedule in ([FailureEvent(2, 0.8)], [FailureEvent(1, 0.6), FailureEvent(3, 1.3)]):
+                traces.append(simulate(sys_net, rng.normal(0.0, 1.0, 5 * d), 0.0, 2.0, 1e-3,
+                                       schedule))
+    scalar_net = NetworkSystem(g, scalar_model())
+    drive = ExogenousInput.sinusoid(0.4 * np.ones((5, 1)), 0.25 * np.ones((5, 1)),
+                                    np.zeros((5, 1)))
+    traces.append(simulate(scalar_net, [1, 2, 3, 4, 5], 0.0, 2.0, 1e-3,
+                           [FailureEvent(2, 1.0)], w=drive))
+    # edge 1 is seen at order 2 from sensor 2; at z = 1 samples next to its
+    # break are flagged but the break is not, and the cluster must span it
+    for edge in (1, 2):
+        traces.append(simulate(scalar_net, [1, 2, 3, 4, 5], 0.0, 2.0, 1e-2,
+                               [FailureEvent(edge, 1.0)]))
+    return traces
+
+
+def test_finite_difference_matches_reference_detector():
+    found = 0
+    for trace in _fd_reference_corpus():
+        for z in (1, 2, 4):
+            events = detect(trace, (2, 3, 4), DetectorConfig(z=z, mode="finite-difference"))
+            got = [(tuple(e.orders.tolist()), e.time) for e in events]
+            assert got == finite_difference_reference(trace, (2, 3, 4), z)
+            found += len(got)
+    assert found >= 30
 
 
 def test_min_oracle_jump_order_equals_lookup_entry():
