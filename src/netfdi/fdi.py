@@ -27,6 +27,17 @@ def default_order_budget(g: Digraph, r: int) -> int:
     return r * (finite_diameter(g) + 1)
 
 
+def _check_order_budget(z) -> int:
+    """The order budget z as an int >= 1; ValueError otherwise."""
+    try:
+        z_int = operator.index(z)
+    except TypeError:
+        raise ValueError(f"order budget z must be an integer, got {z!r}") from None
+    if z_int < 1:
+        raise ValueError(f"order budget z must be >= 1, got {z_int}")
+    return z_int
+
+
 @dataclass(frozen=True)
 class RelationMatrix:
     """|E| x N table of first-jump orders; 0 means no jump within budget z.
@@ -55,11 +66,6 @@ class RelationMatrix:
             return self.edge_labels.index(label)
         except ValueError:
             raise KeyError(f"unknown edge label {label}") from None
-
-    @property
-    def r0_mask(self) -> np.ndarray:
-        """Boolean mask of the (node, edge) pairs related at order 0 only."""
-        return self.entries == 0
 
 
 @dataclass(frozen=True)
@@ -100,8 +106,7 @@ def relation_matrix(g: Digraph, r: int, z: int | None = None) -> RelationMatrix:
     r*(finite_diameter+1); pass a smaller budget to model a sensor that
     only exposes few derivatives.
     """
-    if z is None:
-        z = default_order_budget(g, r)
+    z = default_order_budget(g, r) if z is None else _check_order_budget(z)
     if z < r:
         raise ValueError(f"order budget z={z} below relative degree r={r}")
     heads = [e.head - 1 for _, e in g.edges()]
@@ -158,17 +163,6 @@ class JumpSignature:
 #: finite-difference jump thresholds, absolute and relative (see DetectorConfig)
 THRESHOLD_REL = 1e-3
 THRESHOLD_ABS = 1e-9
-
-
-def _check_order_budget(z) -> int:
-    """The order budget z as an int >= 1; ValueError otherwise."""
-    try:
-        z_int = operator.index(z)
-    except TypeError:
-        raise ValueError(f"order budget z must be an integer, got {z!r}") from None
-    if z_int < 1:
-        raise ValueError(f"order budget z must be >= 1, got {z_int}")
-    return z_int
 
 
 @dataclass

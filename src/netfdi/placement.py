@@ -24,7 +24,10 @@ brute_force_min_isolation), so the greedy detection set is the isolation
 set, the detection optimum is the isolation optimum, and the set-cover
 guarantee of the detection greedy is a guarantee for isolation too.
 greedy_isolation from a seed that is not a detection set is not covered by
-it.  Exhaustive solvers provide the optima at desk scale; their depth-first
+it, but it runs the same cover greedy: when f_I(V) = 0 a sensor tells apart
+every pair of edges it sees and the unseen edges share the zero row, so
+f_I = f_D * [f_D >= 2].
+Exhaustive solvers provide the optima at desk scale; their depth-first
 search drops every prefix that cannot complete a cover.
 """
 
@@ -46,10 +49,6 @@ MAX_EXACT_NODES = 20
 def coverage_deficit(R: RelationMatrix, sensors) -> int:
     """f_D: how many edges no chosen sensor would ever notice failing."""
     members = _validated_sensors(sensors, R.n_nodes)
-    if R.n_edges == 0:
-        return 0
-    if not members:
-        return R.n_edges
     sub = R.entries[:, [p - 1 for p in members]]
     return int((sub == 0).all(axis=1).sum())
 
@@ -72,8 +71,6 @@ def unidentified_edges(R: RelationMatrix, sensors) -> set[int]:
     members = _validated_sensors(sensors, R.n_nodes)
     if R.n_edges <= 1:
         return set()
-    if not members:
-        return set(R.edge_labels)
     keys = _row_keys(R, members)
     counts = Counter(keys)
     return {label for label, key in zip(R.edge_labels, keys) if counts[key] > 1}
@@ -95,18 +92,23 @@ def unresolved_pairs(R: RelationMatrix, sensors) -> int:
     return sum(c * (c - 1) // 2 for c in counts.values())
 
 
-def _greedy(R: RelationMatrix, deficit, picks) -> tuple[int, ...]:
-    """Grow `picks` until `deficit` reaches 0, one lowest-deficit node a round.
+def _cover_greedy(R: RelationMatrix, picks, enough: int) -> tuple[int, ...]:
+    """Greedy set cover from `picks`, until fewer than `enough` edges are unseen.
 
-    Ties go to the lowest node id.  The caller guarantees that the full
-    vertex set has deficit 0, so the loop always ends.
+    Each round adds the node leaving the fewest edges unseen (a count below
+    `enough` reads as 0), ties to the lowest id.  The caller validates
+    `picks`; every edge is seen by its head, so the loop always ends.
     """
+    seen = R.entries != 0
+    unseen = ~seen[:, [p - 1 for p in picks]].any(axis=1)
     picks = list(picks)
-    value = deficit(R, picks)
-    while value != 0:
-        value, best = min((deficit(R, picks + [q]), q)
-                          for q in range(1, R.n_nodes + 1) if q not in picks)
-        picks.append(best)
+    while unseen.sum() >= enough:
+        left = unseen.sum() - seen[unseen].sum(axis=0)
+        left[left < enough] = 0
+        left[[p - 1 for p in picks]] = R.n_edges + 1
+        q = int(left.argmin())
+        unseen &= ~seen[:, q]
+        picks.append(q + 1)
     return tuple(picks)
 
 
@@ -117,7 +119,7 @@ def greedy_detection(R: RelationMatrix) -> tuple[int, ...]:
     breaking ties toward the lowest node index.  Termination is guaranteed
     because every edge's head node relates to it at order r <= z.
     """
-    return _greedy(R, coverage_deficit, [])
+    return _cover_greedy(R, (), 1)
 
 
 def greedy_isolation(R: RelationMatrix, m_d) -> tuple[int, ...] | None:
@@ -127,12 +129,13 @@ def greedy_isolation(R: RelationMatrix, m_d) -> tuple[int, ...] | None:
     resolved purely through order-0 relations, which would leave it
     undetectable without the seed.  Feasibility is decided first, from
     f_I(V): None is returned at once when even the full vertex set cannot
-    resolve all edges, and otherwise the greedy is sure to reach f_I = 0.
+    resolve all edges.  Otherwise f_I = f_D * [f_D >= 2] (module docstring):
+    the cover greedy runs from the seed until fewer than 2 edges are unseen.
     """
     m_d = _validated_sensors(m_d, R.n_nodes)
     if resolution_deficit(R, range(1, R.n_nodes + 1)) != 0:
         return None
-    return _greedy(R, resolution_deficit, m_d)
+    return _cover_greedy(R, m_d, 2)
 
 
 def binary_incidence(R: RelationMatrix) -> np.ndarray:
@@ -214,7 +217,8 @@ def harmonic(d: int) -> float:
     """Truncated harmonic sum H(d) = 1 + 1/2 + ... + 1/d, summed exactly."""
     if d < 1:
         raise ValueError(f"harmonic sum needs d >= 1, got {d}")
-    return float(sum(Fraction(1, i) for i in range(1, d + 1)))
+    lcm = math.lcm(*range(1, d + 1))
+    return float(Fraction(sum(lcm // i for i in range(1, d + 1)), lcm))
 
 
 @dataclass

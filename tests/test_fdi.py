@@ -47,7 +47,6 @@ def test_relation_matrix_cycle_golden():
     rel = relation_matrix(gen_cycle(5), r=1, z=4)
     assert np.array_equal(rel.entries, CYCLE5_R)
     assert rel.edge_labels == (1, 2, 3, 4, 5)
-    assert np.array_equal(rel.r0_mask, CYCLE5_R == 0)
 
 
 def test_relation_matrix_star_golden():
@@ -255,6 +254,10 @@ def test_detector_config_validation():
 def test_order_budget_must_be_a_positive_integer(z):
     with pytest.raises(ValueError, match="order budget z"):
         DetectorConfig(z=z)
+    with pytest.raises(ValueError, match="order budget z"):
+        relation_matrix(gen_cycle(5), 1, z)
+    with pytest.raises(ValueError, match="order budget z"):
+        lookup_table(gen_cycle(5), (2, 3), 1, z)
     sys_net = NetworkSystem(gen_cycle(5), scalar_model())
     with pytest.raises(ValueError, match="order budget z"):
         detect_edge_failures(sys_net, [1, 2, 3, 4, 5], 0.0, 2.0, 1e-2, 1.0, (2, 3), z)

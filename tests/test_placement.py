@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -147,6 +148,37 @@ def test_placement_matches_reference_loops(r):
                                                                    unresolved_edges, seed)
         assert brute_force_min_detection(rel) == exhaustive_reference(rel.entries, False)
         assert brute_force_min_isolation(rel) == exhaustive_reference(rel.entries, True)
+    # past the exhaustive node limit, on graphs where the f_I greedy runs as a cover greedy
+    for _ in range(8):
+        g = random_single_parent_digraph(int(rng.integers(11, 26)), rng)
+        z = int(rng.integers(r, default_order_budget(g, r) + 1))
+        rel = relation_matrix(g, r=r, z=z)
+        m_d = greedy_detection(rel)
+        assert m_d == greedy_reference(rel.entries, uncovered_edges)
+        for p in (0.1, 0.3):
+            partial = tuple(int(q) for q in np.flatnonzero(rng.random(g.n_nodes) < p) + 1)
+            assert greedy_isolation(rel, partial) == greedy_reference(rel.entries,
+                                                                      unresolved_edges, partial)
+
+
+def test_greedy_validates_sensors_a_fixed_number_of_times(monkeypatch):
+    calls = []
+    counted = placement._validated_sensors
+
+    def counting(sensors, n_nodes):
+        calls.append(n_nodes)
+        return counted(sensors, n_nodes)
+
+    monkeypatch.setattr(placement, "_validated_sensors", counting)
+    rng = np.random.default_rng(12)
+    for g in (gen_cycle(40), random_single_parent_digraph(30, rng)):
+        rel = relation_matrix(g, r=1, z=4)
+        calls.clear()
+        m_d = greedy_detection(rel)
+        assert calls == [] and len(m_d) > 1
+        m_i = greedy_isolation(rel, ())
+        # the seed once, and the feasibility check f_I(V) once
+        assert len(calls) == 2 and len(m_i) > 1
 
 
 def test_greedy_isolation_decides_infeasibility_from_full_set(monkeypatch):
@@ -266,6 +298,10 @@ def test_harmonic_values():
     assert harmonic(1) == 1.0
     assert harmonic(4) == 25.0 / 12.0
     assert harmonic(3) == pytest.approx(11.0 / 6.0)
+    exact = Fraction(0)
+    for d in range(1, 401):
+        exact += Fraction(1, d)
+        assert harmonic(d) == float(exact)
     with pytest.raises(ValueError):
         harmonic(0)
 
