@@ -88,9 +88,13 @@ def _parse_z(spec: str, g: Digraph, r: int) -> int:
     return z
 
 
-def _write_json(path: Path, payload: dict):
+def _write_text(path: Path, text: str):
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    path.write_text(text)
+
+
+def _write_json(path: Path, payload: dict):
+    _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def _derivatives_csv(path: Path, trace, sensors, z: int):
@@ -108,14 +112,19 @@ def _derivatives_csv(path: Path, trace, sensors, z: int):
 
 
 def cmd_gen(args) -> int:
-    if args.family == "cycle":
-        g = gen_cycle(args.n)
-    elif args.family == "star":
-        g = gen_star(args.n)
-    else:
-        if args.radius is None:
-            raise ConfigError("radius: required for rgg")
-        g = gen_random_geometric(args.n, args.region_side, args.radius, args.seed)
+    if args.family == "rgg" and args.radius is None:
+        raise ConfigError("radius: required for rgg")
+    try:
+        if args.family == "cycle":
+            g = gen_cycle(args.n)
+        elif args.family == "star":
+            g = gen_star(args.n)
+        else:
+            g = gen_random_geometric(args.n, args.region_side, args.radius, args.seed)
+    except ValueError as exc:
+        # radius and region_side errors open with the field; the others are on n
+        field = next((f for f in ("radius", "region_side") if str(exc).startswith(f)), "n")
+        raise ConfigError(f"{field}: {exc}")
     g.save(args.output)
     print(f"wrote {args.family} graph with {g.n_nodes} nodes, {g.n_edges} edges "
           f"to {args.output}")
@@ -156,10 +165,9 @@ def cmd_place(args) -> int:
         report = approximation_report(rel, exact=args.exact)
     except ValueError as exc:
         raise ConfigError(f"exact: {exc}")
-    payload = report.to_dict()
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(report.to_dict(), indent=2)
     if args.output:
-        _write_json(Path(args.output), payload)
+        _write_text(Path(args.output), text + "\n")
     print(text)
     return EXIT_OK
 

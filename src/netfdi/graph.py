@@ -313,16 +313,16 @@ def gen_random_geometric(n: int, region_side: float, radius: float, seed: int) -
     Parameters
     ----------
     n : number of nodes (>= 2).
-    region_side : side length of the square placement region.
+    region_side : side length of the square placement region (finite, > 0).
     radius : connection radius (> 0).
     seed : seed for numpy's default_rng; same seed -> identical graph.
     """
     if n < 2:
         raise ValueError(f"random geometric graph needs n >= 2, got {n}")
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError(f"radius must be > 0, got {radius}")
-    if region_side <= 0:
-        raise ValueError(f"region_side must be > 0, got {region_side}")
+    if not 0 < region_side < np.inf:
+        raise ValueError(f"region_side must be finite and > 0, got {region_side}")
     rng = np.random.default_rng(seed)
     points = rng.uniform(0.0, region_side, size=(n, 2))
     edges = []

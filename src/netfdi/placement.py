@@ -27,6 +27,12 @@ greedy_isolation from a seed that is not a detection set is not covered by
 it, but it runs the same cover greedy: when f_I(V) = 0 a sensor tells apart
 every pair of edges it sees and the unseen edges share the zero row, so
 f_I = f_D * [f_D >= 2].
+
+The same structure lets the placement report count without deficit calls.
+In the row of an edge the entry r sits only in its head's column (every
+other column holds >= 2r or 0), so two rows agree exactly when their heads
+do, and f_I(V) is the number of edges whose head has in-degree >= 2.
+
 Exhaustive solvers provide the optima at desk scale; their depth-first
 search drops every prefix that cannot complete a cover.
 """
@@ -230,6 +236,11 @@ class PlacementReport:
     otherwise equal m_d and opt_d, since every detection set isolates.
     d_max is the largest column sum of the binary incidence pattern,
     d_max_isolation the largest single-node resolution gain |E| - f_I({q}).
+    The report reads f_I(V), the f_D trace and d_max_isolation off R in one
+    pass each: f_I(V) from a bincount of the edges' heads (module
+    docstring), the f_D trace from a running OR over M_D's columns of
+    R != 0, and d_max_isolation from one bincount of (node, entry) keys,
+    counting per node the entries that a single edge holds.
     harmonic_bound = H(d_max) is the set-cover guarantee for m_d (-f_D is
     submodular).  When isolation is feasible a node resolves every edge it
     sees, so d_max <= d_max_isolation, and |m_i| = |m_d| <= H(d_max) * |opt_i|
@@ -269,25 +280,36 @@ def approximation_report(R: RelationMatrix, exact: bool = False) -> PlacementRep
 
     The isolation set and optimum are the detection ones whenever isolation
     is feasible.  With exact=True the exhaustive optimum is computed too
-    (desk scale only; the node guard applies).
+    (desk scale only; the node guard applies).  Only f_I(M_D) calls a
+    deficit function; the other counts are read off R (see PlacementReport).
     """
     m_d = greedy_detection(R)
-    f_i_of_v = resolution_deficit(R, range(1, R.n_nodes + 1))
+    n_edges, n_nodes = R.entries.shape
+    seen = R.entries != 0
+    heads = (R.entries == R.r).argmax(axis=1)    # the one column holding r
+    f_i_of_v = int((np.bincount(heads, minlength=n_nodes)[heads] >= 2).sum())
     m_i = m_d if f_i_of_v == 0 else None
-    f_d_trace = tuple(coverage_deficit(R, m_d[:i]) for i in range(len(m_d) + 1))
+    covered = np.logical_or.accumulate(seen[:, [p - 1 for p in m_d]], axis=1)
+    f_d_trace = (n_edges, *(n_edges - covered.sum(axis=0)).tolist())
     f_i_trace = (resolution_deficit(R, m_d),)
 
     opt_d = brute_force_min_detection(R) if exact else None
     opt_i = opt_d if m_i is not None else None
 
-    if R.n_edges:
-        d_max = int(binary_incidence(R).sum(axis=0).max())
-        # |E| - f_I({q}): the edges whose entry in column q no other edge shares
-        d_max_iso = max(int((np.unique(col, return_counts=True)[1] == 1).sum())
-                        for col in R.entries.T)
+    if n_edges:
+        d_max = int(seen.sum(axis=0).max())
+        # |E| - f_I({q}): the edges whose entry in column q no other edge
+        # shares.  An entry is 0 or r*(hops + 1) with hops <= |E| - 1 (a
+        # shortest path from the head never takes the failed edge), so
+        # entry/r + width*(q-1) gives each (node, entry) its own bin.
+        width = min(R.z // R.r, n_edges) + 1
+        keys = R.entries // R.r
+        keys += width * np.arange(n_nodes)
+        counts = np.bincount(keys.ravel(), minlength=width * n_nodes)
+        d_max_iso = int((counts.reshape(n_nodes, width) == 1).sum(axis=1).max())
         h_det = harmonic(d_max) if d_max >= 1 else 0.0
         h_iso = harmonic(d_max_iso) if d_max_iso >= 1 else 0.0
-        ratio = math.log(R.n_edges) + 1.0
+        ratio = math.log(n_edges) + 1.0
     else:
         d_max = d_max_iso = 0
         h_det = h_iso = 0.0

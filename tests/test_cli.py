@@ -46,6 +46,22 @@ def test_gen_rgg_requires_radius(tmp_path, capsys):
     assert "radius" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, field", [
+    ("cycle --n 1", "n"),
+    ("star --n 0", "n"),
+    ("rgg --n 1 --radius 0.5", "n"),
+    ("rgg --n 5 --radius -1", "radius"),
+    ("rgg --n 5 --radius nan", "radius"),
+    ("rgg --n 5 --radius 0.5 --region-side 0", "region_side"),
+    ("rgg --n 5 --radius 0.5 --region-side inf", "region_side"),
+])
+def test_gen_invalid_sizes_are_config_errors(tmp_path, capsys, args, field):
+    out = tmp_path / "g.json"
+    assert main(["gen", *args.split(), "-o", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not out.exists()
+
+
 def test_analyze_golden_tables(tmp_path):
     graph, _ = write_cycle_inputs(tmp_path)
     out = tmp_path / "tables.json"
@@ -92,6 +108,16 @@ def test_place_star_reports_impossibility(tmp_path, capsys):
     assert data["M_I"] is None
     assert data["f_I_of_V"] == 4
     assert data["opt_D"] == 1 and data["opt_I"] is None
+
+
+@pytest.mark.parametrize("family", ["star", "cycle"])
+def test_place_output_file_is_stdout_text(tmp_path, capsys, family):
+    graph = tmp_path / f"{family}5.json"
+    main(["gen", family, "--n", "5", "-o", str(graph)])
+    capsys.readouterr()
+    out = tmp_path / "place.json"
+    assert main(["place", str(graph), "--exact", "-o", str(out)]) == 0
+    assert out.read_text() == capsys.readouterr().out
 
 
 def test_simulate_writes_trace(tmp_path):

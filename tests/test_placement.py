@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 import netfdi.placement as placement
 from netfdi.fdi import default_order_budget, relation_matrix
-from netfdi.graph import Digraph, Edge, gen_cycle, gen_star
+from netfdi.graph import Digraph, Edge, gen_cycle, gen_random_geometric, gen_star
 from netfdi.placement import (MAX_EXACT_NODES, approximation_report, binary_incidence,
                               brute_force_min_detection, brute_force_min_isolation,
                               coverage_deficit, greedy_detection, greedy_isolation,
@@ -436,22 +437,48 @@ def test_d_max_isolation_is_largest_single_sensor_gain():
     assert [approximation_report(rel).d_max_isolation for rel in rels[:3]] == [0, 0, 1]
 
 
+def test_report_counts_match_public_deficits_on_wide_corpus():
+    # RGGs past 50 nodes at z below the default budget have zero entries and
+    # orders repeated within a column, unlike the small corpus graphs
+    rels = [relation_matrix(Digraph(3), r=1), relation_matrix(Digraph(1), r=2),
+            relation_matrix(Digraph(3, [Edge(2, 3)]), r=1),
+            relation_matrix(Digraph(2, [Edge(1, 2)]), r=2, z=7)]
+    rels += list(_report_corpus(74))
+    rng = np.random.default_rng(75)
+    for n in (60, 70, 80):
+        g = gen_random_geometric(n, 1.0, math.sqrt(12 / (math.pi * n)),
+                                 int(rng.integers(2**31)))
+        for r in (1, 2):
+            z = int(rng.integers(r, default_order_budget(g, r)))
+            rels.append(relation_matrix(g, r, z))
+            assert (rels[-1].entries == 0).any()
+    for rel in rels:
+        report = approximation_report(rel)
+        assert report.f_i_of_v == resolution_deficit(rel, range(1, rel.n_nodes + 1))
+        assert report.f_d_trace == tuple(coverage_deficit(rel, report.m_d[:i])
+                                         for i in range(len(report.m_d) + 1))
+        unique = [(np.unique(col, return_counts=True)[1] == 1).sum()
+                  for col in rel.entries.T]
+        assert report.d_max_isolation == max(unique)
+        assert report.d_max == max(binary_incidence(rel).sum(axis=0), default=0)
+
+
 def test_approximation_report_deficit_calls_do_not_grow_with_nodes(monkeypatch):
     calls = []
-    counted = placement.resolution_deficit
+    for name in ("resolution_deficit", "coverage_deficit"):
+        def counting(R, sensors, name=name, counted=getattr(placement, name)):
+            calls.append(name)
+            return counted(R, sensors)
 
-    def counting(R, sensors):
-        calls.append(tuple(sensors))
-        return counted(R, sensors)
-
-    monkeypatch.setattr(placement, "resolution_deficit", counting)
+        monkeypatch.setattr(placement, name, counting)
     rng = np.random.default_rng(73)
     rels = [star_rel(), cycle_rel(), relation_matrix(gen_cycle(40), r=1),
             relation_matrix(random_single_parent_digraph(30, rng), r=2)]
     for rel in rels:
         calls.clear()
         approximation_report(rel, exact=rel.n_nodes <= MAX_EXACT_NODES)
-        assert len(calls) <= 2
+        # f_I(M_D) is the one deficit call
+        assert calls == ["resolution_deficit"]
 
 
 def test_greedy_within_harmonic_bound_small_corpus():
