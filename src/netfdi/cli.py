@@ -18,15 +18,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 import numpy as np
 
 from .dynamics import (FailureEvent, NetworkSystem, SubsystemModel, _write_csv,
                        relative_degree, simulate, simulate_edge_failures)
-from .fdi import (DetectorConfig, _validated_sensors, default_order_budget, detect,
-                  detect_edge_failures, isolate, lookup_table, relation_matrix)
+from .fdi import (DetectorConfig, _isolate_all, _validated_sensors, default_order_budget,
+                  detect, detect_edge_failures, lookup_table, relation_matrix)
 from .graph import Digraph, gen_cycle, gen_random_geometric, gen_star
 from .placement import approximation_report
 
@@ -93,8 +95,51 @@ def _write_text(path: Path, text: str):
     path.write_text(text)
 
 
+def _json_text(obj, indent: str = "") -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, without json's pure-Python path.
+
+    json falls back to a generator per value when it indents; here each
+    list of plain ints (R, D, signatures, edge lists) is one ``str.join``,
+    and strings go through json's own C escaper.  Dict keys must be str
+    (every report's are); any other key, like any type json cannot write,
+    is a TypeError.
+    """
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj in (math.inf, -math.inf):
+            return "Infinity" if obj > 0 else "-Infinity"
+        return float.__repr__(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        if set(map(type, obj)) == {int}:
+            items = map(int.__repr__, obj)
+        else:
+            items = (_json_text(item, inner) for item in obj)
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        items = (f"{_encode_str(key)}: {_json_text(value, inner)}" for key, value in obj.items())
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _write_json(path: Path, payload: dict):
-    _write_text(path, json.dumps(payload, indent=2) + "\n")
+    _write_text(path, _json_text(payload) + "\n")
 
 
 def _derivatives_csv(path: Path, trace, sensors, z: int):
@@ -165,7 +210,7 @@ def cmd_place(args) -> int:
         report = approximation_report(rel, exact=args.exact)
     except ValueError as exc:
         raise ConfigError(f"exact: {exc}")
-    text = json.dumps(report.to_dict(), indent=2)
+    text = _json_text(report.to_dict())
     if args.output:
         _write_text(Path(args.output), text + "\n")
     print(text)
@@ -201,19 +246,12 @@ def _resolve_x0(spec, sys_net, seed):
 
 
 def _report_events(signatures, table):
-    """Isolate every detected event of one trace: (report events, all unique)."""
-    events = []
-    all_unique = True
-    for sig in signatures:
-        verdict = isolate(sig, table)
-        all_unique &= verdict.is_unique
-        events.append({
-            "t": sig.time,
-            "signature": [int(k) for k in sig.orders],
-            "verdict": verdict.verdict,
-            "edges": list(verdict.edges),
-        })
-    return events, all_unique
+    """Isolate detected events against one table in one pass: (report events, all unique)."""
+    verdicts = _isolate_all([sig.orders for sig in signatures], table)
+    events = [{"t": sig.time, "signature": np.asarray(sig.orders, dtype=np.int64).tolist(),
+               "verdict": verdict.verdict, "edges": list(verdict.edges)}
+              for sig, verdict in zip(signatures, verdicts)]
+    return events, all(verdict.is_unique for verdict in verdicts)
 
 
 SWEEP_OUTCOMES = ("unique-correct", "unique-wrong", "ambiguous-with-truth",
@@ -286,14 +324,15 @@ def cmd_run(args) -> int:
             raise ConfigError(f"sweep: {exc}")
         sweep = []
         summary = dict.fromkeys(SWEEP_OUTCOMES, 0)
-        all_unique = True
+        all_events, all_unique = _report_events([s for sigs in detected for s in sigs], table)
         # an event within one stencil width of t_fail belongs to the failure
         tol = cfg.stencil_width * args.dt
-        for label, signatures in zip(g.edge_labels, detected):
-            events, ok = _report_events(signatures, table)
+        start = 0
+        for label, column, signatures in zip(g.edge_labels, table.table.T, detected):
+            events = all_events[start:start + len(signatures)]
+            start += len(signatures)
             sweep.append({"edge": label, "events": events})
-            summary[_sweep_outcome(label, events, table.column(label), t_fail, tol)] += 1
-            all_unique &= ok
+            summary[_sweep_outcome(label, events, column, t_fail, tol)] += 1
         payload = {
             "sweep": sweep,
             "summary": summary,

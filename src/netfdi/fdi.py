@@ -281,15 +281,26 @@ def _first_jumps(A_pre, x, heads, tails, deltas, C, sensors, z: int) -> np.ndarr
     γ = 8 eps N d.  Sensor p fires at the first k <= z with
     |C δ_k[p]| > 16 |C| (b_k[p] + γ |δ_k[p]|) in some output channel.
     Returns the orders shaped (|sensors|, m), 0 where a sensor never fires.
-    A_pre^k x is shared by all columns, and each order costs one product
-    with A_pre plus a gather from the tail and a scatter to the head blocks.
+
+    A_pre (a dense or scipy sparse array) is taken as a CSR array, since
+    the closed loop I_N ⊗ A + G ⊗ BΓC is block-sparse: nnz(A_pre) is N d^2
+    plus d^2 per edge (343 of 10 000 entries on rgg50 with d = 2).  A_pre^k x
+    is shared by all columns, and each order costs the two sparse products
+    A_pre δ and |A_pre| (b + γ|δ|), O(nnz(A_pre) m) each, plus a gather
+    from the tail and a scatter to the head blocks, O(m d^2).  Stored
+    zeros change nothing, and γ still bounds each sparse inner product,
+    which has at most N d terms.
 
     The bound grows like |A_post|^k, not like A_post^k: for a subsystem
     realisation far from normal (|A| much larger than A's spectral radius)
     it can outgrow a true jump at high orders, which then reads as 0 or
     at a later order.
     """
-    nd = A_pre.shape[0]
+    from scipy import sparse   # imported here: only the analytic detector needs it
+
+    loop = sparse.csr_array(A_pre, dtype=float)
+    dense = A_pre.toarray() if sparse.issparse(A_pre) else np.asarray(A_pre, dtype=float)
+    nd = loop.shape[0]
     d = C.shape[1]
     m = len(heads)
     gamma = 8.0 * np.finfo(float).eps * nd
@@ -298,8 +309,8 @@ def _first_jumps(A_pre, x, heads, tails, deltas, C, sensors, z: int) -> np.ndarr
     tail_rows = span[:, None] + d * np.asarray(tails, dtype=np.int64)
     cols = np.arange(m)
     deltas = np.asarray(deltas, dtype=float).reshape(m, d, d)
-    a_blocks = A_pre[head_rows.T[:, :, None], tail_rows.T[:, None, :]]
-    abs_pre = np.abs(A_pre)
+    a_blocks = dense[head_rows.T[:, :, None], tail_rows.T[:, None, :]]
+    abs_loop = abs(loop)
     # |A_post| = |A_pre| with each column's failed block replaced
     abs_fix = np.abs(a_blocks + deltas) - np.abs(a_blocks)
     abs_deltas = np.abs(deltas)
@@ -307,10 +318,8 @@ def _first_jumps(A_pre, x, heads, tails, deltas, C, sensors, z: int) -> np.ndarr
     abs_c = np.abs(C)
 
     def at_heads(blocks, gathered):
-        """(N d, m) matrix with blocks[e] @ gathered[:, e] in column e's head rows."""
-        out = np.zeros((nd, m))
-        out[head_rows, cols] = np.einsum("eab,be->ae", blocks, gathered)
-        return out
+        """(d, m): blocks[e] @ gathered[:, e] in column e, for column e's head rows."""
+        return np.einsum("eab,be->ae", blocks, gathered)
 
     v = np.asarray(x, dtype=float).reshape(nd)
     jump = np.zeros((nd, m))
@@ -319,11 +328,14 @@ def _first_jumps(A_pre, x, heads, tails, deltas, C, sensors, z: int) -> np.ndarr
     for k in range(1, z + 1):
         v_tail = v[tail_rows]
         carried = bound + gamma * np.abs(jump)
-        bound = (abs_pre @ carried + at_heads(abs_fix, carried[tail_rows, cols])
-                 + gamma * at_heads(abs_deltas, np.abs(v_tail)))
-        jump = (A_pre @ jump + at_heads(deltas, jump[tail_rows, cols])
-                + at_heads(deltas, v_tail))
-        v = A_pre @ v
+        bound = abs_loop @ carried
+        bound[head_rows, cols] += at_heads(abs_fix, carried[tail_rows, cols])
+        bound[head_rows, cols] += gamma * at_heads(abs_deltas, np.abs(v_tail))
+        jump_tail = jump[tail_rows, cols]
+        jump = loop @ jump
+        jump[head_rows, cols] += at_heads(deltas, jump_tail)
+        jump[head_rows, cols] += at_heads(deltas, v_tail)
+        v = loop @ v
         seen = jump[sensor_rows]
         limit = bound[sensor_rows] + gamma * np.abs(seen)
         fired = (np.abs(np.einsum("oa,sam->som", C, seen))
@@ -467,14 +479,34 @@ def isolate(signature: JumpSignature, table: LookupTable) -> IsolationResult:
     Matching is exact integer equality; a signature matching no column is
     reported as nomatch instead of being rounded to the nearest column.
     """
-    k = np.asarray(signature.orders, dtype=np.int64)
-    if k.shape != (len(table.sensors),):
+    return _isolate_all([signature.orders], table)[0]
+
+
+def _isolate_all(signatures, table: LookupTable) -> list[IsolationResult]:
+    """``isolate`` for many order vectors against one table, in one pass over D.
+
+    The columns of D are keyed by their int64 bytes once, each edge label
+    joining its column's key in table order, so every signature costs one
+    dictionary lookup and the hits keep the order of a column scan.
+    """
+    if not len(signatures):
+        return []
+    n_sensors = len(table.sensors)
+    orders = np.asarray(signatures, dtype=np.int64)
+    if orders.ndim != 2 or orders.shape[1] != n_sensors:
         raise ValueError(
-            f"signature has {k.shape[0]} entries for {len(table.sensors)} sensors")
-    matches = (table.table == k[:, None]).all(axis=0)
-    hits = tuple(table.edge_labels[idx] for idx in np.flatnonzero(matches))
-    if len(hits) == 1:
-        return IsolationResult("unique", hits)
-    if hits:
-        return IsolationResult("ambiguous", hits)
-    return IsolationResult("nomatch", ())
+            f"signature has {orders.shape[-1]} entries for {n_sensors} sensors")
+    columns: dict[bytes, list[int]] = {}
+    for label, column in zip(table.edge_labels,
+                             np.ascontiguousarray(table.table.T, dtype=np.int64)):
+        columns.setdefault(column.tobytes(), []).append(label)
+    results = []
+    for row in orders:
+        hits = tuple(columns.get(row.tobytes(), ()))
+        if len(hits) == 1:
+            results.append(IsolationResult("unique", hits))
+        elif hits:
+            results.append(IsolationResult("ambiguous", hits))
+        else:
+            results.append(IsolationResult("nomatch", ()))
+    return results

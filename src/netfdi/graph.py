@@ -325,12 +325,12 @@ def gen_random_geometric(n: int, region_side: float, radius: float, seed: int) -
         raise ValueError(f"region_side must be finite and > 0, got {region_side}")
     rng = np.random.default_rng(seed)
     points = rng.uniform(0.0, region_side, size=(n, 2))
-    edges = []
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            if np.hypot(*(points[a - 1] - points[b - 1])) <= radius:
-                if rng.random() < 0.5:
-                    edges.append(Edge(a, b))
-                else:
-                    edges.append(Edge(b, a))
-    return Digraph(n, edges)
+    # pairs (a, b), a < b, in row-major order; one coin per close pair, drawn
+    # in that order (a batch of draws equals the same number of single draws)
+    a, b = np.triu_indices(n, 1)
+    dx, dy = (points[a] - points[b]).T
+    close = np.flatnonzero(np.hypot(dx, dy) <= radius)
+    forward = rng.random(close.size) < 0.5
+    return Digraph(n, [Edge(int(a[k]) + 1, int(b[k]) + 1) if fwd
+                       else Edge(int(b[k]) + 1, int(a[k]) + 1)
+                       for k, fwd in zip(close, forward)])

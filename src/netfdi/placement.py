@@ -42,7 +42,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -223,8 +222,33 @@ def harmonic(d: int) -> float:
     """Truncated harmonic sum H(d) = 1 + 1/2 + ... + 1/d, summed exactly."""
     if d < 1:
         raise ValueError(f"harmonic sum needs d >= 1, got {d}")
-    lcm = math.lcm(*range(1, d + 1))
-    return float(Fraction(sum(lcm // i for i in range(1, d + 1)), lcm))
+    return _harmonic_sums(d)[0]
+
+
+def _harmonic_sums(*ds: int) -> list[float]:
+    """H(d) for each d >= 0 (H(0) = 0), from one exact running sum up to the largest d.
+
+    The sum is an exact fraction p / q, extended from one requested d to
+    the next by binary splitting (each stretch of terms summed pairwise, so
+    the big products stay balanced); p / q rounds the exact quotient
+    correctly, as float(Fraction) does.
+    """
+    def stretch(lo: int, hi: int) -> tuple[int, int]:
+        """Sum of 1/i over lo <= i < hi as (numerator, denominator)."""
+        if hi - lo == 1:
+            return 1, lo
+        mid = (lo + hi) // 2
+        p1, q1 = stretch(lo, mid)
+        p2, q2 = stretch(mid, hi)
+        return p1 * q2 + p2 * q1, q1 * q2
+
+    sums = {0: 0.0}
+    p, q, done = 0, 1, 0
+    for d in sorted(set(ds) - {0}):
+        p_add, q_add = stretch(done + 1, d + 1)
+        p, q, done = p * q_add + p_add * q, q * q_add, d
+        sums[d] = p / q
+    return [sums[d] for d in ds]
 
 
 @dataclass
@@ -307,8 +331,7 @@ def approximation_report(R: RelationMatrix, exact: bool = False) -> PlacementRep
         keys += width * np.arange(n_nodes)
         counts = np.bincount(keys.ravel(), minlength=width * n_nodes)
         d_max_iso = int((counts.reshape(n_nodes, width) == 1).sum(axis=1).max())
-        h_det = harmonic(d_max) if d_max >= 1 else 0.0
-        h_iso = harmonic(d_max_iso) if d_max_iso >= 1 else 0.0
+        h_det, h_iso = _harmonic_sums(d_max, d_max_iso)
         ratio = math.log(n_edges) + 1.0
     else:
         d_max = d_max_iso = 0

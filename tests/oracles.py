@@ -1,7 +1,8 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here deliberately avoids the library's own code paths: distances
-come from Floyd-Warshall instead of BFS, walk counts from explicit DFS
+come from Floyd-Warshall instead of BFS, random geometric graphs from a
+pair-by-pair loop instead of array operations, walk counts from explicit DFS
 enumeration instead of matrix powers, frequency-domain quantities from
 numeric large-s limits instead of Markov-parameter algebra, and sensor
 placement from plain loops over the entries of R, and finite-difference
@@ -34,6 +35,24 @@ def floyd_warshall_hops(pattern: np.ndarray) -> np.ndarray:
     for k in range(n):
         d = np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :])
     return d
+
+
+def random_geometric_edges(n: int, region_side: float, radius: float,
+                           seed: int) -> list[tuple[int, int]]:
+    """(tail, head) of each edge of the seeded random geometric digraph.
+
+    The plain double loop over node pairs a < b: a scalar distance per pair
+    and, for a pair within radius, one scalar coin draw (below 0.5 keeps
+    the orientation a -> b).
+    """
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(0.0, region_side, size=(n, 2))
+    edges = []
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            if np.hypot(*(points[a - 1] - points[b - 1])) <= radius:
+                edges.append((a, b) if rng.random() < 0.5 else (b, a))
+    return edges
 
 
 def enumerate_walks(adj: np.ndarray, q: int, p: int, k: int) -> float:

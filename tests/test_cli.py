@@ -7,9 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import netfdi
-from netfdi.cli import SWEEP_OUTCOMES, _derivatives_csv, _sweep_outcome, main
+import netfdi.cli as cli
+from netfdi.cli import SWEEP_OUTCOMES, _derivatives_csv, _json_text, _sweep_outcome, main
 from netfdi.dynamics import FailureEvent, NetworkSystem, SubsystemModel, simulate
 from netfdi.fdi import (DetectorConfig, JumpSignature, LookupTable, default_order_budget,
                         detect, isolate, lookup_table)
@@ -592,3 +595,65 @@ def test_sweep_outcome_classes():
     assert _sweep_outcome(3, [unique(3), unique(3)], column, 1.0, 0.01) == "spurious"
     late = {**unique(3), "t": 1.5}
     assert _sweep_outcome(3, [late], column, 1.0, 0.01) == "spurious"
+
+
+# -- the report encoder ------------------------------------------------------------------
+
+# an explicit alphabet (quotes, escapes, controls, non-ASCII, a lone surrogate,
+# an astral char) spares Hypothesis building its Unicode table on a fresh checkout
+_JSON_STRINGS = st.text(alphabet=st.sampled_from(
+    list('az"\\/\n\t\x00\x7f') + ["é", "ü", "€", "\u2028", "\ud800", "\U0001f600"]))
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), _JSON_STRINGS,
+    st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf"), 1e16, 10**40, -2**63]))
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children), st.lists(children).map(tuple),
+        st.dictionaries(_JSON_STRINGS, children),
+        st.lists(st.one_of(st.integers(), st.booleans()))),   # bools inside int lists
+    max_leaves=20)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(_JSON_VALUES)
+def test_report_encoder_equals_json_dumps_indent_2(obj):
+    assert _json_text(obj) == json.dumps(obj, indent=2)
+
+
+def test_report_encoder_edge_cases():
+    for obj in ({}, [], (), {"": []}, [[]], [{}], {"é": "ü\u2028\ud800"}, [True, 1, False],
+                (1, (2, 3), []), [-0.0, 1e16, 10**30],
+                [float("nan"), float("inf"), float("-inf")], np.float64(0.1), "x"):
+        assert _json_text(obj) == json.dumps(obj, indent=2), obj
+    for bad in (np.int64(3), [object()], {(1, 2): 3}, {1: 2}):   # reports have str keys
+        with pytest.raises(TypeError):
+            _json_text(bad)
+
+
+def test_place_analyze_and_reproduce_write_through_the_one_encoder(tmp_path, monkeypatch,
+                                                                  capsys):
+    texts = []
+    encode = cli._json_text
+
+    def spy(obj, indent=""):
+        text = encode(obj, indent)
+        if not indent:   # nested values are encoded at a deeper indent
+            texts.append(text)
+        return text
+
+    monkeypatch.setattr(cli, "_json_text", spy)
+    graph = tmp_path / "cycle5.json"
+    assert main(["gen", "cycle", "--n", "5", "-o", str(graph)]) == 0
+    capsys.readouterr()
+    written = {}
+    assert main(["place", str(graph), "--exact", "-o", str(tmp_path / "place.json")]) == 0
+    written["place"] = (tmp_path / "place.json").read_text()
+    assert capsys.readouterr().out == written["place"]
+    assert main(["analyze", str(graph), "--sensors", "2,3", "--out",
+                 str(tmp_path / "tables.json")]) == 0
+    written["analyze"] = (tmp_path / "tables.json").read_text()
+    for name in ("cycle5", "star5", "rgg"):
+        assert main(["reproduce", name, "--out-dir", str(tmp_path / name)]) == 0
+        written[name] = (tmp_path / name / "report.json").read_text()
+    assert [text + "\n" for text in texts] == list(written.values())

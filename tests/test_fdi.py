@@ -4,12 +4,13 @@ from math import factorial
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from netfdi.dynamics import (FailureEvent, NetworkSystem, SubsystemModel, jump_oracle,
                              markov_parameter, relative_degree, simulate)
 from netfdi.fdi import (DetectorConfig, JumpSignature, LookupTable, _first_jumps,
-                        default_order_budget, detect, detect_edge_failures, detectable,
-                        estimate_one_sided_derivative, isolate, lookup_table,
+                        _isolate_all, default_order_budget, detect, detect_edge_failures,
+                        detectable, estimate_one_sided_derivative, isolate, lookup_table,
                         relation_matrix)
 from netfdi.graph import Digraph, Edge, gen_cycle, gen_random_geometric, gen_star
 from netfdi.placement import resolution_deficit
@@ -507,6 +508,19 @@ def test_isolate_matches_column_scan():
     assert verdicts == {"unique", "ambiguous", "nomatch"}
 
 
+def test_batched_isolation_equals_isolate_per_signature():
+    table = lookup_table(gen_random_geometric(50, 1.0, 0.25, 20240517), range(1, 11), 2, 9)
+    rng = np.random.default_rng(8)
+    signatures = np.concatenate([table.table.T, rng.integers(0, 5, size=(40, 10)),
+                                 np.zeros((2, 10), dtype=np.int64)])
+    batched = _isolate_all(signatures, table)
+    assert batched == [isolate(JumpSignature(sig, 0.0), table) for sig in signatures]
+    assert {result.verdict for result in batched} == {"unique", "ambiguous", "nomatch"}
+    assert _isolate_all([], table) == []
+    with pytest.raises(ValueError):
+        _isolate_all(signatures[:, :9], table)
+
+
 def test_every_cycle_edge_isolated_uniquely():
     table = cycle_table()
     sys_net = NetworkSystem(gen_cycle(5), scalar_model())
@@ -614,6 +628,28 @@ def test_first_jumps_batched_equal_single_columns_and_relation_matrix():
         np.testing.assert_array_equal(batched.T, rel.entries)
         checked += 1
     assert checked >= 100
+
+
+def test_first_jumps_same_orders_with_stored_zeros():
+    """The kernel multiplies by A_pre as a CSR array: storing every zero changes nothing."""
+    g = gen_random_geometric(50, 1.0, 0.25, 20240517)
+    model = _weak_coupling_models(0.05)["companion"]
+    sys_net = NetworkSystem(g, model)
+    x = np.random.default_rng(3).normal(0.0, 1.0, sys_net.n_states)
+    edges = [e for _, e in g.edges()]
+    coupling = model.B @ model.Gamma @ model.C
+    deltas = np.array([-e.weight * coupling for e in edges])
+    heads, tails = [e.head - 1 for e in edges], [e.tail - 1 for e in edges]
+    sensors = tuple(range(1, 51))
+    dense = sys_net.closed_loop
+    rows, cols = np.indices(dense.shape).reshape(2, -1)
+    stored = sparse.csr_array((dense.ravel(), (rows, cols)), shape=dense.shape)
+    assert stored.nnz == dense.size > 10 * np.count_nonzero(dense)
+    rel = relation_matrix(g, 2)
+    orders = _first_jumps(dense, x, heads, tails, deltas, model.C, sensors, rel.z)
+    np.testing.assert_array_equal(
+        _first_jumps(stored, x, heads, tails, deltas, model.C, sensors, rel.z), orders)
+    np.testing.assert_array_equal(orders.T, rel.entries)
 
 
 def test_first_jumps_without_edges_is_empty():

@@ -6,7 +6,9 @@ from netfdi.graph import (INFINITE, Digraph, Edge, diameter, distances, finite_d
                           walk_matrix)
 
 from corpusgen import connected_digraph_edge_lists, random_connected_digraph
-from oracles import enumerated_walk_matrix, floyd_warshall_hops
+from netfdi.cli import RGG_NODES, RGG_RADIUS, RGG_REGION, RGG_SEED
+
+from oracles import enumerated_walk_matrix, floyd_warshall_hops, random_geometric_edges
 
 
 def test_cycle_distances_golden():
@@ -123,6 +125,22 @@ def test_gen_random_geometric_deterministic():
     assert a == b
     assert a.n_edges > 0
     assert a != c
+
+
+def test_gen_random_geometric_matches_pairwise_loop():
+    # a radius equal to one pair's own distance puts that pair exactly on it
+    points = np.random.default_rng(5).uniform(0.0, 1.0, size=(20, 2))
+    on_radius = float(np.hypot(*(points[3] - points[11])))
+    cases = [(2, 1.0, 2.0, 0), (8, 1.0, 0.4, 3), (30, 2.0, 0.5, 11), (120, 1.0, 0.15, 7),
+             (40, 1.0, 1e-6, 2), (20, 1.0, on_radius, 5),
+             (RGG_NODES, RGG_REGION, RGG_RADIUS, RGG_SEED)]
+    for n, side, radius, seed in cases:
+        g = gen_random_geometric(n, side, radius, seed)
+        edges = [(e.tail, e.head) for _, e in g.edges()]
+        assert edges == random_geometric_edges(n, side, radius, seed), (n, radius, seed)
+        assert all(type(v) is int for edge in edges for v in edge)
+    edges = {(e.tail, e.head) for _, e in gen_random_geometric(20, 1.0, on_radius, 5).edges()}
+    assert {(4, 12), (12, 4)} & edges
 
 
 def test_generator_parameter_errors():

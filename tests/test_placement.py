@@ -307,6 +307,18 @@ def test_harmonic_values():
         harmonic(0)
 
 
+def test_harmonic_sums_share_one_exact_sum():
+    rng = np.random.default_rng(12)
+    pairs = [(0, 0), (0, 7), (7, 0), (9, 9), (1, 1200), (1200, 1199)]
+    pairs += [tuple(int(d) for d in rng.integers(0, 300, size=2)) for _ in range(40)]
+    exact = [Fraction(0)]
+    for d in range(1, 1201):
+        exact.append(exact[-1] + Fraction(1, d))
+    for d_a, d_b in pairs:
+        expected = [float(exact[d_a]), float(exact[d_b])]
+        assert placement._harmonic_sums(d_a, d_b) == expected, (d_a, d_b)
+
+
 # -- submodularity / monotonicity ----------------------------------------------------------
 
 
