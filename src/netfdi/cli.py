@@ -12,6 +12,8 @@ reproduce  canned end-to-end scenarios (cycle5, star5, rgg)
 Exit codes: 0 success, 2 when some detected event could not be uniquely
 isolated (ambiguous or nomatch), 3 on configuration errors.  All randomness
 flows from the --seed flag; reports are deterministic given (config, seed).
+The derivatives in derivatives.csv come from CSR products, whose sums run in
+a fixed order, so that file does not change with the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -303,10 +305,7 @@ def cmd_run(args) -> int:
     x0 = _resolve_x0(args.x0, sys_net, args.seed)
     schedule = _parse_fail(args.fail)
     table = lookup_table(g, sensors, r, z)
-    try:
-        cfg = DetectorConfig(z=z, mode=args.mode)
-    except ValueError as exc:
-        raise ConfigError(f"mode: {exc}")
+    cfg = DetectorConfig(z=z, mode=args.mode)
     tables = {"R": rel.entries.tolist(), "D": table.table.tolist(), "z": z, "r": r}
 
     if args.sweep_failures == "all-edges":

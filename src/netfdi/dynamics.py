@@ -297,24 +297,34 @@ class SimulationTrace:
         """Exact d^k y_p / dt^k for k = 0..z at every sample (zero input only).
 
         Shaped (|sensors|, z + 1, o, n_samples).  On a segment with closed
-        loop A the k-th derivative of y_p is (e_p (x) C) A^k x, so the rows
-        (e_p (x) C) A^k of all sensors and orders are stacked into W and
-        applied in one product W @ states^T.  A boundary sample belongs to
-        both of its segments; the later one (right-hand derivatives) wins.
+        loop A the k-th derivative of y_p is (e_p (x) C) A^k x, so each
+        segment's states are carried k times through A and read out by the
+        stacked sensor rows e_p (x) C.  Both are CSR products, whose sums run
+        in a fixed order, so the values do not depend on the BLAS thread
+        count.  A boundary sample belongs to both of its segments; the later
+        one (right-hand derivatives) wins.
         """
+        from scipy import sparse   # imported here: only the derivative dump needs it
+
         if not self.autonomous:
             raise ValueError("exact derivatives need an autonomous trace (zero input)")
         n, d, o = self.n_nodes, self.state_dim, self.output_dim
-        W = np.zeros((len(sensors), z + 1, o, n * d))
+        rows = np.zeros((len(sensors), o, n * d))
         for si, p in enumerate(sensors):
             _check_sensor(p, n)
-            W[si, 0, :, (p - 1) * d : p * d] = self.c_matrix
-        out = np.empty(W.shape[:3] + (len(self.times),))
+            rows[si, :, (p - 1) * d : p * d] = self.c_matrix
+        read = sparse.csr_array(rows.reshape(-1, n * d))
+        out = np.empty((len(sensors), z + 1, o, len(self.times)))
         for seg in self.segments:
-            for k in range(1, z + 1):
-                W[:, k] = W[:, k - 1] @ seg.matrix
-            sl = slice(seg.start, seg.stop + 1)
-            out[..., sl] = (W.reshape(-1, n * d) @ self.states[sl].T).reshape(W.shape[:3] + (-1,))
+            loop = sparse.csr_array(seg.matrix)
+            # 1024 samples at a time keep the carried states small
+            for a in range(seg.start, seg.stop + 1, 1024):
+                sl = slice(a, min(a + 1024, seg.stop + 1))
+                v = np.ascontiguousarray(self.states[sl].T)
+                for k in range(z + 1):
+                    out[:, k, :, sl] = (read @ v).reshape(rows.shape[:2] + v.shape[1:])
+                    if k < z:
+                        v = loop @ v
         return out
 
     def to_csv(self, path: str | Path):

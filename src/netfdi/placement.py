@@ -22,16 +22,18 @@ share a row, and isolation is feasible (f_I(V) = 0) exactly when every node
 has in-degree <= 1.  Then every detection set already isolates (proof in
 brute_force_min_isolation), so the greedy detection set is the isolation
 set, the detection optimum is the isolation optimum, and the set-cover
-guarantee of the detection greedy is a guarantee for isolation too.
+guarantee of the detection greedy is the isolation guarantee:
+|M_I| = |M_D| <= H(d_max) opt_I.
 greedy_isolation from a seed that is not a detection set is not covered by
 it, but it runs the same cover greedy: when f_I(V) = 0 a sensor tells apart
 every pair of edges it sees and the unseen edges share the zero row, so
 f_I = f_D * [f_D >= 2].
 
-The same structure lets the placement report count without deficit calls.
-In the row of an edge the entry r sits only in its head's column (every
-other column holds >= 2r or 0), so two rows agree exactly when their heads
-do, and f_I(V) is the number of edges whose head has in-degree >= 2.
+The same structure decides feasibility without a deficit call.  In the row
+of an edge the entry r sits only in its head's column (every other column
+holds >= 2r or 0), so two rows agree exactly when their heads do, and f_I(V)
+is the number of edges whose head has in-degree >= 2 (_shared_head_edges).
+The isolation routines and the report all take f_I(V) from that count.
 
 Exhaustive solvers provide the optima at desk scale; their depth-first
 search drops every prefix that cannot complete a cover.
@@ -74,8 +76,6 @@ def _row_keys(R: RelationMatrix, members: tuple[int, ...]) -> list[bytes]:
 def unidentified_edges(R: RelationMatrix, sensors) -> set[int]:
     """Edges whose indicator set collides with some other edge's."""
     members = _validated_sensors(sensors, R.n_nodes)
-    if R.n_edges <= 1:
-        return set()
     keys = _row_keys(R, members)
     counts = Counter(keys)
     return {label for label, key in zip(R.edge_labels, keys) if counts[key] > 1}
@@ -95,6 +95,12 @@ def unresolved_pairs(R: RelationMatrix, sensors) -> int:
     members = _validated_sensors(sensors, R.n_nodes)
     counts = Counter(_row_keys(R, members))
     return sum(c * (c - 1) // 2 for c in counts.values())
+
+
+def _shared_head_edges(R: RelationMatrix) -> int:
+    """f_I(V): the number of edges whose head has in-degree >= 2."""
+    heads = (R.entries == R.r).argmax(axis=1)    # the one column holding r
+    return int((np.bincount(heads, minlength=R.n_nodes)[heads] >= 2).sum())
 
 
 def _cover_greedy(R: RelationMatrix, picks, enough: int) -> tuple[int, ...]:
@@ -132,13 +138,13 @@ def greedy_isolation(R: RelationMatrix, m_d) -> tuple[int, ...] | None:
 
     Seeding with M_D keeps the result detection-feasible: an edge can be
     resolved purely through order-0 relations, which would leave it
-    undetectable without the seed.  Feasibility is decided first, from
-    f_I(V): None is returned at once when even the full vertex set cannot
-    resolve all edges.  Otherwise f_I = f_D * [f_D >= 2] (module docstring):
+    undetectable without the seed.  Feasibility is decided first, from the
+    in-degrees (f_I(V) = 0 iff every in-degree is <= 1): None is returned at
+    once when it fails.  Otherwise f_I = f_D * [f_D >= 2] (module docstring):
     the cover greedy runs from the seed until fewer than 2 edges are unseen.
     """
     m_d = _validated_sensors(m_d, R.n_nodes)
-    if resolution_deficit(R, range(1, R.n_nodes + 1)) != 0:
+    if _shared_head_edges(R):
         return None
     return _cover_greedy(R, m_d, 2)
 
@@ -213,26 +219,21 @@ def brute_force_min_isolation(R: RelationMatrix) -> tuple[int, ...] | None:
     isolates.
     """
     _guard_exact(R)
-    if resolution_deficit(R, range(1, R.n_nodes + 1)) != 0:
+    if _shared_head_edges(R):
         return None
     return brute_force_min_detection(R)
 
 
 def harmonic(d: int) -> float:
-    """Truncated harmonic sum H(d) = 1 + 1/2 + ... + 1/d, summed exactly."""
+    """Truncated harmonic sum H(d) = 1 + 1/2 + ... + 1/d, summed exactly.
+
+    The sum is an exact fraction p / q, built by binary splitting (each
+    stretch of terms summed pairwise, so the big products stay balanced);
+    p / q rounds the exact quotient correctly, as float(Fraction) does.
+    """
     if d < 1:
         raise ValueError(f"harmonic sum needs d >= 1, got {d}")
-    return _harmonic_sums(d)[0]
 
-
-def _harmonic_sums(*ds: int) -> list[float]:
-    """H(d) for each d >= 0 (H(0) = 0), from one exact running sum up to the largest d.
-
-    The sum is an exact fraction p / q, extended from one requested d to
-    the next by binary splitting (each stretch of terms summed pairwise, so
-    the big products stay balanced); p / q rounds the exact quotient
-    correctly, as float(Fraction) does.
-    """
     def stretch(lo: int, hi: int) -> tuple[int, int]:
         """Sum of 1/i over lo <= i < hi as (numerator, denominator)."""
         if hi - lo == 1:
@@ -242,13 +243,8 @@ def _harmonic_sums(*ds: int) -> list[float]:
         p2, q2 = stretch(mid, hi)
         return p1 * q2 + p2 * q1, q1 * q2
 
-    sums = {0: 0.0}
-    p, q, done = 0, 1, 0
-    for d in sorted(set(ds) - {0}):
-        p_add, q_add = stretch(done + 1, d + 1)
-        p, q, done = p * q_add + p_add * q, q * q_add, d
-        sums[d] = p / q
-    return [sums[d] for d in ds]
+    p, q = stretch(1, d + 1)
+    return p / q
 
 
 @dataclass
@@ -258,17 +254,12 @@ class PlacementReport:
     opt_d / opt_i are exhaustive optima when requested (None otherwise);
     m_i and opt_i are None when isolation is impossible (f_I(V) != 0), and
     otherwise equal m_d and opt_d, since every detection set isolates.
-    d_max is the largest column sum of the binary incidence pattern,
-    d_max_isolation the largest single-node resolution gain |E| - f_I({q}).
-    The report reads f_I(V), the f_D trace and d_max_isolation off R in one
-    pass each: f_I(V) from a bincount of the edges' heads (module
-    docstring), the f_D trace from a running OR over M_D's columns of
-    R != 0, and d_max_isolation from one bincount of (node, entry) keys,
-    counting per node the entries that a single edge holds.
+    d_max is the largest column sum of the binary incidence pattern.  The
+    report reads f_I(V) off the edges' heads (_shared_head_edges) and the
+    f_D trace off a running OR over M_D's columns of R != 0.
     harmonic_bound = H(d_max) is the set-cover guarantee for m_d (-f_D is
-    submodular).  When isolation is feasible a node resolves every edge it
-    sees, so d_max <= d_max_isolation, and |m_i| = |m_d| <= H(d_max) * |opt_i|
-    <= harmonic_bound_isolation * |opt_i| is a guarantee.
+    submodular), and so the isolation guarantee when isolation is feasible:
+    |m_i| = |m_d| <= H(d_max) * |opt_i|.
     """
 
     m_d: tuple[int, ...]
@@ -279,9 +270,7 @@ class PlacementReport:
     opt_d: tuple[int, ...] | None
     opt_i: tuple[int, ...] | None
     d_max: int
-    d_max_isolation: int
     harmonic_bound: float
-    harmonic_bound_isolation: float
     ratio_bound: float
 
     def to_dict(self) -> dict:
@@ -308,10 +297,9 @@ def approximation_report(R: RelationMatrix, exact: bool = False) -> PlacementRep
     deficit function; the other counts are read off R (see PlacementReport).
     """
     m_d = greedy_detection(R)
-    n_edges, n_nodes = R.entries.shape
+    n_edges = R.n_edges
     seen = R.entries != 0
-    heads = (R.entries == R.r).argmax(axis=1)    # the one column holding r
-    f_i_of_v = int((np.bincount(heads, minlength=n_nodes)[heads] >= 2).sum())
+    f_i_of_v = _shared_head_edges(R)
     m_i = m_d if f_i_of_v == 0 else None
     covered = np.logical_or.accumulate(seen[:, [p - 1 for p in m_d]], axis=1)
     f_d_trace = (n_edges, *(n_edges - covered.sum(axis=0)).tolist())
@@ -322,22 +310,10 @@ def approximation_report(R: RelationMatrix, exact: bool = False) -> PlacementRep
 
     if n_edges:
         d_max = int(seen.sum(axis=0).max())
-        # |E| - f_I({q}): the edges whose entry in column q no other edge
-        # shares.  An entry is 0 or r*(hops + 1) with hops <= |E| - 1 (a
-        # shortest path from the head never takes the failed edge), so
-        # entry/r + width*(q-1) gives each (node, entry) its own bin.
-        width = min(R.z // R.r, n_edges) + 1
-        keys = R.entries // R.r
-        keys += width * np.arange(n_nodes)
-        counts = np.bincount(keys.ravel(), minlength=width * n_nodes)
-        d_max_iso = int((counts.reshape(n_nodes, width) == 1).sum(axis=1).max())
-        h_det, h_iso = _harmonic_sums(d_max, d_max_iso)
+        h_det = harmonic(d_max)
         ratio = math.log(n_edges) + 1.0
     else:
-        d_max = d_max_iso = 0
-        h_det = h_iso = 0.0
-        ratio = 1.0
+        d_max, h_det, ratio = 0, 0.0, 1.0
     return PlacementReport(m_d=m_d, m_i=m_i, f_d_trace=f_d_trace, f_i_trace=f_i_trace,
                            f_i_of_v=f_i_of_v, opt_d=opt_d, opt_i=opt_i, d_max=d_max,
-                           d_max_isolation=d_max_iso, harmonic_bound=h_det,
-                           harmonic_bound_isolation=h_iso, ratio_bound=ratio)
+                           harmonic_bound=h_det, ratio_bound=ratio)

@@ -412,6 +412,39 @@ def test_derivatives_csv_matches_segment_loop(tmp_path):
         assert np.allclose(data[:, 1:], expected, rtol=1e-12, atol=1e-15 * scale.max())
 
 
+_DERIVATIVES_CHILD = """
+import sys
+from pathlib import Path
+import numpy as np
+from netfdi.cli import RGG_NODES, RGG_RADIUS, RGG_REGION, RGG_SEED, _derivatives_csv
+from netfdi.dynamics import FailureEvent, NetworkSystem, SubsystemModel, simulate
+from netfdi.graph import gen_random_geometric
+g = gen_random_geometric(RGG_NODES, RGG_REGION, RGG_RADIUS, RGG_SEED)
+model = SubsystemModel([[-1.0]], [[1.0]], [[1.0]], [[1.0]])
+x0 = np.random.default_rng(3).normal(0.0, 1.0, g.n_nodes)
+trace = simulate(NetworkSystem(g, model), x0, 0.0, 5.0, 1e-3, [FailureEvent(157, 1.076)])
+_derivatives_csv(Path(sys.argv[1]), trace, range(1, 11), 2)
+"""
+
+
+def test_derivatives_csv_independent_of_blas_threads(tmp_path):
+    # 50 states over 5001 samples: big enough for a dense BLAS product to run
+    # threaded, and so to sum in a thread-dependent order
+    package_root = str(Path(netfdi.__file__).resolve().parent.parent)
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root,
+                                                       os.environ.get("PYTHONPATH")]))
+    dumps = []
+    for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+        path = tmp_path / f"derivatives_{len(dumps)}.csv"
+        proc = subprocess.run([sys.executable, "-c", _DERIVATIVES_CHILD, str(path)],
+                              capture_output=True, text=True, env={**base, **threads})
+        assert proc.returncode == 0, proc.stderr
+        dumps.append(path.read_bytes())
+    assert dumps[0] == dumps[1]
+
+
 def test_missing_graph_file_is_config_error(tmp_path, capsys):
     code = main(["analyze", str(tmp_path / "nope.json"), "--sensors", "1",
                  "--out", str(tmp_path / "t.json")])

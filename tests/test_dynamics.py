@@ -397,6 +397,7 @@ def test_trace_derivatives_validation():
     trace = simulate(sys_net, np.ones(5), 0.0, 1.0, 0.1)
     with pytest.raises(ValueError):
         trace.derivatives((6,), 2)
+    assert trace.derivatives((), 2).shape == (0, 3, 1, len(trace.times))
     driven = simulate(NetworkSystem(Digraph(1), scalar_model()), [1.0], 0.0, 1.0, 0.1,
                       w=ExogenousInput.polynomial(np.array([[[0.5]]])))
     with pytest.raises(ValueError):
