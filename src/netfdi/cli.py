@@ -298,6 +298,9 @@ def cmd_run(args) -> int:
         report = approximation_report(rel)
         placement_payload = report.to_dict()
         sensors = report.m_d
+        if not sensors:
+            raise ConfigError("sensors: auto placement chose none, since the graph has "
+                              "no edges to watch; pass an explicit list")
         if report.m_i is None:
             print("warning: isolation impossible (f_I(V) != 0); "
                   "auto sensors degrade to detection-only", file=sys.stderr)
@@ -411,6 +414,16 @@ def cmd_reproduce(args) -> int:
 # -- argument parsing --------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take non-negative integers only."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 class _Repeated(argparse.Action):
     """A repeatable flag whose first explicit use replaces the default list."""
 
@@ -456,7 +469,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--region-side", type=float, default=1.0)
     p_gen.add_argument("--radius", type=float, default=None)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_seed, default=0)
     p_gen.add_argument("-o", "--output", required=True)
     p_gen.set_defaults(func=cmd_gen)
 
@@ -484,7 +497,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p_sim.add_argument("--t-end", type=float, required=True)
     p_sim.add_argument("--dt", type=float, required=True)
     p_sim.add_argument("--fail", action="append", default=[])
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", type=_seed, default=0)
     p_sim.add_argument("-o", "--output", required=True)
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -500,7 +513,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p_run.add_argument("--mode", choices=["analytic", "finite-difference"],
                        default="analytic")
     p_run.add_argument("--x0", default=None)
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--seed", type=_seed, default=0)
     p_run.add_argument("--out-dir", default="netfdi_out")
     p_run.add_argument("--sweep-failures", choices=["all-edges"], default=None)
     p_run.add_argument("--config", default=None)

@@ -19,9 +19,9 @@ check the other:
 Prediction reads memoised structure: each ``SubsystemModel`` keeps the powers
 (M_r Gamma)^(dist+1) it has been asked for in ``_q_powers``, and each
 ``Digraph`` keeps its hop array and walk powers in ``_memo``.  A failure
-changes one block of the closed loop, so post-failure matrices are the
-pre-failure one with that block overwritten by the model's ``_failed_block``
-(``_post_failure_loop``).
+changes one block of the closed loop, so ``NetworkSystem.remove_edge``, the
+one place a link fails, copies the pre-failure matrix and overwrites that
+block with the model's ``_failed_block``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from .graph import Digraph, _walk_power, distances
+from .graph import Digraph, _check_node, _walk_power, distances
 
 #: absolute tolerance below which a Markov parameter counts as zero
 NONZERO_ATOL = 1e-12
@@ -159,20 +159,6 @@ def closed_loop(g: Digraph, model: SubsystemModel) -> np.ndarray:
     return blocks.reshape(n * d, n * d)
 
 
-def _post_failure_loop(a_pre: np.ndarray, model: SubsystemModel, head: int,
-                       tail: int) -> np.ndarray:
-    """Closed loop after edge (tail -> head) fails, from the one before it.
-
-    Only block (head, tail) changes.  It gets the values a rebuild gives it,
-    0.0 A + 0.0 B Gamma C, signed zeros included, so the result equals
-    ``closed_loop`` of the mutated graph byte for byte.
-    """
-    d = model.d
-    a_post = a_pre.copy()
-    a_post[(head - 1) * d : head * d, (tail - 1) * d : tail * d] = model._failed_block
-    return a_post
-
-
 class NetworkSystem:
     """A digraph plus one subsystem model, with the closed loop assembled."""
 
@@ -184,12 +170,19 @@ class NetworkSystem:
         self.closed_loop = closed_loop(graph, model)
 
     def remove_edge(self, label: int) -> "NetworkSystem":
-        """System after the given link fails (one block of the closed loop rewritten)."""
-        e = self.graph.edge(label)
+        """System after the given link (tail -> head) fails.
+
+        Only block (head, tail) of the closed loop changes.  It gets the
+        values a rebuild gives it, 0.0 A + 0.0 B Gamma C, signed zeros
+        included, so the result equals ``closed_loop`` of the mutated graph
+        byte for byte.
+        """
+        e, d = self.graph.edge(label), self.model.d
         post = NetworkSystem.__new__(NetworkSystem)
         post.graph = self.graph.remove_edge(label)
         post.model = self.model
-        post.closed_loop = _post_failure_loop(self.closed_loop, self.model, e.head, e.tail)
+        post.closed_loop = loop = self.closed_loop.copy()
+        loop[(e.head - 1) * d : e.head * d, (e.tail - 1) * d : e.tail * d] = self.model._failed_block
         return post
 
     @property
@@ -290,6 +283,7 @@ class SimulationTrace:
 
     def output_of(self, p: int) -> np.ndarray:
         """Samples of y_p, shaped (n_samples, o)."""
+        _check_node(p, self.n_nodes, "sensor")
         o = self.output_dim
         return self.outputs[:, (p - 1) * o : p * o]
 
@@ -311,7 +305,7 @@ class SimulationTrace:
         n, d, o = self.n_nodes, self.state_dim, self.output_dim
         rows = np.zeros((len(sensors), o, n * d))
         for si, p in enumerate(sensors):
-            _check_sensor(p, n)
+            _check_node(p, n, "sensor")
             rows[si, :, (p - 1) * d : p * d] = self.c_matrix
         read = sparse.csr_array(rows.reshape(-1, n * d))
         out = np.empty((len(sensors), z + 1, o, len(self.times)))
@@ -420,13 +414,13 @@ def _propagate_exact(A: np.ndarray, dt: float, states: np.ndarray, a: int, b: in
         np.matmul(phi, states[n], out=states[n + 1])
 
 
-def _trace(sys: NetworkSystem, times, states, snapped, boundaries, matrices, graphs,
+def _trace(sys: NetworkSystem, times, states, snapped, boundaries, systems,
            autonomous: bool) -> SimulationTrace:
-    """Package simulated states with their outputs, schedule and segments."""
+    """Package simulated states with their outputs, schedule and one segment per system."""
     outputs = states @ sys.output_matrix().T
     segments = tuple(
-        TraceSegment(boundaries[s], boundaries[s + 1], matrices[s], graphs[s])
-        for s in range(len(matrices)))
+        TraceSegment(boundaries[s], boundaries[s + 1], seg.closed_loop, seg.graph)
+        for s, seg in enumerate(systems))
     return SimulationTrace(times=times, states=states, outputs=outputs,
                            schedule=tuple(ev for _, ev in snapped), segments=segments,
                            n_nodes=sys.graph.n_nodes, state_dim=sys.model.d,
@@ -460,22 +454,19 @@ def simulate(sys: NetworkSystem, x0, t0: float, t_end: float, dt: float,
         w = ExogenousInput.zero()
     snapped = _snap_schedule(schedule, t0, dt, n_steps)
 
-    # Segment boundaries and the graph in force on each segment.
+    # Segment boundaries and the system in force on each segment.
     boundaries = [0] + [idx for idx, _ in snapped] + [n_steps]
-    graphs = [sys.graph]
-    matrices = [sys.closed_loop]
+    systems = [sys]
     for _, ev in snapped:
-        e = graphs[-1].edge(ev.edge)
-        graphs.append(graphs[-1].remove_edge(ev.edge))
-        matrices.append(_post_failure_loop(matrices[-1], sys.model, e.head, e.tail))
+        systems.append(systems[-1].remove_edge(ev.edge))
 
     states = _initial_states(sys, x0, n_steps + 1)
     refine_steps = {idx - 1 for idx, _ in snapped} | {idx for idx, _ in snapped}
     b_stack = np.kron(np.eye(sys.graph.n_nodes), sys.model.B)
 
-    for seg in range(len(matrices)):
+    for seg, segment_sys in enumerate(systems):
         a, b = boundaries[seg], boundaries[seg + 1]
-        A = matrices[seg]
+        A = segment_sys.closed_loop
         if w.is_zero:
             _propagate_exact(A, dt, states, a, b)
         else:
@@ -488,7 +479,7 @@ def simulate(sys: NetworkSystem, x0, t0: float, t_end: float, dt: float,
                                   times[n] + sstep * h, x, h)
                 states[n + 1] = x
 
-    return _trace(sys, times, states, snapped, boundaries, matrices, graphs, w.is_zero)
+    return _trace(sys, times, states, snapped, boundaries, systems, w.is_zero)
 
 
 def _healthy_prefix(sys: NetworkSystem, x0, t0: float, t_end: float, dt: float,
@@ -524,26 +515,19 @@ def simulate_edge_failures(sys: NetworkSystem, x0, t0: float, t_end: float, dt: 
     n_steps = len(times) - 1
 
     def traces():
-        for label, e in sys.graph.edges():
-            graph = sys.graph.remove_edge(label)
-            post = _post_failure_loop(sys.closed_loop, sys.model, e.head, e.tail)
+        for label in sys.graph.edge_labels:
+            post = sys.remove_edge(label)
             states = np.empty_like(healthy)
             states[: idx + 1] = healthy[: idx + 1]
-            _propagate_exact(post, dt, states, idx, n_steps)
+            _propagate_exact(post.closed_loop, dt, states, idx, n_steps)
             yield _trace(sys, times, states, [(idx, FailureEvent(label, time))],
-                         [0, idx, n_steps], [sys.closed_loop, post], [sys.graph, graph],
-                         True)
+                         [0, idx, n_steps], [sys, post], True)
 
     return traces()
 
 
-def _check_sensor(p: int, n_nodes: int):
-    if not 1 <= p <= n_nodes:
-        raise ValueError(f"sensor {p} outside 1..{n_nodes}")
-
-
 def _check_sensor_and_order(sys: NetworkSystem, p: int, k: int):
-    _check_sensor(p, sys.graph.n_nodes)
+    _check_node(p, sys.graph.n_nodes, "sensor")
     if k < 0:
         raise ValueError(f"derivative order must be >= 0, got {k}")
 
@@ -612,7 +596,7 @@ def theoretical_jump(g: Digraph, model: SubsystemModel, edge: int, p: int,
     When no directed i -> p path exists the failure never shows at p and an
     unobservable prediction is returned.
     """
-    _check_sensor(p, g.n_nodes)
+    _check_node(p, g.n_nodes, "sensor")
     e = g.edge(edge)
     dist = int(distances(g)._hops[e.head - 1, p - 1])
     if dist < 0:

@@ -18,8 +18,8 @@ from math import comb, factorial
 
 import numpy as np
 
-from .dynamics import NetworkSystem, SimulationTrace, _check_sensor, _healthy_prefix
-from .graph import Digraph, distances, finite_diameter
+from .dynamics import NetworkSystem, SimulationTrace, _healthy_prefix
+from .graph import Digraph, _check_node, distances, finite_diameter
 
 
 def default_order_budget(g: Digraph, r: int) -> int:
@@ -122,7 +122,7 @@ def _validated_sensors(sensors, n_nodes: int) -> tuple[int, ...]:
             p = operator.index(p)
         except TypeError:
             raise ValueError(f"sensor {p!r} is not an integer") from None
-        _check_sensor(p, n_nodes)
+        _check_node(p, n_nodes, "sensor")
         out.append(p)
     if len(set(out)) != len(out):
         p = next(p for i, p in enumerate(out) if p in out[:i])
@@ -265,31 +265,31 @@ def detect(trace: SimulationTrace, sensors, cfg: DetectorConfig) -> list[JumpSig
     return _detect_finite_difference(trace, sensors, cfg)
 
 
-def _first_jumps(A_pre, x, heads, tails, deltas, C, sensors, z: int) -> np.ndarray:
+def _first_jumps(A_pre, x, heads, tails, C, sensors, z: int) -> np.ndarray:
     """First jump orders at the sensors for m single-block failures from one state.
 
-    Column e is the failure that adds the d x d block deltas[e] to the
+    Column e is the failure that zeroes the d x d block F_e of the dense
     closed loop A_pre at block (heads[e], tails[e]) (0-based node
-    positions), at state x.  Its jump δ_k = (A_post^k - A_pre^k) x is built
-    by the telescoped recursion δ_0 = 0,
-    δ_k = A_pre δ_{k-1} + [Δ δ_{k-1}]_head + [Δ A_pre^{k-1} x]_head,
+    positions), at state x; F_e is read from A_pre itself.  Its jump
+    δ_k = (A_post^k - A_pre^k) x is built by the telescoped recursion
+    δ_0 = 0, δ_k = A_pre δ_{k-1} - [F δ_{k-1}]_head - [F A_pre^{k-1} x]_head,
     which never subtracts two nearly equal trajectories, so a jump many
     orders of magnitude below the state is still resolved.  Alongside runs
     a componentwise bound on its roundoff (running error analysis, Higham,
     Accuracy and Stability of Numerical Algorithms, 3.3):
-    b_k = |A_post| b_{k-1} + γ (|A_post| |δ_{k-1}| + |Δ| |A_pre^{k-1} x|),
-    γ = 8 eps N d.  Sensor p fires at the first k <= z with
+    b_k = |A_post| b_{k-1} + γ (|A_post| |δ_{k-1}| + |F| |A_pre^{k-1} x|),
+    γ = 8 eps N d, where |A_post| is |A_pre| less |F| at the failed block.
+    Sensor p fires at the first k <= z with
     |C δ_k[p]| > 16 |C| (b_k[p] + γ |δ_k[p]|) in some output channel.
     Returns the orders shaped (|sensors|, m), 0 where a sensor never fires.
 
-    A_pre (a dense or scipy sparse array) is taken as a CSR array, since
-    the closed loop I_N ⊗ A + G ⊗ BΓC is block-sparse: nnz(A_pre) is N d^2
-    plus d^2 per edge (343 of 10 000 entries on rgg50 with d = 2).  A_pre^k x
-    is shared by all columns, and each order costs the two sparse products
-    A_pre δ and |A_pre| (b + γ|δ|), O(nnz(A_pre) m) each, plus a gather
-    from the tail and a scatter to the head blocks, O(m d^2).  Stored
-    zeros change nothing, and γ still bounds each sparse inner product,
-    which has at most N d terms.
+    A_pre is multiplied as a CSR array, since the closed loop
+    I_N ⊗ A + G ⊗ BΓC is block-sparse: nnz(A_pre) is N d^2 plus d^2 per
+    edge (343 of 10 000 entries on rgg50 with d = 2).  A_pre^k x is shared
+    by all columns, and each order costs the two sparse products A_pre δ
+    and |A_pre| (b + γ|δ|), O(nnz(A_pre) m) each, plus a gather from the
+    tail and a scatter to the head blocks, O(m d^2).  γ still bounds each
+    sparse inner product, which has at most N d terms.
 
     The bound grows like |A_post|^k, not like A_post^k: for a subsystem
     realisation far from normal (|A| much larger than A's spectral radius)
@@ -298,8 +298,8 @@ def _first_jumps(A_pre, x, heads, tails, deltas, C, sensors, z: int) -> np.ndarr
     """
     from scipy import sparse   # imported here: only the analytic detector needs it
 
-    loop = sparse.csr_array(A_pre, dtype=float)
-    dense = A_pre.toarray() if sparse.issparse(A_pre) else np.asarray(A_pre, dtype=float)
+    dense = np.asarray(A_pre, dtype=float)
+    loop = sparse.csr_array(dense)
     nd = loop.shape[0]
     d = C.shape[1]
     m = len(heads)
@@ -308,18 +308,15 @@ def _first_jumps(A_pre, x, heads, tails, deltas, C, sensors, z: int) -> np.ndarr
     head_rows = span[:, None] + d * np.asarray(heads, dtype=np.int64)   # (d, m)
     tail_rows = span[:, None] + d * np.asarray(tails, dtype=np.int64)
     cols = np.arange(m)
-    deltas = np.asarray(deltas, dtype=float).reshape(m, d, d)
-    a_blocks = dense[head_rows.T[:, :, None], tail_rows.T[:, None, :]]
+    blocks = dense[head_rows.T[:, :, None], tail_rows.T[:, None, :]]   # (m, d, d)
     abs_loop = abs(loop)
-    # |A_post| = |A_pre| with each column's failed block replaced
-    abs_fix = np.abs(a_blocks + deltas) - np.abs(a_blocks)
-    abs_deltas = np.abs(deltas)
+    abs_blocks = np.abs(blocks)
     sensor_rows = (np.asarray(sensors, dtype=np.int64)[:, None] - 1) * d + span   # (|S|, d)
     abs_c = np.abs(C)
 
-    def at_heads(blocks, gathered):
-        """(d, m): blocks[e] @ gathered[:, e] in column e, for column e's head rows."""
-        return np.einsum("eab,be->ae", blocks, gathered)
+    def at_heads(per_edge, gathered):
+        """(d, m): per_edge[e] @ gathered[:, e] in column e, for column e's head rows."""
+        return np.einsum("eab,be->ae", per_edge, gathered)
 
     v = np.asarray(x, dtype=float).reshape(nd)
     jump = np.zeros((nd, m))
@@ -329,12 +326,12 @@ def _first_jumps(A_pre, x, heads, tails, deltas, C, sensors, z: int) -> np.ndarr
         v_tail = v[tail_rows]
         carried = bound + gamma * np.abs(jump)
         bound = abs_loop @ carried
-        bound[head_rows, cols] += at_heads(abs_fix, carried[tail_rows, cols])
-        bound[head_rows, cols] += gamma * at_heads(abs_deltas, np.abs(v_tail))
+        bound[head_rows, cols] -= at_heads(abs_blocks, carried[tail_rows, cols])
+        bound[head_rows, cols] += gamma * at_heads(abs_blocks, np.abs(v_tail))
         jump_tail = jump[tail_rows, cols]
         jump = loop @ jump
-        jump[head_rows, cols] += at_heads(deltas, jump_tail)
-        jump[head_rows, cols] += at_heads(deltas, v_tail)
+        jump[head_rows, cols] -= at_heads(blocks, jump_tail)
+        jump[head_rows, cols] -= at_heads(blocks, v_tail)
         v = loop @ v
         seen = jump[sensor_rows]
         limit = bound[sensor_rows] + gamma * np.abs(seen)
@@ -347,9 +344,10 @@ def _first_jumps(A_pre, x, heads, tails, deltas, C, sensors, z: int) -> np.ndarr
 def _detect_analytic(trace, sensors, cfg) -> list[JumpSignature]:
     """One first-jump kernel call per failure, from the state at its boundary.
 
-    The failure's matrix change must be exactly the scheduled edge's one
-    (head, tail) block; anything else (a hand-built trace, several edges
-    changing at once) is outside what the orders mean and raises ValueError.
+    The right segment's matrix must be the left one with the scheduled
+    edge's (head, tail) block zeroed; anything else (a hand-built trace,
+    several edges changing at once) is outside what the orders mean and
+    raises ValueError.
     """
     d = trace.state_dim
     if len(trace.schedule) != len(trace.segments) - 1:
@@ -362,18 +360,15 @@ def _detect_analytic(trace, sensors, cfg) -> list[JumpSignature]:
         except KeyError:
             raise ValueError(f"failure at t={event.time}: edge {event.edge} is not in "
                              "the graph before it") from None
-        head = slice((edge.head - 1) * d, edge.head * d)
-        tail = slice((edge.tail - 1) * d, edge.tail * d)
-        change = right.matrix - left.matrix
-        delta = change[head, tail].copy()
-        change[head, tail] = 0.0
-        if change.any():
+        expected = left.matrix.copy()
+        expected[(edge.head - 1) * d : edge.head * d, (edge.tail - 1) * d : edge.tail * d] = 0.0
+        if not np.array_equal(right.matrix, expected):
             raise ValueError(
-                f"failure at t={event.time}: the closed loop changes outside the "
-                f"({edge.head}, {edge.tail}) block of edge {event.edge}")
+                f"failure at t={event.time}: the closed loop changes outside of zeroing "
+                f"the ({edge.head}, {edge.tail}) block of edge {event.edge}")
         b = left.stop
         orders = _first_jumps(left.matrix, trace.states[b], [edge.head - 1],
-                              [edge.tail - 1], delta, trace.c_matrix, sensors, cfg.z)[:, 0]
+                              [edge.tail - 1], trace.c_matrix, sensors, cfg.z)[:, 0]
         if orders.any():
             events.append(JumpSignature(orders=orders, time=float(trace.times[b])))
     return events
@@ -387,8 +382,8 @@ def detect_edge_failures(sys: NetworkSystem, x0, t0: float, t_end: float, dt: fl
     ``simulate(sys, x0, t0, t_end, dt, [FailureEvent(label, t_fail)])``: the
     healthy run is stepped to the failure once, exactly as ``simulate``
     does, and one batched ``_first_jumps`` call covers all edges, edge e
-    adding -w_e B Gamma C at its (head, tail) block.  The grid, x0 and the
-    failure time are validated as in ``simulate``, z as in ``DetectorConfig``.
+    zeroing its (head, tail) block.  The grid, x0 and the failure time are
+    validated as in ``simulate``, z as in ``DetectorConfig``.
     """
     sensors = _validated_sensors(sensors, sys.graph.n_nodes)
     if not sensors:
@@ -396,11 +391,8 @@ def detect_edge_failures(sys: NetworkSystem, x0, t0: float, t_end: float, dt: fl
     z = _check_order_budget(z)
     times, idx, _, states = _healthy_prefix(sys, x0, t0, t_end, dt, t_fail)
     edges = [e for _, e in sys.graph.edges()]
-    model = sys.model
-    coupling = model.B @ model.Gamma @ model.C
-    deltas = -np.array([e.weight for e in edges]).reshape(-1, 1, 1) * coupling
     orders = _first_jumps(sys.closed_loop, states[idx], [e.head - 1 for e in edges],
-                          [e.tail - 1 for e in edges], deltas, model.C, sensors, z)
+                          [e.tail - 1 for e in edges], sys.model.C, sensors, z)
     time = float(times[idx])
     return [[JumpSignature(orders=col.copy(), time=time)] if col.any() else []
             for col in orders.T]

@@ -62,6 +62,21 @@ class Edge:
     weight: float = 1.0
 
 
+def _is_integer(value) -> bool:
+    """Whether value is an integer; bool is not one here, though Python counts it.
+
+    ``type(value) is int`` answers the common case first: the Integral
+    check goes through the ABC machinery and costs several times more.
+    """
+    return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))
+
+
+def _check_node(p: int, n_nodes: int, role: str = "node"):
+    """ValueError unless 1 <= p <= n_nodes; ``role`` names p in the message."""
+    if not 1 <= p <= n_nodes:
+        raise ValueError(f"{role} {p} outside 1..{n_nodes}")
+
+
 class Digraph:
     """Directed graph on nodes 1..n with labeled, weighted edges.
 
@@ -73,7 +88,7 @@ class Digraph:
     __slots__ = ("n_nodes", "_edges", "_memo")
 
     def __init__(self, n_nodes: int, edges: Iterable[Edge | tuple] = ()):
-        if not isinstance(n_nodes, Integral):
+        if not _is_integer(n_nodes):
             raise ValueError(f"n_nodes must be an integer, got {n_nodes!r}")
         if n_nodes < 1:
             raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
@@ -98,13 +113,13 @@ class Digraph:
     def _validate(self):
         seen = set()
         for label, e in self._edges.items():
-            if not (isinstance(e.tail, Integral) and isinstance(e.head, Integral)):
+            if not (_is_integer(e.tail) and _is_integer(e.head)):
                 raise ValueError(f"edge {label}: endpoints ({e.tail!r},{e.head!r}) must be integers")
             if not (1 <= e.tail <= self.n_nodes and 1 <= e.head <= self.n_nodes):
                 raise ValueError(f"edge {label}: endpoints ({e.tail},{e.head}) outside 1..{self.n_nodes}")
             if e.tail == e.head:
                 raise ValueError(f"edge {label}: self-loop on node {e.tail} not allowed")
-            if not (math.isfinite(e.weight) and e.weight > 0):
+            if type(e.weight) is bool or not (math.isfinite(e.weight) and e.weight > 0):
                 raise ValueError(f"edge {label}: weight must be positive and finite, got {e.weight}")
             if (e.tail, e.head) in seen:
                 raise ValueError(f"duplicate edge ({e.tail},{e.head})")
@@ -194,6 +209,8 @@ class DistanceMatrix:
     def __getitem__(self, pair: tuple[int, int]):
         """dist(q, p): length of the shortest directed q -> p path."""
         q, p = pair
+        _check_node(q, self.n)
+        _check_node(p, self.n)
         h = self._hops[q - 1, p - 1]
         return INFINITE if h < 0 else int(h)
 

@@ -42,6 +42,7 @@ search drops every prefix that cannot complete a cover.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -231,6 +232,7 @@ def harmonic(d: int) -> float:
     stretch of terms summed pairwise, so the big products stay balanced);
     p / q rounds the exact quotient correctly, as float(Fraction) does.
     """
+    d = operator.index(d)
     if d < 1:
         raise ValueError(f"harmonic sum needs d >= 1, got {d}")
 

@@ -465,6 +465,47 @@ def test_malformed_graph_files_are_config_errors(tmp_path, capsys):
         assert "graph:" in capsys.readouterr().err, name
 
 
+def test_boolean_graph_fields_are_config_errors(tmp_path, capsys):
+    # JSON true is a Python bool, which counts as an integer and a finite number
+    for name, text, argv in (
+            ("bool_n", '{"n": true, "edges": []}', ["place"]),
+            ("bool_weight", '{"n": 2, "edges": [{"tail": 1, "head": 2, "w": true}]}',
+             ["analyze", "--sensors", "2", "--out", str(tmp_path / "t.json")])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        assert main(argv[:1] + [str(path)] + argv[1:]) == 3, name
+        assert "graph:" in capsys.readouterr().err, name
+
+
+def test_auto_sensors_on_edgeless_graph_is_config_error(tmp_path, capsys):
+    graph_path, model_path = tmp_path / "graph.json", tmp_path / "model.json"
+    Digraph(3, []).save(graph_path)
+    model_path.write_text(json.dumps({"A": [[-1.0]], "B": [[1.0]], "C": [[1.0]],
+                                      "Gamma": [[1.0]]}))
+    argv = ["run", str(graph_path), str(model_path), "--sensors", "auto",
+            "--dt", "0.01", "--horizon", "1", "--out-dir", str(tmp_path / "out")]
+    for extra in ([], ["--sweep-failures", "all-edges"]):
+        assert main(argv + extra) == 3, extra
+        assert capsys.readouterr().err.startswith("error: sensors: "), extra
+
+
+def test_negative_seed_is_config_error(tmp_path, capsys):
+    graph, model = write_cycle_inputs(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": -1}))
+    run = ["run", str(graph), str(model), "--sensors", "2,3", "--dt", "0.01",
+           "--horizon", "1", "--out-dir", str(tmp_path / "out")]
+    for argv in (["gen", "rgg", "--n", "10", "--radius", "0.3", "--seed", "-1",
+                  "-o", str(tmp_path / "g.json")],
+                 run + ["--seed", "-1"],
+                 ["simulate", str(graph), str(model), "--t-end", "1", "--dt", "0.1",
+                  "--seed", "-1", "-o", str(tmp_path / "t.csv")],
+                 run + ["--config", str(config)]):
+        assert main(argv) == 3, argv
+        assert "--seed" in capsys.readouterr().err, argv
+    assert main(run + ["--seed", "0"]) == 0
+
+
 def test_usage_error_maps_to_config_exit():
     assert main(["reproduce", "bogus"]) == 3
 
@@ -569,7 +610,8 @@ def test_analytic_sweep_needs_no_per_edge_simulation(tmp_path, monkeypatch):
     calls.clear()
     assert main(argv + ["--mode", "finite-difference",
                         "--out-dir", str(tmp_path / "fd")]) == 0
-    assert calls == Counter({"simulate_edge_failures": 1, "expm": 6, "Digraph.remove_edge": 5})
+    assert calls == Counter({"simulate_edge_failures": 1, "expm": 6,
+                             "NetworkSystem.remove_edge": 5, "Digraph.remove_edge": 5})
 
 
 def test_sweep_of_edgeless_graph_is_empty(tmp_path):

@@ -657,3 +657,12 @@ def test_matrix_power_runs_once_per_model_and_dist(monkeypatch):
                 predictions += theoretical_jump(g, model, label, p, x).observable
     assert predictions > 2 * len(exponents)
     assert sorted(calls) == exponents
+
+
+def test_output_of_checks_node_range():
+    sys_net = NetworkSystem(gen_cycle(5), scalar_model())
+    trace = simulate(sys_net, [1, 2, 3, 4, 5], 0.0, 1.0, 0.1)
+    assert trace.output_of(5).tolist() == trace.outputs[:, 4:5].tolist()
+    for p in (0, 6, -1):
+        with pytest.raises(ValueError, match="outside 1..5"):
+            trace.output_of(p)

@@ -211,6 +211,25 @@ def test_digraph_validation():
     assert g.adjacency()[1, 0] == 0.5
 
 
+def test_digraph_refuses_booleans():
+    # bool is an Integral and True is finite, but neither is a node count,
+    # an endpoint or a weight
+    with pytest.raises(ValueError, match="n_nodes"):
+        Digraph(True)
+    with pytest.raises(ValueError, match="edge 1"):
+        Digraph(3, [Edge(True, 2)])
+    with pytest.raises(ValueError, match="edge 1"):
+        Digraph(3, [Edge(1, 2, True)])
+
+
+def test_distance_lookup_checks_node_range():
+    d = distances(gen_cycle(5))
+    assert d[5, 1] == 1
+    for pair in ((0, 1), (1, 0), (6, 1), (1, 6)):
+        with pytest.raises(ValueError, match="outside 1..5"):
+            d[pair]
+
+
 def test_remove_edge_does_not_revalidate(monkeypatch):
     g = gen_cycle(5)
 

@@ -308,6 +308,13 @@ def test_harmonic_values():
         harmonic(0)
 
 
+def test_harmonic_refuses_non_integers():
+    for d in (2.5, 3.0):
+        with pytest.raises(TypeError):
+            harmonic(d)
+    assert harmonic(np.int64(4)) == 25.0 / 12.0
+
+
 # -- submodularity / monotonicity ----------------------------------------------------------
 
 
