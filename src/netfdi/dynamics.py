@@ -22,6 +22,10 @@ Prediction reads memoised structure: each ``SubsystemModel`` keeps the powers
 changes one block of the closed loop, so ``NetworkSystem.remove_edge``, the
 one place a link fails, copies the pre-failure matrix and overwrites that
 block with the model's ``_failed_block``.
+
+A smooth drive w = H xi is the output of an exosystem xi' = S xi, so a
+driven run is the autonomous [x; xi]' = [[A_cl, (I_N (x) B) H], [0, S]] [x; xi],
+stepped like an undriven one; a failure still zeroes a block of A_cl.
 """
 
 from __future__ import annotations
@@ -228,24 +232,34 @@ class ExogenousInput:
         """w_i,ch(t) = amplitude * sin(2 pi frequency t + phase), each (N, m)."""
         return cls("sinusoid", amplitude=amplitude, frequency=frequency, phase=phase)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.kind == "zero"
+    def _exosystem(self, n_nodes: int, m: int, t0: float):
+        """(S, H, xi(t0)) with xi' = S xi and w(t) = H xi(t) stacked in R^(N m).
 
-    def stacked(self, t: float, n_nodes: int, m: int) -> np.ndarray:
-        """Stacked input vector in R^(N m) at time t."""
+        A polynomial of degree K - 1 is one K-state shift chain
+        xi = (1, t, ..., t^(K-1)), S[k, k-1] = k, shared by all nodes.  A
+        sinusoid is one rotation xi = (sin, cos)(2 pi frequency t + phase)
+        per (node, channel).  Zero has no state.  ValueError for parameters
+        that are non-finite or of the wrong shape.
+        """
+        for name, value in self.params.items():
+            if not np.isfinite(value).all():
+                raise ValueError(f"{self.kind} input: {name} has non-finite entries")
         if self.kind == "zero":
-            return np.zeros(n_nodes * m)
+            return np.zeros((0, 0)), np.zeros((n_nodes * m, 0)), np.zeros(0)
         if self.kind == "polynomial":
             coeffs = self.params["coeffs"]
-            if coeffs.shape[:2] != (n_nodes, m):
-                raise ValueError(f"coeffs must be ({n_nodes},{m},K), got {coeffs.shape}")
-            powers = t ** np.arange(coeffs.shape[2])
-            return (coeffs @ powers).reshape(-1)
-        amp, freq, phase = (self.params[k] for k in ("amplitude", "frequency", "phase"))
-        if amp.shape != (n_nodes, m):
-            raise ValueError(f"amplitude must be ({n_nodes},{m}), got {amp.shape}")
-        return (amp * np.sin(2.0 * np.pi * freq * t + phase)).reshape(-1)
+            if coeffs.ndim != 3 or coeffs.shape[:2] != (n_nodes, m) or not coeffs.shape[2]:
+                raise ValueError(f"coeffs must be ({n_nodes},{m},K), K >= 1, got {coeffs.shape}")
+            k = np.arange(coeffs.shape[2])
+            return np.diag(k[1:], -1), coeffs.reshape(n_nodes * m, -1), float(t0) ** k
+        for name in ("amplitude", "frequency", "phase"):
+            if self.params[name].shape != (n_nodes, m):
+                raise ValueError(f"{name} must be ({n_nodes},{m}), got {self.params[name].shape}")
+        omega = 2.0 * np.pi * self.params["frequency"].reshape(-1)
+        angle = omega * t0 + self.params["phase"].reshape(-1)
+        S = np.kron(np.diag(omega), [[0.0, 1.0], [-1.0, 0.0]])
+        H = np.kron(np.diag(self.params["amplitude"].reshape(-1)), [[1.0, 0.0]])
+        return S, H, np.column_stack([np.sin(angle), np.cos(angle)]).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -263,7 +277,10 @@ class SimulationTrace:
     """Sampled stacked trajectory with its failure schedule and segments.
 
     The state is continuous across failures: the boundary sample belongs to
-    both neighboring segments and only derivatives change there.
+    both neighboring segments and only derivatives change there.  A driven
+    run's ``states`` carry the exosystem state xi after the N d network
+    states, and its segment matrices are the augmented ones that step
+    [x; xi]; ``outputs`` and the CSV read x alone.
     """
 
     times: np.ndarray
@@ -275,7 +292,6 @@ class SimulationTrace:
     state_dim: int
     output_dim: int
     c_matrix: np.ndarray
-    autonomous: bool = True
 
     @property
     def dt(self) -> float:
@@ -288,10 +304,10 @@ class SimulationTrace:
         return self.outputs[:, (p - 1) * o : p * o]
 
     def derivatives(self, sensors: Sequence[int], z: int) -> np.ndarray:
-        """Exact d^k y_p / dt^k for k = 0..z at every sample (zero input only).
+        """Exact d^k y_p / dt^k for k = 0..z at every sample.
 
-        Shaped (|sensors|, z + 1, o, n_samples).  On a segment with closed
-        loop A the k-th derivative of y_p is (e_p (x) C) A^k x, so each
+        Shaped (|sensors|, z + 1, o, n_samples).  On a segment with matrix A
+        the k-th derivative of y_p is (e_p (x) C) A^k x, so each
         segment's states are carried k times through A and read out by the
         stacked sensor rows e_p (x) C.  Both are CSR products, whose sums run
         in a fixed order, so the values do not depend on the BLAS thread
@@ -300,14 +316,12 @@ class SimulationTrace:
         """
         from scipy import sparse   # imported here: only the derivative dump needs it
 
-        if not self.autonomous:
-            raise ValueError("exact derivatives need an autonomous trace (zero input)")
         n, d, o = self.n_nodes, self.state_dim, self.output_dim
-        rows = np.zeros((len(sensors), o, n * d))
+        rows = np.zeros((len(sensors), o, self.states.shape[1]))
         for si, p in enumerate(sensors):
             _check_node(p, n, "sensor")
             rows[si, :, (p - 1) * d : p * d] = self.c_matrix
-        read = sparse.csr_array(rows.reshape(-1, n * d))
+        read = sparse.csr_array(rows.reshape(-1, rows.shape[2]))
         out = np.empty((len(sensors), z + 1, o, len(self.times)))
         for seg in self.segments:
             loop = sparse.csr_array(seg.matrix)
@@ -327,7 +341,7 @@ class SimulationTrace:
         header = (["t"]
                   + [f"x_{i}_{l}" for i in range(1, n + 1) for l in range(1, d + 1)]
                   + [f"y_{i}_{c}" for i in range(1, n + 1) for c in range(1, o + 1)])
-        _write_csv(path, header, self.times, self.states, self.outputs)
+        _write_csv(path, header, self.times, self.states[:, : n * d], self.outputs)
 
 
 def _write_csv(path: str | Path, header: Sequence[str], times: np.ndarray,
@@ -367,18 +381,6 @@ def _snap_schedule(schedule: Sequence[FailureEvent], t0: float, dt: float,
     return snapped
 
 
-def _rk4_step(A: np.ndarray, b_stack: np.ndarray, w: ExogenousInput,
-              n_nodes: int, m: int, t: float, x: np.ndarray, h: float) -> np.ndarray:
-    def f(tt, xx):
-        return A @ xx + b_stack @ w.stacked(tt, n_nodes, m)
-
-    k1 = f(t, x)
-    k2 = f(t + h / 2, x + h / 2 * k1)
-    k3 = f(t + h / 2, x + h / 2 * k2)
-    k4 = f(t + h, x + h * k3)
-    return x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
 def _time_grid(t0: float, t_end: float, dt: float) -> np.ndarray:
     """Uniform sample times t0, t0 + dt, ..., t_end (validated)."""
     for name, value in (("t0", t0), ("t_end", t_end), ("dt", dt)):
@@ -394,38 +396,38 @@ def _time_grid(t0: float, t_end: float, dt: float) -> np.ndarray:
     return t0 + dt * np.arange(n_steps + 1)
 
 
-def _initial_states(sys: NetworkSystem, x0, n_samples: int) -> np.ndarray:
-    """Uninitialized (n_samples, N d) state array with x0 in its first row."""
+def _initial_states(sys: NetworkSystem, x0, n_samples: int, xi0=()) -> np.ndarray:
+    """Uninitialized (n_samples, N d + q) state array with [x0; xi0] in its first row."""
     nd = sys.n_states
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape != (nd,):
         raise ValueError(f"x0 must have {nd} entries, got {x0.shape}")
     if not np.isfinite(x0).all():
         raise ValueError("x0 has non-finite entries")
-    states = np.empty((n_samples, nd))
-    states[0] = x0
+    states = np.empty((n_samples, nd + len(xi0)))
+    states[0, :nd] = x0
+    states[0, nd:] = xi0
     return states
 
 
 def _propagate_exact(A: np.ndarray, dt: float, states: np.ndarray, a: int, b: int):
-    """Fill states[a+1..b] from states[a] with the zero-input step expm(A dt)."""
+    """Fill states[a+1..b] from states[a] with the exact step expm(A dt) of v' = A v."""
     phi = expm(A * dt)
     for n in range(a, b):
         np.matmul(phi, states[n], out=states[n + 1])
 
 
 def _trace(sys: NetworkSystem, times, states, snapped, boundaries, systems,
-           autonomous: bool) -> SimulationTrace:
+           matrices) -> SimulationTrace:
     """Package simulated states with their outputs, schedule and one segment per system."""
-    outputs = states @ sys.output_matrix().T
+    outputs = states[:, : sys.n_states] @ sys.output_matrix().T
     segments = tuple(
-        TraceSegment(boundaries[s], boundaries[s + 1], seg.closed_loop, seg.graph)
-        for s, seg in enumerate(systems))
+        TraceSegment(boundaries[s], boundaries[s + 1], matrix, seg.graph)
+        for s, (seg, matrix) in enumerate(zip(systems, matrices)))
     return SimulationTrace(times=times, states=states, outputs=outputs,
                            schedule=tuple(ev for _, ev in snapped), segments=segments,
                            n_nodes=sys.graph.n_nodes, state_dim=sys.model.d,
-                           output_dim=sys.model.o, c_matrix=sys.model.C.copy(),
-                           autonomous=autonomous)
+                           output_dim=sys.model.o, c_matrix=sys.model.C.copy())
 
 
 def simulate(sys: NetworkSystem, x0, t0: float, t_end: float, dt: float,
@@ -433,11 +435,12 @@ def simulate(sys: NetworkSystem, x0, t0: float, t_end: float, dt: float,
              w: ExogenousInput | None = None) -> SimulationTrace:
     """Piecewise-exact simulation of the network with scheduled link failures.
 
-    Failure times are snapped to the sample grid.  With w = zero each
-    failure-free segment is propagated by the matrix exponential (one expm
-    per segment, exact up to expm accuracy); with a nonzero smooth w a
-    fixed-step RK4 integrator is used instead, with 10x substep refinement
-    on the steps adjacent to each failure time.
+    Failure times are snapped to the sample grid.  Each failure-free
+    segment is propagated by the matrix exponential (one expm per segment,
+    exact up to expm accuracy).  A nonzero w is generated by its exosystem
+    xi' = S xi, w = H xi, so a driven segment steps the augmented state
+    [x; xi] with [[A_cl, (I_N (x) B) H], [0, S]], which the trace keeps as
+    its segment matrix; with w = zero that matrix is the closed loop itself.
 
     Parameters
     ----------
@@ -453,33 +456,23 @@ def simulate(sys: NetworkSystem, x0, t0: float, t_end: float, dt: float,
     if w is None:
         w = ExogenousInput.zero()
     snapped = _snap_schedule(schedule, t0, dt, n_steps)
+    S, H, xi0 = w._exosystem(sys.graph.n_nodes, sys.model.m, t0)
 
     # Segment boundaries and the system in force on each segment.
     boundaries = [0] + [idx for idx, _ in snapped] + [n_steps]
     systems = [sys]
     for _, ev in snapped:
         systems.append(systems[-1].remove_edge(ev.edge))
+    matrices = [seg.closed_loop for seg in systems]
+    if len(S):
+        drive = np.kron(np.eye(sys.graph.n_nodes), sys.model.B) @ H
+        below = np.zeros((len(S), sys.n_states))
+        matrices = [np.block([[A, drive], [below, S]]) for A in matrices]
 
-    states = _initial_states(sys, x0, n_steps + 1)
-    refine_steps = {idx - 1 for idx, _ in snapped} | {idx for idx, _ in snapped}
-    b_stack = np.kron(np.eye(sys.graph.n_nodes), sys.model.B)
-
-    for seg, segment_sys in enumerate(systems):
-        a, b = boundaries[seg], boundaries[seg + 1]
-        A = segment_sys.closed_loop
-        if w.is_zero:
-            _propagate_exact(A, dt, states, a, b)
-        else:
-            for n in range(a, b):
-                sub = 10 if n in refine_steps else 1
-                h = dt / sub
-                x = states[n]
-                for sstep in range(sub):
-                    x = _rk4_step(A, b_stack, w, sys.graph.n_nodes, sys.model.m,
-                                  times[n] + sstep * h, x, h)
-                states[n + 1] = x
-
-    return _trace(sys, times, states, snapped, boundaries, systems, w.is_zero)
+    states = _initial_states(sys, x0, n_steps + 1, xi0)
+    for seg, A in enumerate(matrices):
+        _propagate_exact(A, dt, states, boundaries[seg], boundaries[seg + 1])
+    return _trace(sys, times, states, snapped, boundaries, systems, matrices)
 
 
 def _healthy_prefix(sys: NetworkSystem, x0, t0: float, t_end: float, dt: float,
@@ -521,7 +514,7 @@ def simulate_edge_failures(sys: NetworkSystem, x0, t0: float, t_end: float, dt: 
             states[: idx + 1] = healthy[: idx + 1]
             _propagate_exact(post.closed_loop, dt, states, idx, n_steps)
             yield _trace(sys, times, states, [(idx, FailureEvent(label, time))],
-                         [0, idx, n_steps], [sys, post], True)
+                         [0, idx, n_steps], [sys, post], [sys.closed_loop, post.closed_loop])
 
     return traces()
 

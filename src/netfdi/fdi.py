@@ -12,14 +12,13 @@ isolation matches the observed signature against the columns of D.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from math import comb, factorial
 
 import numpy as np
 
 from .dynamics import NetworkSystem, SimulationTrace, _healthy_prefix
-from .graph import Digraph, _check_node, distances, finite_diameter
+from .graph import Digraph, _check_node, _is_integer, distances, finite_diameter
 
 
 def default_order_budget(g: Digraph, r: int) -> int:
@@ -28,14 +27,12 @@ def default_order_budget(g: Digraph, r: int) -> int:
 
 
 def _check_order_budget(z) -> int:
-    """The order budget z as an int >= 1; ValueError otherwise."""
-    try:
-        z_int = operator.index(z)
-    except TypeError:
-        raise ValueError(f"order budget z must be an integer, got {z!r}") from None
-    if z_int < 1:
-        raise ValueError(f"order budget z must be >= 1, got {z_int}")
-    return z_int
+    """The order budget z as an int >= 1 (a bool is no integer); ValueError otherwise."""
+    if not _is_integer(z):
+        raise ValueError(f"order budget z must be an integer, got {z!r}")
+    if z < 1:
+        raise ValueError(f"order budget z must be >= 1, got {z}")
+    return int(z)
 
 
 @dataclass(frozen=True)
@@ -115,15 +112,13 @@ def relation_matrix(g: Digraph, r: int, z: int | None = None) -> RelationMatrix:
 
 
 def _validated_sensors(sensors, n_nodes: int) -> tuple[int, ...]:
-    """Sensors as a tuple of ints; each an integer in 1..n_nodes, none repeated."""
+    """Sensors as a tuple of ints; each an integer (not a bool) in 1..n_nodes, none repeated."""
     out = []
     for p in sensors:
-        try:
-            p = operator.index(p)
-        except TypeError:
-            raise ValueError(f"sensor {p!r} is not an integer") from None
+        if not _is_integer(p):
+            raise ValueError(f"sensor {p!r} is not an integer")
         _check_node(p, n_nodes, "sensor")
-        out.append(p)
+        out.append(int(p))
     if len(set(out)) != len(out):
         p = next(p for i, p in enumerate(out) if p in out[:i])
         raise ValueError(f"duplicate node {p}")
@@ -257,10 +252,6 @@ def detect(trace: SimulationTrace, sensors, cfg: DetectorConfig) -> list[JumpSig
     if not sensors:
         raise ValueError("sensor set must be nonempty")
     if cfg.mode == "analytic":
-        if not trace.autonomous:
-            raise ValueError(
-                "analytic mode needs an autonomous trace (zero exogenous input); "
-                "use finite-difference mode for driven runs")
         return _detect_analytic(trace, sensors, cfg)
     return _detect_finite_difference(trace, sensors, cfg)
 

@@ -42,13 +42,13 @@ search drops every prefix that cannot complete a cover.
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fdi import RelationMatrix, _validated_sensors
+from .graph import _is_integer
 
 #: exhaustive search refuses beyond this many nodes rather than running forever
 MAX_EXACT_NODES = 20
@@ -232,7 +232,9 @@ def harmonic(d: int) -> float:
     stretch of terms summed pairwise, so the big products stay balanced);
     p / q rounds the exact quotient correctly, as float(Fraction) does.
     """
-    d = operator.index(d)
+    if not _is_integer(d):
+        raise TypeError(f"harmonic sum needs an integer d, got {d!r}")
+    d = int(d)
     if d < 1:
         raise ValueError(f"harmonic sum needs d >= 1, got {d}")
 

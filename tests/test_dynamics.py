@@ -250,8 +250,8 @@ def assert_traces_identical(got, want):
     for field in ("times", "states", "outputs", "c_matrix"):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
     assert got.schedule == want.schedule
-    assert (got.n_nodes, got.state_dim, got.output_dim, got.autonomous) == \
-        (want.n_nodes, want.state_dim, want.output_dim, want.autonomous)
+    assert (got.n_nodes, got.state_dim, got.output_dim) == \
+        (want.n_nodes, want.state_dim, want.output_dim)
     assert len(got.segments) == len(want.segments)
     for seg_got, seg_want in zip(got.segments, want.segments):
         assert (seg_got.start, seg_got.stop) == (seg_want.start, seg_want.stop)
@@ -298,6 +298,16 @@ def test_simulate_polynomial_input_matches_closed_form():
     trace = simulate(sys_net, [2.0], 0.0, 3.0, 0.01, w=w)
     expected = c + (2.0 - c) * np.exp(-trace.times)
     assert np.allclose(trace.states[:, 0], expected, rtol=1e-8, atol=1e-10)
+    # driven by c0 + c1 t + c2 t^2: x(t) = a + b t + c2 t^2 + (x0 - a) e^-t,
+    # b = c1 - 2 c2, a = c0 - b
+    c0, c1, c2 = 0.7, -0.4, 0.3
+    w = ExogenousInput.polynomial(np.array([[[c0, c1, c2]]]))
+    trace = simulate(sys_net, [2.0], 0.0, 3.0, 0.01, w=w)
+    b = c1 - 2 * c2
+    a = c0 - b
+    t = trace.times
+    expected = a + b * t + c2 * t**2 + (2.0 - a) * np.exp(-t)
+    assert np.allclose(trace.states[:, 0], expected, rtol=1e-8, atol=1e-10)
 
 
 def test_simulate_sinusoid_input_matches_closed_form():
@@ -317,9 +327,23 @@ def test_exogenous_input_validation():
     with pytest.raises(ValueError):
         ExogenousInput("noise")
     sys_net = example2_system()
-    bad = ExogenousInput.polynomial(np.zeros((3, 1, 2)))
-    with pytest.raises(ValueError):
-        simulate(sys_net, np.ones(5), 0.0, 1.0, 0.1, w=bad)
+    ones = np.ones((5, 1))
+    bad_drives = [
+        ExogenousInput.polynomial(np.zeros((3, 1, 2))),
+        ExogenousInput.polynomial(np.zeros((5, 1))),
+        ExogenousInput.polynomial(np.zeros((5, 1, 0))),
+        ExogenousInput.polynomial(np.full((5, 1, 2), np.inf)),
+        # a NaN amplitude used to simulate to NaN states without a word
+        ExogenousInput.sinusoid(np.full((5, 1), np.nan), ones, ones),
+        ExogenousInput.sinusoid(ones, ones, np.full((5, 1), -np.inf)),
+        # frequency and phase are checked for shape too, not broadcast
+        ExogenousInput.sinusoid(ones, np.ones(1), ones),
+        ExogenousInput.sinusoid(ones, ones, 0.0),
+        ExogenousInput.sinusoid(np.ones((5, 2)), ones, ones),
+    ]
+    for bad in bad_drives:
+        with pytest.raises(ValueError):
+            simulate(sys_net, np.ones(5), 0.0, 1.0, 0.1, w=bad)
 
 
 def test_trace_csv_format(tmp_path):
@@ -398,10 +422,11 @@ def test_trace_derivatives_validation():
     with pytest.raises(ValueError):
         trace.derivatives((6,), 2)
     assert trace.derivatives((), 2).shape == (0, 3, 1, len(trace.times))
+    # x' = -x + 0.5: a driven trace's derivatives include the input's share
     driven = simulate(NetworkSystem(Digraph(1), scalar_model()), [1.0], 0.0, 1.0, 0.1,
                       w=ExogenousInput.polynomial(np.array([[[0.5]]])))
-    with pytest.raises(ValueError):
-        driven.derivatives((1,), 2)
+    dy = driven.derivatives((1,), 2)
+    assert np.allclose(dy[0, 1, 0], -driven.states[:, 0] + 0.5, rtol=1e-12, atol=1e-14)
 
 
 def test_one_sided_derivative_order_zero_continuous():

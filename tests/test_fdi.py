@@ -5,8 +5,8 @@ from math import factorial
 import numpy as np
 import pytest
 
-from netfdi.dynamics import (FailureEvent, NetworkSystem, SubsystemModel, jump_oracle,
-                             markov_parameter, relative_degree, simulate)
+from netfdi.dynamics import (ExogenousInput, FailureEvent, NetworkSystem, SubsystemModel,
+                             jump_oracle, markov_parameter, relative_degree, simulate)
 from netfdi.fdi import (DetectorConfig, JumpSignature, LookupTable, _first_jumps,
                         _isolate_all, default_order_budget, detect, detect_edge_failures,
                         detectable, estimate_one_sided_derivative, isolate, lookup_table,
@@ -154,7 +154,7 @@ def test_lookup_table_validation():
     with pytest.raises(ValueError, match="duplicate node 2"):
         lookup_table(gen_cycle(5), (3, 2, 2), r=1, z=4)
     # a sensor is a node id: no rounding of reals, as for graph endpoints
-    for bad in ((2.7, 3.9), (2.0, 3), ("2", 3)):
+    for bad in ((2.7, 3.9), (2.0, 3), ("2", 3), [True]):
         with pytest.raises(ValueError, match="not an integer"):
             lookup_table(gen_cycle(5), bad, r=1, z=4)
     table = lookup_table(gen_cycle(5), np.array([2, 3]), r=1, z=4)
@@ -250,7 +250,7 @@ def test_detector_config_validation():
         DetectorConfig(z=4, mode="magic")
 
 
-@pytest.mark.parametrize("z", [0, -3, 2.5])
+@pytest.mark.parametrize("z", [0, -3, 2.5, True])
 def test_order_budget_must_be_a_positive_integer(z):
     with pytest.raises(ValueError, match="order budget z"):
         DetectorConfig(z=z)
@@ -304,21 +304,18 @@ def test_detect_unreachable_failure_is_silent():
     assert detect(trace, (1,), DetectorConfig(z=4)) == []
 
 
-def test_detect_analytic_refuses_driven_traces():
-    from netfdi.dynamics import ExogenousInput
+def test_detect_driven_trace_in_both_modes():
     sys_net = NetworkSystem(gen_cycle(5), scalar_model())
     w = ExogenousInput.sinusoid(0.4 * np.ones((5, 1)), 0.25 * np.ones((5, 1)),
                                 np.zeros((5, 1)))
     trace = simulate(sys_net, [1, 2, 3, 4, 5], 0.0, 10.0, 1e-3,
                      [FailureEvent(2, 5.0)], w=w)
-    assert not trace.autonomous
-    with pytest.raises(ValueError):
-        detect(trace, (2, 3), DetectorConfig(z=4, mode="analytic"))
-    # the sample-based detector still works under a smooth drive
-    events = detect(trace, (2, 3), DetectorConfig(z=4, mode="finite-difference"))
-    assert len(events) == 1
-    assert events[0].time == pytest.approx(5.0, abs=1e-12)
-    assert events[0].orders.tolist() == [1, 2]
+    # a smooth drive does not jump, so both detectors see the table column
+    for mode in ("analytic", "finite-difference"):
+        events = detect(trace, (2, 3), DetectorConfig(z=4, mode=mode))
+        assert len(events) == 1, mode
+        assert events[0].time == pytest.approx(5.0, abs=1e-12)
+        assert events[0].orders.tolist() == [1, 2], mode
 
 
 def test_finite_difference_budget_past_twenty_orders():
@@ -550,14 +547,14 @@ def _weak_coupling_models(gamma):
             "companion": companion, "rotated": _rotated(companion)}
 
 
-def _assert_signatures_equal_table(g, model, x0, sensors, z=None):
+def _assert_signatures_equal_table(g, model, x0, sensors, z=None, w=None):
     """Every edge's detect(simulate(...)) signature is its lookup-table column."""
     r = relative_degree(model)
     table = lookup_table(g, sensors, r, z)
     sys_net = NetworkSystem(g, model)
     cfg = DetectorConfig(z=table.z)
     for label in g.edge_labels:
-        trace = simulate(sys_net, x0, 0.0, 0.2, 0.1, [FailureEvent(label, 0.1)])
+        trace = simulate(sys_net, x0, 0.0, 0.2, 0.1, [FailureEvent(label, 0.1)], w=w)
         events = detect(trace, sensors, cfg)
         column = table.column(label)
         if not column.any():
@@ -578,7 +575,16 @@ def test_analytic_detection_matches_table_under_weak_coupling(gamma, kind):
     rng = np.random.default_rng(71)
     g = random_connected_digraph(7, rng)
     x0 = rng.normal(0.0, 1.0, g.n_nodes * model.d)
-    _assert_signatures_equal_table(g, model, x0, tuple(range(1, g.n_nodes + 1)))
+    # no drive, a sinusoid and a quadratic; looped over, not parametrised, so
+    # the test ids stay as they were
+    rng = np.random.default_rng(72)
+    shape = (g.n_nodes, model.m)
+    drives = (None,
+              ExogenousInput.sinusoid(rng.normal(0.0, 1.0, shape), rng.uniform(0.1, 2.0, shape),
+                                      rng.uniform(0.0, 2 * np.pi, shape)),
+              ExogenousInput.polynomial(rng.normal(0.0, 1.0, shape + (3,))))
+    for w in drives:
+        _assert_signatures_equal_table(g, model, x0, tuple(range(1, g.n_nodes + 1)), w=w)
 
 
 def test_analytic_detection_matches_table_on_rgg50_weak_coupling():
