@@ -10,15 +10,25 @@ run        full pipeline: simulate, detect, isolate, report + plot data
 reproduce  canned end-to-end scenarios (cycle5, star5, rgg)
 
 Exit codes: 0 success, 2 when some detected event could not be uniquely
-isolated (ambiguous or nomatch), 3 on configuration errors.  All randomness
-flows from the --seed flag; reports are deterministic given (config, seed).
-The derivatives in derivatives.csv come from CSR products, whose sums run in
-a fixed order, so that file does not change with the BLAS thread count.
+isolated (ambiguous or nomatch), 3 on configuration errors, an output path
+that cannot be written included (missing parent directories are made).  All
+randomness flows from the --seed flag; reports are deterministic given
+(config, seed).  The derivatives in derivatives.csv come from CSR products,
+whose sums run in a fixed order, so that file does not change with the BLAS
+thread count.
+
+Every CSV cell is a float at 17 significant digits, `format(v, ".17g")`.
+``run`` writes trace.csv and derivatives.csv in one pass, a fixed number of
+samples at a time, so memory stays bounded whatever the horizon.  Within a
+chunk a column is formatted once however often it appears: t, outputs that
+copy a state, and order-0 derivatives that repeat an output share one text,
+and the bytes are those of formatting every cell on its own.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -92,9 +102,19 @@ def _parse_z(spec: str, g: Digraph, r: int) -> int:
     return z
 
 
-def _write_text(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+@contextlib.contextmanager
+def _writing(field: str, directory):
+    """Make directory and its missing parents for the artefacts the block writes.
+
+    An OSError while making it or while writing is a config error naming the
+    field, as a missing input file is in ``_load``.
+    """
+    try:
+        Path(directory).mkdir(parents=True, exist_ok=True)
+        yield
+    except OSError as exc:
+        raise ConfigError(f"{field}: cannot write {exc.filename or directory}: "
+                          f"{exc.strerror or exc}")
 
 
 def _json_text(obj, indent: str = "") -> str:
@@ -141,18 +161,21 @@ def _json_text(obj, indent: str = "") -> str:
 
 
 def _write_json(path: Path, payload: dict):
-    _write_text(path, _json_text(payload) + "\n")
+    path.write_text(_json_text(payload) + "\n")
 
 
-def _derivatives_csv(path: Path, trace, sensors, z: int):
-    """Plot data: per sensor, the output and its first z derivatives."""
+def _derivatives_table(trace, sensors, z: int):
+    """(header, blocks) of the plot data: per sensor, the output and its first z derivatives."""
     o = trace.output_dim
     values = trace.derivatives(sensors, z)
     header = ["t"] + [f"y_{p}_{c}_d{k}"
                       for p in sensors for c in range(1, o + 1) for k in range(z + 1)]
-    path.parent.mkdir(parents=True, exist_ok=True)
-    _write_csv(path, header, trace.times,
-               values.transpose(3, 0, 2, 1).reshape(len(trace.times), -1))
+    return header, (values.transpose(3, 0, 2, 1).reshape(len(trace.times), -1),)
+
+
+def _derivatives_csv(path: Path, trace, sensors, z: int):
+    """Write the plot data of ``_derivatives_table`` to path alone."""
+    _write_csv(trace.times, [(path, *_derivatives_table(trace, sensors, z))])
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -172,7 +195,8 @@ def cmd_gen(args) -> int:
         # radius and region_side errors open with the field; the others are on n
         field = next((f for f in ("radius", "region_side") if str(exc).startswith(f)), "n")
         raise ConfigError(f"{field}: {exc}")
-    g.save(args.output)
+    with _writing("output", Path(args.output).parent):
+        g.save(args.output)
     print(f"wrote {args.family} graph with {g.n_nodes} nodes, {g.n_edges} edges "
           f"to {args.output}")
     return EXIT_OK
@@ -189,14 +213,15 @@ def cmd_analyze(args) -> int:
         raise ConfigError("sensors: analyze needs an explicit sensor list")
     rel = relation_matrix(g, r, z)
     table = lookup_table(g, sensors, r, z)
-    _write_json(Path(args.out), {
-        "R": rel.entries.tolist(),
-        "D": table.table.tolist(),
-        "z": z,
-        "r": r,
-        "sensors": list(sensors),
-        "edge_labels": list(rel.edge_labels),
-    })
+    with _writing("out", Path(args.out).parent):
+        _write_json(Path(args.out), {
+            "R": rel.entries.tolist(),
+            "D": table.table.tolist(),
+            "z": z,
+            "r": r,
+            "sensors": list(sensors),
+            "edge_labels": list(rel.edge_labels),
+        })
     print(f"wrote R ({rel.n_edges}x{rel.n_nodes}) and D ({len(sensors)}x{rel.n_edges}) "
           f"to {args.out}")
     return EXIT_OK
@@ -214,7 +239,8 @@ def cmd_place(args) -> int:
         raise ConfigError(f"exact: {exc}")
     text = _json_text(report.to_dict())
     if args.output:
-        _write_text(Path(args.output), text + "\n")
+        with _writing("output", Path(args.output).parent):
+            Path(args.output).write_text(text + "\n")
     print(text)
     return EXIT_OK
 
@@ -229,7 +255,8 @@ def cmd_simulate(args) -> int:
         trace = simulate(sys_net, x0, args.t0, args.t_end, args.dt, schedule)
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"simulate: {exc}")
-    trace.to_csv(args.output)
+    with _writing("output", Path(args.output).parent):
+        trace.to_csv(args.output)
     print(f"wrote {len(trace.times)} samples to {args.output}")
     return EXIT_OK
 
@@ -342,7 +369,8 @@ def cmd_run(args) -> int:
             "placement": placement_payload,
             "sensors": list(sensors),
         }
-        _write_json(out_dir / "report.json", payload)
+        with _writing("out_dir", out_dir):
+            _write_json(out_dir / "report.json", payload)
         print(f"swept {len(sweep)} edges; report in {out_dir}")
         return EXIT_OK if all_unique else EXIT_UNRESOLVED
 
@@ -357,10 +385,13 @@ def cmd_run(args) -> int:
         "placement": placement_payload,
         "sensors": list(sensors),
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "report.json", payload)
-    trace.to_csv(out_dir / "trace.csv")
-    _derivatives_csv(out_dir / "derivatives.csv", trace, sensors, z)
+    # one pass over both files: t, and outputs that copy states or reappear as
+    # order-0 derivatives, are formatted once
+    files = [(out_dir / "trace.csv", *trace._csv_table()),
+             (out_dir / "derivatives.csv", *_derivatives_table(trace, sensors, z))]
+    with _writing("out_dir", out_dir):
+        _write_json(out_dir / "report.json", payload)
+        _write_csv(trace.times, files)
     print(f"{len(events)} event(s); report in {out_dir}")
     return EXIT_OK if all_unique else EXIT_UNRESOLVED
 
@@ -374,37 +405,37 @@ RGG_SEED = 20240517
 
 def cmd_reproduce(args) -> int:
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.name == "cycle5":
-        g = gen_cycle(5)
-        model = SubsystemModel([[-1.0]], [[1.0]], [[1.0]], [[1.0]])
-        g.save(out_dir / "graph.json")
-        model.save(out_dir / "model.json")
+        with _writing("out_dir", out_dir):
+            gen_cycle(5).save(out_dir / "graph.json")
+            SubsystemModel([[-1.0]], [[1.0]], [[1.0]], [[1.0]]).save(out_dir / "model.json")
         return main(["run", str(out_dir / "graph.json"), str(out_dir / "model.json"),
                      "--sensors", "2,3", "--z", "4", "--dt", "1e-3", "--horizon", "10",
                      "--fail", "2@5", "--x0", "1,2,3,4,5", "--out-dir", str(out_dir)])
     if args.name == "star5":
         g = gen_star(5)
-        g.save(out_dir / "graph.json")
         rel = relation_matrix(g, r=1, z=1)
         report = approximation_report(rel, exact=True)
-        _write_json(out_dir / "report.json", {
-            "R": rel.entries.tolist(),
-            "placement": report.to_dict(),
-        })
+        with _writing("out_dir", out_dir):
+            g.save(out_dir / "graph.json")
+            _write_json(out_dir / "report.json", {
+                "R": rel.entries.tolist(),
+                "placement": report.to_dict(),
+            })
         print(f"star5: f_I(V)={report.f_i_of_v}, M_I="
               f"{'EMPTY' if report.m_i is None else list(report.m_i)}")
         return EXIT_OK
     if args.name == "rgg":
         g = gen_random_geometric(RGG_NODES, RGG_REGION, RGG_RADIUS, RGG_SEED)
-        g.save(out_dir / "graph.json")
         rel = relation_matrix(g, r=1)
         report = approximation_report(rel)
         payload = report.to_dict()
         payload["n_nodes"] = g.n_nodes
         payload["n_edges"] = g.n_edges
         payload["unresolved_with_M_D"] = report.f_i_trace[0]
-        _write_json(out_dir / "report.json", payload)
+        with _writing("out_dir", out_dir):
+            g.save(out_dir / "graph.json")
+            _write_json(out_dir / "report.json", payload)
         print(f"rgg: {g.n_edges} edges, |M_D|={len(report.m_d)}, "
               f"f_I(V)={report.f_i_of_v}")
         return EXIT_OK

@@ -30,6 +30,7 @@ stepped like an undriven one; a failure still zeroes a block of A_cl.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -336,30 +337,64 @@ class SimulationTrace:
         return out
 
     def to_csv(self, path: str | Path):
-        """Write `t,x_1_1..x_N_d,y_1_1..y_N_o` rows with 17 significant digits."""
+        """Write `t,x_1_1..x_N_d,y_1_1..y_N_o` rows with 17 significant digits.
+
+        Each cell reads as `format(v, ".17g")`.  Where C copies a state into
+        an output (C = [1 0 ...]), `_write_csv` formats that column once per
+        chunk for both.
+        """
+        _write_csv(self.times, [(path, *self._csv_table())])
+
+    def _csv_table(self) -> tuple[list[str], tuple[np.ndarray, ...]]:
+        """(header, blocks) of the trace CSV: the network states, then the outputs."""
         n, d, o = self.n_nodes, self.state_dim, self.output_dim
         header = (["t"]
                   + [f"x_{i}_{l}" for i in range(1, n + 1) for l in range(1, d + 1)]
                   + [f"y_{i}_{c}" for i in range(1, n + 1) for c in range(1, o + 1)])
-        _write_csv(path, header, self.times, self.states[:, : n * d], self.outputs)
+        return header, (self.states[:, : n * d], self.outputs)
 
 
-def _write_csv(path: str | Path, header: Sequence[str], times: np.ndarray,
-               *blocks: np.ndarray):
-    """Write the header, then per sample `t,<row of each block>` with 17 significant digits.
+#: samples per chunk of a CSV write: only one chunk's formatted text is held
+#: in memory, whatever the length of the trace
+CSV_CHUNK_ROWS = 128
 
-    Each block is shaped (n_samples, width).  One "%.17g,...\n" template is
-    filled per row, over that row's floats; `%.17g` prints every double
-    (signed zeros, inf, nan, subnormals) as `format(v, ".17g")` does.
+
+def _write_csv(times: np.ndarray,
+               files: Sequence[tuple[str | Path, Sequence[str], Sequence[np.ndarray]]]):
+    """Write each (path, header, blocks) of files as `t,<row of each block>` per sample.
+
+    Each block is shaped (n_samples, width); all files share the time axis.
+    The files are written together, CSV_CHUNK_ROWS samples at a time, so
+    only one chunk's text is held in memory.  In a chunk, every distinct
+    column of every file (t included) is formatted once, keyed by its
+    float64 bytes, with one "%.17g" template over the whole column.  Columns
+    that are bit copies (an output equal to a state, the t column of each
+    file) share that text; columns equal in value only (0.0 and -0.0, NaNs)
+    do not.  So each cell is `format(v, ".17g")`, whichever columns repeat,
+    and the bytes are those of a row-by-row writer.
     """
-    template = ",".join(["%.17g"] * len(header)) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for t, *rows in zip(times.tolist(), *blocks):
-            cells = [t]
-            for row in rows:
-                cells += row.tolist()
-            fh.write(template % tuple(cells))
+    times = np.ascontiguousarray(times, dtype=float)
+    with contextlib.ExitStack() as stack:
+        handles = []
+        for path, header, blocks in files:
+            fh = stack.enter_context(open(path, "w"))
+            fh.write(",".join(header) + "\n")
+            handles.append((fh, blocks))
+        for a in range(0, len(times), CSV_CHUNK_ROWS):
+            rows = slice(a, a + CSV_CHUNK_ROWS)
+            template = "%.17g\n" * len(times[rows])
+            cells = {}
+            for fh, blocks in handles:
+                columns = [times[rows]]
+                for block in blocks:
+                    columns.extend(np.ascontiguousarray(block[rows].T, dtype=float))
+                texts = []
+                for col in columns:
+                    key = col.tobytes()
+                    if key not in cells:
+                        cells[key] = (template % tuple(col.tolist()))[:-1].split("\n")
+                    texts.append(cells[key])
+                fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
 def _snap_schedule(schedule: Sequence[FailureEvent], t0: float, dt: float,

@@ -388,14 +388,19 @@ def _segment_loop_derivatives(trace, sensors, z):
                       for p in sensors])
 
 
+# (graph, model, x0, sensors, z): the cycle5 scalar model, whose outputs copy
+# its states, and a 2x2 model on a 3-node digraph, whose outputs do not
+CSV_CASES = [
+    (gen_cycle(5), SubsystemModel([[-1.0]], [[1.0]], [[1.0]], [[1.0]]),
+     [1.0, 2.0, 3.0, 4.0, 5.0], (2, 3), 4),
+    (Digraph(3, [Edge(1, 2), Edge(2, 3), Edge(3, 1), Edge(1, 3)]),
+     SubsystemModel([[-1.0, 0.5], [0.0, -2.0]], [[1.0, 0.0], [0.3, 1.0]],
+                    [[1.0, 0.0], [0.2, 1.0]], [[0.4, 0.0], [0.1, 0.3]]),
+     [1.0, -1.0, 0.5, 2.0, -0.5, 1.5], (3, 1), 3)]
+
+
 def test_derivatives_csv_matches_segment_loop(tmp_path):
-    two_by_two = SubsystemModel([[-1.0, 0.5], [0.0, -2.0]], [[1.0, 0.0], [0.3, 1.0]],
-                                [[1.0, 0.0], [0.2, 1.0]], [[0.4, 0.0], [0.1, 0.3]])
-    cases = [(gen_cycle(5), SubsystemModel([[-1.0]], [[1.0]], [[1.0]], [[1.0]]),
-              [1, 2, 3, 4, 5], (2, 3), 4),
-             (Digraph(3, [Edge(1, 2), Edge(2, 3), Edge(3, 1), Edge(1, 3)]), two_by_two,
-              [1.0, -1.0, 0.5, 2.0, -0.5, 1.5], (3, 1), 3)]
-    for graph, model, x0, sensors, z in cases:
+    for graph, model, x0, sensors, z in CSV_CASES:
         trace = simulate(NetworkSystem(graph, model), x0, 0.0, 2.0, 0.01,
                          [FailureEvent(2, 1.0)])
         path = tmp_path / "derivatives.csv"
@@ -410,6 +415,28 @@ def test_derivatives_csv_matches_segment_loop(tmp_path):
         expected = _segment_loop_derivatives(trace, sensors, z)
         scale = np.abs(expected).max(axis=0)
         assert np.allclose(data[:, 1:], expected, rtol=1e-12, atol=1e-15 * scale.max())
+
+
+def test_run_csvs_equal_single_file_writers(tmp_path):
+    # run writes both CSVs in one pass that shares the text of equal columns;
+    # each file must equal what simulate -o and _derivatives_csv write alone
+    for k, (graph, model, x0, sensors, z) in enumerate(CSV_CASES):
+        case = tmp_path / f"case{k}"
+        case.mkdir()
+        graph.save(case / "graph.json")
+        model.save(case / "model.json")
+        common = [str(case / "graph.json"), str(case / "model.json"), "--dt", "0.01",
+                  "--fail", "2@1", "--x0", ",".join(map(repr, x0))]
+        assert main(["run", *common, "--horizon", "2", "--z", str(z),
+                     "--sensors", ",".join(map(str, sensors)),
+                     "--out-dir", str(case / "run")]) in (0, 2)
+        assert main(["simulate", *common, "--t-end", "2", "-o", str(case / "sim.csv")]) == 0
+        assert (case / "run" / "trace.csv").read_bytes() == (case / "sim.csv").read_bytes()
+        trace = simulate(NetworkSystem(graph, model), x0, 0.0, 2.0, 0.01,
+                         [FailureEvent(2, 1.0)])
+        _derivatives_csv(case / "derivatives.csv", trace, sensors, z)
+        assert ((case / "run" / "derivatives.csv").read_bytes()
+                == (case / "derivatives.csv").read_bytes())
 
 
 _DERIVATIVES_CHILD = """
@@ -504,6 +531,44 @@ def test_negative_seed_is_config_error(tmp_path, capsys):
         assert main(argv) == 3, argv
         assert "--seed" in capsys.readouterr().err, argv
     assert main(run + ["--seed", "0"]) == 0
+
+
+def test_missing_output_directories_are_created(tmp_path):
+    graph = tmp_path / "new" / "dir" / "g.json"
+    assert main(["gen", "cycle", "--n", "4", "--output", str(graph)]) == 0
+    _, model = write_cycle_inputs(tmp_path)
+    trace = tmp_path / "other" / "dir" / "t.csv"
+    assert main(["simulate", str(graph), str(model), "--x0", "1,2,3,4", "--t-end", "1",
+                 "--dt", "0.1", "-o", str(trace)]) == 0
+    assert len(trace.read_text().splitlines()) == 12
+
+
+def test_unwritable_outputs_are_config_errors(tmp_path, capsys):
+    graph, model = write_cycle_inputs(tmp_path)
+    graph, model = str(graph), str(model)
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    run = ["run", graph, model, "--sensors", "2,3", "--z", "4", "--dt", "0.01",
+           "--horizon", "1", "--x0", "1,2,3,4,5"]
+    for argv, field in (
+            (["gen", "cycle", "--n", "4", "-o", str(blocker / "g.json")], "output"),
+            (["simulate", graph, model, "--t-end", "1", "--dt", "0.1",
+              "-o", str(blocker / "t.csv")], "output"),
+            (["simulate", graph, model, "--t-end", "1", "--dt", "0.1",
+              "-o", str(tmp_path)], "output"),          # a directory, not a file
+            (["analyze", graph, "--sensors", "1", "--out", str(blocker / "t.json")], "out"),
+            (["place", graph, "-o", str(blocker / "x.json")], "output"),
+            (run + ["--fail", "2@0.5", "--out-dir", str(blocker)], "out_dir"),
+            (run + ["--sweep-failures", "all-edges", "--out-dir", str(blocker / "sub")],
+             "out_dir"),
+            (["reproduce", "cycle5", "--out-dir", str(blocker)], "out_dir"),
+            (["reproduce", "star5", "--out-dir", str(blocker)], "out_dir"),
+            (["reproduce", "rgg", "--out-dir", str(blocker / "sub")], "out_dir")):
+        assert main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {field}: cannot write "), argv
+        assert "Traceback" not in captured.err
+    assert blocker.read_text() == ""
 
 
 def test_usage_error_maps_to_config_exit():

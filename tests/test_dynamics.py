@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from netfdi.dynamics import (DegenerateModelError, ExogenousInput, FailureEvent,
+import netfdi.dynamics
+from netfdi.dynamics import (CSV_CHUNK_ROWS, DegenerateModelError, ExogenousInput, FailureEvent,
                              NetworkSystem, SimulationTrace, SubsystemModel, closed_loop,
                              fault_replicant_check, jump_oracle, markov_parameter,
                              one_sided_derivative, q_matrix, relative_degree, simulate,
@@ -375,6 +376,44 @@ def test_trace_csv_bytes_equal_per_cell_loop(tmp_path):
         lines.append(",".join(cells))
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
     assert b"-0," in path.read_bytes() and b"nan" in path.read_bytes()
+
+
+@pytest.mark.parametrize("chunk_rows", [CSV_CHUNK_ROWS, 1, 7])
+def test_trace_csv_bytes_equal_per_cell_loop_across_chunks(tmp_path, monkeypatch, chunk_rows):
+    # more than two chunks of outputs that repeat a state bit for bit, repeat
+    # one in value only, or hold NaN and +-inf; the writer shares text by bits
+    monkeypatch.setattr(netfdi.dynamics, "CSV_CHUNK_ROWS", chunk_rows)
+    n_samples = 2 * CSV_CHUNK_ROWS + 37
+    rng = np.random.default_rng(17)
+    times = 0.5 + 0.01 * np.arange(n_samples)
+    states = rng.normal(size=(n_samples, 6))
+    states[: n_samples // 2, 1] = 0.0
+    states[5::7, 2] = np.nan
+    states[::11, 3] = np.inf
+    states[1::13, 3] = -np.inf
+    states[:, 5] = times
+    late_copy = states[:, 4].copy()
+    late_copy[-1] = -late_copy[-1]   # a copy of x_3_1 in every chunk but the last
+    outputs = np.column_stack([
+        states[:, 0],                                        # bit copy of a state
+        np.where(states[:, 1] == 0.0, -0.0, states[:, 1]),   # x_1_2 with -0.0 for 0.0
+        states[:, 2],                                        # bit copy with NaNs
+        -states[:, 3],                                       # infinities of either sign
+        late_copy,
+        np.full(n_samples, -0.0),                            # y_1_2 in its early chunks
+    ])
+    trace = SimulationTrace(times=times, states=states, outputs=outputs, schedule=(),
+                            segments=(), n_nodes=3, state_dim=2, output_dim=2,
+                            c_matrix=np.eye(2))
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    lines = ["t,x_1_1,x_1_2,x_2_1,x_2_2,x_3_1,x_3_2,y_1_1,y_1_2,y_2_1,y_2_2,y_3_1,y_3_2"]
+    for row_t, row_x, row_y in zip(times, states, outputs):
+        lines.append(",".join(format(v, ".17g") for v in [row_t, *row_x, *row_y]))
+    text = path.read_bytes()
+    assert text == ("\n".join(lines) + "\n").encode()
+    for cell in (b",-0,", b",0,", b",nan,", b",inf,", b",-inf,"):
+        assert cell in text
 
 
 # -- one-sided derivatives and jumps -------------------------------------------------
