@@ -63,6 +63,11 @@ def _load(field: str, path, read):
         raise ConfigError(f"{field}: cannot parse {path}: {exc}")
 
 
+def _message(exc: Exception) -> str:
+    """The text of exc, without the quotes that str() puts around a KeyError's."""
+    return exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
+
+
 def _parse_sensors(spec: str, n_nodes: int) -> tuple[int, ...] | None:
     """Comma list of node ids, or None for 'auto'."""
     if spec.strip().lower() == "auto":
@@ -254,7 +259,7 @@ def cmd_simulate(args) -> int:
     try:
         trace = simulate(sys_net, x0, args.t0, args.t_end, args.dt, schedule)
     except (ValueError, KeyError) as exc:
-        raise ConfigError(f"simulate: {exc}")
+        raise ConfigError(f"simulate: {_message(exc)}")
     with _writing("output", Path(args.output).parent):
         trace.to_csv(args.output)
     print(f"wrote {len(trace.times)} samples to {args.output}")
@@ -350,7 +355,7 @@ def cmd_run(args) -> int:
                 detected = [detect(trace, sensors, cfg) for trace in simulate_edge_failures(
                     sys_net, x0, args.t0, args.horizon, args.dt, t_fail)]
         except (ValueError, KeyError) as exc:
-            raise ConfigError(f"sweep: {exc}")
+            raise ConfigError(f"sweep: {_message(exc)}")
         sweep = []
         summary = dict.fromkeys(SWEEP_OUTCOMES, 0)
         all_events, all_unique = _report_events([s for sigs in detected for s in sigs], table)
@@ -378,7 +383,7 @@ def cmd_run(args) -> int:
         trace = simulate(sys_net, x0, args.t0, args.horizon, args.dt, schedule)
         events, all_unique = _report_events(detect(trace, sensors, cfg), table)
     except (ValueError, KeyError) as exc:
-        raise ConfigError(f"run: {exc}")
+        raise ConfigError(f"run: {_message(exc)}")
     payload = {
         "events": events,
         "tables": tables,

@@ -26,6 +26,10 @@ block with the model's ``_failed_block``.
 A smooth drive w = H xi is the output of an exosystem xi' = S xi, so a
 driven run is the autonomous [x; xi]' = [[A_cl, (I_N (x) B) H], [0, S]] [x; xi],
 stepped like an undriven one; a failure still zeroes a block of A_cl.
+
+scipy is imported inside the functions that need it (stepping, derivative
+dumps, the analytic kernel), so graphs, tables, placement and jump
+prediction run on numpy alone.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .graph import Digraph, _check_node, _walk_power, distances
 
@@ -447,6 +450,7 @@ def _initial_states(sys: NetworkSystem, x0, n_samples: int, xi0=()) -> np.ndarra
 
 def _propagate_exact(A: np.ndarray, dt: float, states: np.ndarray, a: int, b: int):
     """Fill states[a+1..b] from states[a] with the exact step expm(A dt) of v' = A v."""
+    from scipy.linalg import expm   # imported here: only stepping the dynamics needs it
     phi = expm(A * dt)
     for n in range(a, b):
         np.matmul(phi, states[n], out=states[n + 1])
@@ -482,7 +486,8 @@ def simulate(sys: NetworkSystem, x0, t0: float, t_end: float, dt: float,
     sys : network to simulate (defines the pre-failure closed loop).
     x0 : initial stacked state in R^(N d).
     t0, t_end, dt : uniform sample grid; t_end > t0, dt > 0.
-    schedule : FailureEvents with distinct grid-aligned times in (t0, t_end).
+    schedule : FailureEvents with distinct grid-aligned times in (t0, t_end);
+        each edge fails at most once.
     w : exogenous input; None means zero.
     """
     times = _time_grid(t0, t_end, dt)
@@ -491,6 +496,11 @@ def simulate(sys: NetworkSystem, x0, t0: float, t_end: float, dt: float,
     if w is None:
         w = ExogenousInput.zero()
     snapped = _snap_schedule(schedule, t0, dt, n_steps)
+    failing = [ev.edge for _, ev in snapped]
+    for label in failing:
+        if failing.count(label) > 1:
+            raise ValueError(f"edge {label} fails twice in the schedule; "
+                             "each edge fails at most once")
     S, H, xi0 = w._exosystem(sys.graph.n_nodes, sys.model.m, t0)
 
     # Segment boundaries and the system in force on each segment.

@@ -23,10 +23,10 @@ CYCLE5_R = [[1, 2, 3, 4, 0], [0, 1, 2, 3, 4], [4, 0, 1, 2, 3],
 CYCLE5_D_23 = [[2, 1, 0, 4, 3], [3, 2, 1, 0, 4]]
 
 
-def write_cycle_inputs(tmp_path):
+def write_cycle_inputs(tmp_path, n=5):
     graph = tmp_path / "graph.json"
     model = tmp_path / "model.json"
-    assert main(["gen", "cycle", "--n", "5", "-o", str(graph)]) == 0
+    assert main(["gen", "cycle", "--n", str(n), "-o", str(graph)]) == 0
     model.write_text(json.dumps(
         {"A": [[-1.0]], "B": [[1.0]], "C": [[1.0]], "Gamma": [[1.0]]}))
     return graph, model
@@ -371,6 +371,29 @@ def test_run_sweep_rejects_bad_failure_time(tmp_path, capsys):
         assert "sweep" in capsys.readouterr().err
 
 
+def test_unknown_failed_edge_is_named_without_quotes(tmp_path, capsys):
+    graph, model = map(str, write_cycle_inputs(tmp_path, n=4))
+    assert main(["run", graph, model, "--sensors", "1,2", "--dt", "0.01", "--horizon", "2",
+                 "--fail", "9@1", "--out-dir", str(tmp_path / "run")]) == 3
+    assert capsys.readouterr().err == "error: run: unknown edge label 9\n"
+    assert main(["simulate", graph, model, "--t-end", "2", "--dt", "0.01",
+                 "--fail", "7@1", "-o", str(tmp_path / "trace.csv")]) == 3
+    assert capsys.readouterr().err == "error: simulate: unknown edge label 7\n"
+
+
+def test_edge_failing_twice_is_config_error(tmp_path, capsys):
+    graph, model = map(str, write_cycle_inputs(tmp_path, n=4))
+    fails = ["--fail", "1@1", "--fail", "1@1.5"]
+    assert main(["run", graph, model, "--sensors", "1,2", "--dt", "0.01", "--horizon", "2",
+                 *fails, "--out-dir", str(tmp_path / "run")]) == 3
+    assert capsys.readouterr().err == ("error: run: edge 1 fails twice in the schedule; "
+                                       "each edge fails at most once\n")
+    assert main(["simulate", graph, model, "--t-end", "2", "--dt", "0.01", *fails,
+                 "-o", str(tmp_path / "trace.csv")]) == 3
+    assert capsys.readouterr().err == ("error: simulate: edge 1 fails twice in the "
+                                       "schedule; each edge fails at most once\n")
+
+
 def _segment_loop_derivatives(trace, sensors, z):
     """Reference: each segment's states times A_seg^T, k times over, per sensor."""
     d, o = trace.state_dim, trace.output_dim
@@ -454,19 +477,26 @@ _derivatives_csv(Path(sys.argv[1]), trace, range(1, 11), 2)
 """
 
 
+def _child_env(**extra) -> dict:
+    """Environment for a child interpreter that imports netfdi from where this one did.
+
+    Each keyword sets that variable, and None unsets it.
+    """
+    package_root = str(Path(netfdi.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])), **extra)
+    return {k: v for k, v in env.items() if v is not None}
+
+
 def test_derivatives_csv_independent_of_blas_threads(tmp_path):
     # 50 states over 5001 samples: big enough for a dense BLAS product to run
     # threaded, and so to sum in a thread-dependent order
-    package_root = str(Path(netfdi.__file__).resolve().parent.parent)
-    base = {k: v for k, v in os.environ.items()
-            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-    base["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root,
-                                                       os.environ.get("PYTHONPATH")]))
     dumps = []
-    for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+    for threads in ("1", None):
         path = tmp_path / f"derivatives_{len(dumps)}.csv"
+        env = _child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=None)
         proc = subprocess.run([sys.executable, "-c", _DERIVATIVES_CHILD, str(path)],
-                              capture_output=True, text=True, env={**base, **threads})
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         dumps.append(path.read_bytes())
     assert dumps[0] == dumps[1]
@@ -613,16 +643,65 @@ def test_reproduce_rgg_deterministic(tmp_path):
 
 def test_console_entry_point(tmp_path):
     out = tmp_path / "g.json"
-    # the child finds the package where this interpreter imported it from
-    package_root = str(Path(netfdi.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "netfdi.cli", "gen", "cycle", "--n", "4",
          "-o", str(out)],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert Digraph.load(out).n_edges == 4
+
+
+_IMPORT_PROBE_CHILD = """
+import json
+import sys
+from pathlib import Path
+import numpy as np
+from netfdi.cli import main
+
+out, case = Path(sys.argv[1]), sys.argv[2]
+graph, model = str(out / "graph.json"), str(out / "model.json")
+assert main(["gen", "cycle", "--n", "5", "-o", graph]) == 0
+Path(model).write_text('{"A": [[-1.0]], "B": [[1.0]], "C": [[1.0]], "Gamma": [[1.0]]}')
+if case == "library":
+    from netfdi.dynamics import NetworkSystem, SubsystemModel, jump_oracle, theoretical_jump
+    from netfdi.fdi import lookup_table, relation_matrix
+    from netfdi.graph import gen_random_geometric
+    from netfdi.placement import approximation_report
+    g = gen_random_geometric(12, 1.0, 0.5, 3)
+    pre = NetworkSystem(g, SubsystemModel.load(model))
+    post = pre.remove_edge(1)
+    x = np.ones(pre.n_states)
+    theoretical_jump(g, pre.model, 1, 1, x)
+    jump_oracle(pre, post, x, 1, 2)
+    lookup_table(g, [1, 2], 1)
+    approximation_report(relation_matrix(g, 1))
+else:
+    argv = {
+        "gen": ["gen", "rgg", "--n", "12", "--radius", "0.5", "--seed", "1",
+                "-o", str(out / "rgg.json")],
+        "analyze": ["analyze", graph, "--sensors", "1,3", "--out", str(out / "tables.json")],
+        "place": ["place", graph, "--exact", "-o", str(out / "place.json")],
+        "star5": ["reproduce", "star5", "--out-dir", str(out / "star5")],
+        "rgg": ["reproduce", "rgg", "--out-dir", str(out / "rgg")],
+        "run": ["run", graph, model, "--sensors", "2,3", "--dt", "0.01", "--horizon", "1",
+                "--fail", "2@0.5", "--out-dir", str(out / "run")],
+    }[case]
+    assert main(argv) in (0, 2)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+@pytest.mark.parametrize("case", ["gen", "analyze", "place", "star5", "rgg", "library", "run"])
+def test_scipy_is_loaded_only_to_step_the_dynamics(tmp_path, case):
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE_CHILD, str(tmp_path), case],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    if case == "run":
+        # the probe sees scipy where the run steps the network
+        assert "scipy.linalg" in loaded
+    else:
+        assert loaded == []
 
 
 def test_analytic_sweep_matches_per_edge_runs_on_rgg(tmp_path):
@@ -650,7 +729,7 @@ def test_analytic_sweep_matches_per_edge_runs_on_rgg(tmp_path):
 
 def test_analytic_sweep_needs_no_per_edge_simulation(tmp_path, monkeypatch):
     import netfdi.cli
-    import netfdi.dynamics
+    import scipy.linalg
     calls = Counter()
 
     def counting(name, fn):
@@ -661,7 +740,8 @@ def test_analytic_sweep_needs_no_per_edge_simulation(tmp_path, monkeypatch):
 
     monkeypatch.setattr(netfdi.cli, "simulate_edge_failures",
                         counting("simulate_edge_failures", netfdi.cli.simulate_edge_failures))
-    monkeypatch.setattr(netfdi.dynamics, "expm", counting("expm", netfdi.dynamics.expm))
+    # the stepper imports expm at each call, so it picks up the counting one
+    monkeypatch.setattr(scipy.linalg, "expm", counting("expm", scipy.linalg.expm))
     monkeypatch.setattr(NetworkSystem, "remove_edge",
                         counting("NetworkSystem.remove_edge", NetworkSystem.remove_edge))
     monkeypatch.setattr(Digraph, "remove_edge",

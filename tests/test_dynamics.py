@@ -223,6 +223,11 @@ def test_simulate_schedule_validation():
                  [FailureEvent(2, 0.5), FailureEvent(3, 0.52)])
     with pytest.raises(KeyError):
         simulate(sys_net, x0, 0.0, 1.0, 0.1, [FailureEvent(99, 0.5)])
+    # a second failure of edge 2 would look up an edge already gone
+    for schedule in ([FailureEvent(2, 0.5), FailureEvent(2, 0.7)],
+                     [FailureEvent(2, 0.7), FailureEvent(3, 0.3), FailureEvent(2, 0.5)]):
+        with pytest.raises(ValueError, match="edge 2 fails twice"):
+            simulate(sys_net, x0, 0.0, 1.0, 0.1, schedule)
     with pytest.raises(ValueError):
         simulate(sys_net, np.ones(4), 0.0, 1.0, 0.1)
 
