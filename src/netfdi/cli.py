@@ -22,7 +22,9 @@ Every CSV cell is a float at 17 significant digits, `format(v, ".17g")`.
 samples at a time, so memory stays bounded whatever the horizon.  Within a
 chunk a column is formatted once however often it appears: t, outputs that
 copy a state, and order-0 derivatives that repeat an output share one text,
-and the bytes are those of formatting every cell on its own.
+and the bytes are those of formatting every cell on its own.  The samples
+are split across the CPUs the process may use, one forked writer per extra
+range, with the same bytes.
 """
 
 from __future__ import annotations
@@ -59,7 +61,9 @@ def _load(field: str, path, read):
         return read(path)
     except FileNotFoundError:
         raise ConfigError(f"{field}: file not found: {path}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise ConfigError(f"{field}: cannot parse {path}: missing field {_message(exc)}")
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{field}: cannot parse {path}: {exc}")
 
 
@@ -344,6 +348,11 @@ def cmd_run(args) -> int:
     tables = {"R": rel.entries.tolist(), "D": table.table.tolist(), "z": z, "r": r}
 
     if args.sweep_failures == "all-edges":
+        # every edge fails in turn; a --fail gives only the time, and must name an edge
+        if len(schedule) > 1:
+            raise ConfigError("fail: a sweep takes at most one --fail, for its failure time")
+        if schedule and schedule[0].edge not in g.edge_labels:
+            raise ConfigError(f"fail: unknown edge label {schedule[0].edge}")
         mid = args.t0 + (args.horizon - args.t0) / 2
         t_fail = schedule[0].time if schedule else mid
         try:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import netfdi
 import netfdi.cli as cli
+import netfdi.dynamics
 from netfdi.cli import SWEEP_OUTCOMES, _derivatives_csv, _json_text, _sweep_outcome, main
 from netfdi.dynamics import FailureEvent, NetworkSystem, SubsystemModel, simulate
 from netfdi.fdi import (DetectorConfig, JumpSignature, LookupTable, default_order_budget,
@@ -371,6 +373,24 @@ def test_run_sweep_rejects_bad_failure_time(tmp_path, capsys):
         assert "sweep" in capsys.readouterr().err
 
 
+def test_run_sweep_rejects_extra_or_unknown_fail(tmp_path, capsys):
+    # a sweep fails every edge in turn and reads only the time of its --fail,
+    # so a second --fail or a label the graph lacks is refused, not dropped
+    graph, model = map(str, write_cycle_inputs(tmp_path, n=4))
+    sweep = ["run", graph, model, "--sensors", "1,2", "--dt", "0.01", "--horizon", "2",
+             "--sweep-failures", "all-edges", "--out-dir", str(tmp_path / "sweep")]
+    for fails, message in (
+            (["--fail", "1@1", "--fail", "9@1.5"],
+             "a sweep takes at most one --fail, for its failure time"),
+            (["--fail", "1@1", "--fail", "2@1.5"],
+             "a sweep takes at most one --fail, for its failure time"),
+            (["--fail", "9@1.5"], "unknown edge label 9")):
+        assert main(sweep + fails) == 3, fails
+        assert capsys.readouterr().err == f"error: fail: {message}\n", fails
+    assert not (tmp_path / "sweep").exists()
+    assert main(sweep + ["--fail", "4@1.5"]) == 0
+
+
 def test_unknown_failed_edge_is_named_without_quotes(tmp_path, capsys):
     graph, model = map(str, write_cycle_inputs(tmp_path, n=4))
     assert main(["run", graph, model, "--sensors", "1,2", "--dt", "0.01", "--horizon", "2",
@@ -462,6 +482,44 @@ def test_run_csvs_equal_single_file_writers(tmp_path):
                 == (case / "derivatives.csv").read_bytes())
 
 
+def test_run_leaves_no_writer_process_or_temp_file(tmp_path, capsys, monkeypatch):
+    # 201 samples are two chunks, so with two CPUs one range goes to a forked
+    # writer; whether it, or this process, succeeds or fails, the writer is
+    # reaped and its spill file leaves no name behind
+    graph, model = map(str, write_cycle_inputs(tmp_path))
+    spill_dir = tmp_path / "tmp"
+    spill_dir.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spill_dir))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    write_rows = netfdi.dynamics._write_rows
+
+    def failing_from(first):
+        def rows(times, handles, lo, hi):
+            if lo >= first:
+                raise OSError("no space left")
+            write_rows(times, handles, lo, hi)
+        return rows
+
+    run = ["run", graph, model, "--sensors", "2,3", "--z", "4", "--dt", "0.01",
+           "--horizon", "2", "--fail", "2@1", "--x0", "1,2,3,4,5"]
+    for name, rows, code, err in (
+            ("ok", write_rows, 0, ""),
+            ("child", failing_from(1), 3, "exited with code 1"),
+            ("parent", failing_from(0), 3, "no space left")):
+        monkeypatch.setattr(netfdi.dynamics, "_write_rows", rows)
+        out_dir = tmp_path / name
+        assert main(run + ["--out-dir", str(out_dir)]) == code, name
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err.startswith(f"error: out_dir: cannot write {out_dir}: "), name
+            assert err in captured.err, name
+        else:
+            assert len((out_dir / "trace.csv").read_text().splitlines()) == 202
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert list(spill_dir.iterdir()) == [], name
+
+
 _DERIVATIVES_CHILD = """
 import sys
 from pathlib import Path
@@ -507,6 +565,25 @@ def test_missing_graph_file_is_config_error(tmp_path, capsys):
                  "--out", str(tmp_path / "t.json")])
     assert code == 3
     assert "graph" in capsys.readouterr().err
+
+
+def test_missing_model_and_graph_fields_are_named(tmp_path, capsys):
+    graph, model = map(str, write_cycle_inputs(tmp_path))
+    bad_model = tmp_path / "bad.json"
+    bad_model.write_text(json.dumps({"A": [[-1.0]], "C": [[1.0]], "Gamma": [[1.0]]}))
+    bad_graph = tmp_path / "bad_graph.json"
+    bad_graph.write_text(json.dumps({"n": 3, "edges": [{"tail": 1, "w": 1.0}]}))
+    for argv, field, path, key in (
+            (["simulate", graph, str(bad_model), "--t-end", "1", "--dt", "0.1",
+              "-o", str(tmp_path / "t.csv")], "model", bad_model, "B"),
+            (["run", graph, str(bad_model), "--out-dir", str(tmp_path / "out")],
+             "model", bad_model, "B"),
+            (["run", str(bad_graph), model, "--out-dir", str(tmp_path / "out")],
+             "graph", bad_graph, "head"),
+            (["place", str(bad_graph)], "graph", bad_graph, "head")):
+        assert main(argv) == 3, argv
+        assert capsys.readouterr().err == (f"error: {field}: cannot parse {path}: "
+                                           f"missing field {key}\n"), argv
 
 
 def test_malformed_graph_files_are_config_errors(tmp_path, capsys):

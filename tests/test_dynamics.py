@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -419,6 +421,46 @@ def test_trace_csv_bytes_equal_per_cell_loop_across_chunks(tmp_path, monkeypatch
     assert text == ("\n".join(lines) + "\n").encode()
     for cell in (b",-0,", b",0,", b",nan,", b",inf,", b",-inf,"):
         assert cell in text
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("n_samples", [1, CSV_CHUNK_ROWS - 5, 2 * CSV_CHUNK_ROWS,
+                                       3 * CSV_CHUNK_ROWS + 37])
+def test_csv_bytes_equal_per_cell_loop_across_writers(tmp_path, monkeypatch, cpus, n_samples):
+    # the samples are split into one range per CPU (at most one per chunk),
+    # written by forked children and appended; both files must read as one
+    # row-by-row writer's, and with one CPU nothing is forked
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        if cpus == 1:
+            raise AssertionError("forked with one CPU")
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    rng = np.random.default_rng(19)
+    times = 0.25 + 1e-3 * np.arange(n_samples)
+    states = rng.normal(size=(n_samples, 4))
+    states[::5, 1] = np.nan
+    states[1::7, 2] = -0.0
+    states[::3, 3] = np.inf
+    outputs = np.column_stack([states[:, 0], np.where(states[:, 2] == 0.0, 0.0, states[:, 2])])
+    plots = np.column_stack([outputs[:, 0], -states[:, 3], times, rng.normal(size=n_samples)])
+    files = [(tmp_path / "trace.csv", ["t", "x1", "x2", "x3", "x4", "y1", "y2"],
+              (states, outputs)),
+             (tmp_path / "derivatives.csv", ["t", "d0", "d1", "d2", "d3"], (plots,))]
+    netfdi.dynamics._write_csv(times, files)
+    for path, header, blocks in files:
+        lines = [",".join(header)]
+        for k, t in enumerate(times):
+            lines.append(",".join(format(v, ".17g") for v in
+                                  [t, *(v for block in blocks for v in block[k])]))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode(), (path.name, cpus)
+    n_chunks = -(-n_samples // CSV_CHUNK_ROWS)
+    assert len(forks) == min(cpus, n_chunks) - 1
 
 
 # -- one-sided derivatives and jumps -------------------------------------------------
