@@ -13,9 +13,13 @@ Exit codes: 0 success, 2 when some detected event could not be uniquely
 isolated (ambiguous or nomatch), 3 on configuration errors, an output path
 that cannot be written included (missing parent directories are made).  All
 randomness flows from the --seed flag; reports are deterministic given
-(config, seed).  The derivatives in derivatives.csv come from CSR products,
-whose sums run in a fixed order, so that file does not change with the BLAS
-thread count.
+(config, seed).  The derivatives in derivatives.csv are read out by
+``np.einsum``, which calls no BLAS, so that file does not change with the
+BLAS thread count; nor does trace.csv, stepped by matrix products alone,
+up to a few hundred states (see ``dynamics._expm``).  ``run`` and
+``simulate`` write every file under a temporary name beside it and rename
+them all once the last is written, report.json last: a failed call leaves
+no artefact, or the earlier whole one.
 
 Every CSV cell is a float at 17 significant digits, `format(v, ".17g")`.
 ``run`` writes trace.csv and derivatives.csv in one pass, a fixed number of
@@ -33,6 +37,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
@@ -124,6 +129,37 @@ def _writing(field: str, directory):
     except OSError as exc:
         raise ConfigError(f"{field}: cannot write {exc.filename or directory}: "
                           f"{exc.strerror or exc}")
+
+
+@contextlib.contextmanager
+def _staged(*paths: Path):
+    """Temporary names beside paths for the block to write, renamed onto paths after it.
+
+    The renames run in the order of paths, and only once the whole block has
+    succeeded, so a failed write leaves every path as it was, absent or
+    whole, and no temporary name behind.  A symbolic link is followed, so
+    the file it names is replaced and the link kept.  A path that exists
+    as anything but a regular file (a FIFO, /dev/stdout) is written in
+    place, since a rename would replace it.  An OSError names the path, not
+    its temporary name.
+    """
+    targets = [Path(os.path.realpath(path)) for path in paths]
+    temps = [target.with_name(f".{target.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+             if target.is_file() or not target.exists() else target for target in targets]
+    try:
+        yield temps
+        for temp, target in zip(temps, targets):
+            if temp != target:
+                os.replace(temp, target)
+    except OSError as exc:
+        for temp, path in zip(temps, paths):
+            if exc.filename == str(temp):
+                exc.filename = str(path)
+        raise
+    finally:
+        for temp, target in zip(temps, targets):
+            if temp != target:
+                temp.unlink(missing_ok=True)
 
 
 def _json_text(obj, indent: str = "") -> str:
@@ -264,8 +300,9 @@ def cmd_simulate(args) -> int:
         trace = simulate(sys_net, x0, args.t0, args.t_end, args.dt, schedule)
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"simulate: {_message(exc)}")
-    with _writing("output", Path(args.output).parent):
-        trace.to_csv(args.output)
+    output = Path(args.output)
+    with _writing("output", output.parent), _staged(output) as (temp,):
+        trace.to_csv(temp)
     print(f"wrote {len(trace.times)} samples to {args.output}")
     return EXIT_OK
 
@@ -383,8 +420,8 @@ def cmd_run(args) -> int:
             "placement": placement_payload,
             "sensors": list(sensors),
         }
-        with _writing("out_dir", out_dir):
-            _write_json(out_dir / "report.json", payload)
+        with _writing("out_dir", out_dir), _staged(out_dir / "report.json") as (report,):
+            _write_json(report, payload)
         print(f"swept {len(sweep)} edges; report in {out_dir}")
         return EXIT_OK if all_unique else EXIT_UNRESOLVED
 
@@ -399,13 +436,13 @@ def cmd_run(args) -> int:
         "placement": placement_payload,
         "sensors": list(sensors),
     }
-    # one pass over both files: t, and outputs that copy states or reappear as
-    # order-0 derivatives, are formatted once
-    files = [(out_dir / "trace.csv", *trace._csv_table()),
-             (out_dir / "derivatives.csv", *_derivatives_table(trace, sensors, z))]
-    with _writing("out_dir", out_dir):
-        _write_json(out_dir / "report.json", payload)
-        _write_csv(trace.times, files)
+    names = [out_dir / name for name in ("trace.csv", "derivatives.csv", "report.json")]
+    with _writing("out_dir", out_dir), _staged(*names) as (trace_csv, derivatives_csv, report):
+        # one pass over both files: t, and outputs that copy states or
+        # reappear as order-0 derivatives, are formatted once
+        _write_csv(trace.times, [(trace_csv, *trace._csv_table()),
+                                 (derivatives_csv, *_derivatives_table(trace, sensors, z))])
+        _write_json(report, payload)
     print(f"{len(events)} event(s); report in {out_dir}")
     return EXIT_OK if all_unique else EXIT_UNRESOLVED
 

@@ -27,15 +27,16 @@ A smooth drive w = H xi is the output of an exosystem xi' = S xi, so a
 driven run is the autonomous [x; xi]' = [[A_cl, (I_N (x) B) H], [0, S]] [x; xi],
 stepped like an undriven one; a failure still zeroes a block of A_cl.
 
-scipy is imported inside the functions that need it (stepping, derivative
-dumps, the analytic kernel), so graphs, tables, placement and jump
-prediction run on numpy alone.
+Stepping and derivative dumps run on numpy alone: each segment's step is
+netfdi's own ``_expm``, made of matrix products only, and derivatives are
+read out by ``np.einsum``, which calls no BLAS.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import signal
 import tempfile
@@ -315,33 +316,26 @@ class SimulationTrace:
         """Exact d^k y_p / dt^k for k = 0..z at every sample.
 
         Shaped (|sensors|, z + 1, o, n_samples).  On a segment with matrix A
-        the k-th derivative of y_p is (e_p (x) C) A^k x, so each
-        segment's states are carried k times through A and read out by the
-        stacked sensor rows e_p (x) C.  Both are CSR products, whose sums run
-        in a fixed order, so the values do not depend on the BLAS thread
-        count.  A boundary sample belongs to both of its segments; the later
-        one (right-hand derivatives) wins.
+        the k-th derivative of y_p is R_k x with R_k = (e_p (x) C) A^k, so
+        each segment carries the sensor rows R_k = R_(k-1) A and reads every
+        sample's state through them.  Both are ``np.einsum`` contractions,
+        which sum in a fixed order without BLAS, so the values do not depend
+        on the BLAS thread count.  A boundary sample belongs to both of its
+        segments; the later one (right-hand derivatives) wins.
         """
-        from scipy import sparse   # imported here: only the derivative dump needs it
-
         n, d, o = self.n_nodes, self.state_dim, self.output_dim
-        rows = np.zeros((len(sensors), o, self.states.shape[1]))
+        # rows[s, c, k] is row c of R_k for sensor s; values[t, s, c, k] its read-out
+        rows = np.zeros((len(sensors), o, z + 1, self.states.shape[1]))
         for si, p in enumerate(sensors):
             _check_node(p, n, "sensor")
-            rows[si, :, (p - 1) * d : p * d] = self.c_matrix
-        read = sparse.csr_array(rows.reshape(-1, rows.shape[2]))
-        out = np.empty((len(sensors), z + 1, o, len(self.times)))
+            rows[si, :, 0, (p - 1) * d : p * d] = self.c_matrix
+        values = np.empty((len(self.times), len(sensors), o, z + 1))
         for seg in self.segments:
-            loop = sparse.csr_array(seg.matrix)
-            # 1024 samples at a time keep the carried states small
-            for a in range(seg.start, seg.stop + 1, 1024):
-                sl = slice(a, min(a + 1024, seg.stop + 1))
-                v = np.ascontiguousarray(self.states[sl].T)
-                for k in range(z + 1):
-                    out[:, k, :, sl] = (read @ v).reshape(rows.shape[:2] + v.shape[1:])
-                    if k < z:
-                        v = loop @ v
-        return out
+            for k in range(z):
+                np.einsum("scn,nm->scm", rows[:, :, k], seg.matrix, out=rows[:, :, k + 1])
+            sl = slice(seg.start, seg.stop + 1)
+            np.einsum("tn,sckn->tsck", self.states[sl], rows, out=values[sl])
+        return values.transpose(1, 3, 2, 0)
 
     def to_csv(self, path: str | Path):
         """Write `t,x_1_1..x_N_d,y_1_1..y_N_o` rows with 17 significant digits.
@@ -527,10 +521,47 @@ def _initial_states(sys: NetworkSystem, x0, n_samples: int, xi0=()) -> np.ndarra
     return states
 
 
+def _expm(A: np.ndarray) -> np.ndarray:
+    """exp(A) by scaling and squaring a Taylor polynomial.
+
+    s halvings bring b = ||A / 2^s||_1 to at most 1/2 (Moler and Van Loan,
+    SIAM Review 45, 2003, method 3).  The degree m is the least whose
+    remainder bound b^(m+1) / (m+1)! e^b is below the unit roundoff; the
+    polynomial of A / 2^s is evaluated by Horner and squared s times.  Only
+    matrix products are used, no LAPACK solve as in a Pade approximant:
+    with OpenBLAS, a solve of order 100 already gives other bytes under one
+    and two threads, while a product keeps its bytes up to order 384 (not at
+    400).  exp(0) is exactly I.  ValueError for non-finite entries.
+    """
+    A = np.asarray(A, dtype=float)
+    if not np.isfinite(A).all():
+        raise ValueError("the matrix to exponentiate has non-finite entries")
+    norm = float(np.abs(A).sum(axis=0).max(initial=0.0))
+    s = 0 if norm <= 0.5 else math.frexp(norm)[1] + 1
+    B = np.ldexp(A, -s)
+    b = math.ldexp(norm, -s)
+    m, remainder = 0, b * math.exp(b)
+    while remainder >= np.finfo(float).eps / 2:
+        m += 1
+        remainder *= b / (m + 1)
+    # Horner: E = I + B (I + B/2 (... (I + B/m))), the identity added on the diagonal
+    E = B / m if m else np.zeros_like(B)
+    E.flat[:: len(E) + 1] += 1.0
+    spare = np.empty_like(E)
+    for k in range(m - 1, 0, -1):
+        np.matmul(B, E, out=spare)
+        E, spare = spare, E
+        E /= k
+        E.flat[:: len(E) + 1] += 1.0
+    for _ in range(s):
+        np.matmul(E, E, out=spare)
+        E, spare = spare, E
+    return E
+
+
 def _propagate_exact(A: np.ndarray, dt: float, states: np.ndarray, a: int, b: int):
-    """Fill states[a+1..b] from states[a] with the exact step expm(A dt) of v' = A v."""
-    from scipy.linalg import expm   # imported here: only stepping the dynamics needs it
-    phi = expm(A * dt)
+    """Fill states[a+1..b] from states[a] with the exact step exp(A dt) of v' = A v."""
+    phi = _expm(A * dt)
     for n in range(a, b):
         np.matmul(phi, states[n], out=states[n + 1])
 
@@ -554,11 +585,12 @@ def simulate(sys: NetworkSystem, x0, t0: float, t_end: float, dt: float,
     """Piecewise-exact simulation of the network with scheduled link failures.
 
     Failure times are snapped to the sample grid.  Each failure-free
-    segment is propagated by the matrix exponential (one expm per segment,
-    exact up to expm accuracy).  A nonzero w is generated by its exosystem
-    xi' = S xi, w = H xi, so a driven segment steps the augmented state
-    [x; xi] with [[A_cl, (I_N (x) B) H], [0, S]], which the trace keeps as
-    its segment matrix; with w = zero that matrix is the closed loop itself.
+    segment is propagated by the matrix exponential (one ``_expm`` per
+    segment, exact up to its accuracy).  A nonzero w is generated by its
+    exosystem xi' = S xi, w = H xi, so a driven segment steps the augmented
+    state [x; xi] with [[A_cl, (I_N (x) B) H], [0, S]], which the trace keeps
+    as its segment matrix; with w = zero that matrix is the closed loop
+    itself.
 
     Parameters
     ----------

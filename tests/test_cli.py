@@ -1,5 +1,7 @@
+import ast
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -502,6 +504,13 @@ def test_run_leaves_no_writer_process_or_temp_file(tmp_path, capsys, monkeypatch
 
     run = ["run", graph, model, "--sensors", "2,3", "--z", "4", "--dt", "0.01",
            "--horizon", "2", "--fail", "2@1", "--x0", "1,2,3,4,5"]
+    simulate_to = ["simulate", graph, model, "--t-end", "2", "--dt", "0.01", "--fail", "2@1",
+                   "-o"]
+    whole = tmp_path / "ok"
+
+    def contents(directory):
+        return {path.name: path.read_bytes() for path in directory.iterdir()}
+
     for name, rows, code, err in (
             ("ok", write_rows, 0, ""),
             ("child", failing_from(1), 3, "exited with code 1"),
@@ -513,11 +522,48 @@ def test_run_leaves_no_writer_process_or_temp_file(tmp_path, capsys, monkeypatch
         if code:
             assert captured.err.startswith(f"error: out_dir: cannot write {out_dir}: "), name
             assert err in captured.err, name
+            # no artefact of the failed call, whole or partial, under any name
+            assert list(out_dir.iterdir()) == [], name
+            # a failing rerun over whole artefacts, which would change every
+            # file if it succeeded, leaves them byte for byte as they were
+            before = contents(whole)
+            assert main(run + ["--x0", "5,4,3,2,1", "--out-dir", str(whole)]) == code, name
+            assert main(simulate_to + [str(whole / "sim.csv"), "--x0", "5,4,3,2,1"]) == code
+            capsys.readouterr()
+            assert contents(whole) == before, name
         else:
+            assert sorted(contents(out_dir)) == ["derivatives.csv", "report.json", "trace.csv"]
             assert len((out_dir / "trace.csv").read_text().splitlines()) == 202
+            # a whole simulate -o output for the failing reruns below
+            assert main(simulate_to + [str(out_dir / "sim.csv"), "--x0", "1,2,3,4,5"]) == 0
+            capsys.readouterr()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert list(spill_dir.iterdir()) == [], name
+
+
+def test_simulate_writes_through_a_link_and_into_a_fifo(tmp_path):
+    # a link keeps naming the file it points to, and a FIFO is written in
+    # place rather than replaced by a renamed file
+    graph, model = map(str, write_cycle_inputs(tmp_path))
+    sim = ["simulate", graph, model, "--t-end", "1", "--dt", "0.01", "--x0", "1,2,3,4,5", "-o"]
+    assert main(sim + [str(tmp_path / "plain.csv")]) == 0
+    expected = (tmp_path / "plain.csv").read_bytes()
+    (tmp_path / "real.csv").write_text("earlier")
+    (tmp_path / "link.csv").symlink_to(tmp_path / "real.csv")
+    assert main(sim + [str(tmp_path / "link.csv")]) == 0
+    assert (tmp_path / "link.csv").is_symlink()
+    assert (tmp_path / "real.csv").read_bytes() == expected
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    # an open read end lets the writer in; the rows fit the pipe's buffer
+    assert len(expected) < 32768
+    with os.fdopen(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK), "rb") as reader:
+        assert main(sim + [str(fifo)]) == 0
+        assert reader.read() == expected
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "fifo", "graph.json", "link.csv", "model.json", "plain.csv", "real.csv"]
 
 
 _DERIVATIVES_CHILD = """
@@ -557,6 +603,43 @@ def test_derivatives_csv_independent_of_blas_threads(tmp_path):
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         dumps.append(path.read_bytes())
+    assert dumps[0] == dumps[1]
+
+
+_TRACES_CHILD = """
+import sys
+from pathlib import Path
+import numpy as np
+from netfdi.cli import RGG_NODES, RGG_RADIUS, RGG_REGION, RGG_SEED, _derivatives_csv
+from netfdi.dynamics import FailureEvent, NetworkSystem, SubsystemModel, simulate
+from netfdi.graph import gen_random_geometric
+g = gen_random_geometric(RGG_NODES, RGG_REGION, RGG_RADIUS, RGG_SEED)
+models = {"scalar": SubsystemModel([[-1.0]], [[1.0]], [[1.0]], [[1.0]]),
+          "r2": SubsystemModel([[0.0, 1.0], [-2.0, -3.0]], [[0.0], [1.0]], [[1.0, 0.0]],
+                               [[1.0]])}
+for name, model in models.items():
+    sys_net = NetworkSystem(g, model)
+    x0 = np.random.default_rng(3).normal(0.0, 1.0, sys_net.n_states)
+    trace = simulate(sys_net, x0, 0.0, 2.0, 1e-3, [FailureEvent(157, 1.076)])
+    trace.to_csv(Path(sys.argv[1]) / f"trace_{name}.csv")
+_derivatives_csv(Path(sys.argv[1]) / "derivatives_r2.csv", trace, range(1, 11), 9)
+"""
+
+
+def test_trace_csv_independent_of_blas_threads(tmp_path):
+    # 50 and 100 states: with a Pade exp(A dt), whose LAPACK solve runs
+    # threaded at this size, the r = 2 trace is not the same under one and
+    # two BLAS threads
+    dumps = []
+    for threads in ("1", None):
+        directory = tmp_path / f"threads_{threads}"
+        directory.mkdir()
+        env = _child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=None)
+        proc = subprocess.run([sys.executable, "-c", _TRACES_CHILD, str(directory)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        dumps.append({path.name: path.read_bytes() for path in directory.iterdir()})
+    assert sorted(dumps[0]) == ["derivatives_r2.csv", "trace_r2.csv", "trace_scalar.csv"]
     assert dumps[0] == dumps[1]
 
 
@@ -760,25 +843,58 @@ else:
         "place": ["place", graph, "--exact", "-o", str(out / "place.json")],
         "star5": ["reproduce", "star5", "--out-dir", str(out / "star5")],
         "rgg": ["reproduce", "rgg", "--out-dir", str(out / "rgg")],
+        "simulate": ["simulate", graph, model, "--t-end", "1", "--dt", "0.01",
+                     "--fail", "2@0.5", "-o", str(out / "sim.csv")],
         "run": ["run", graph, model, "--sensors", "2,3", "--dt", "0.01", "--horizon", "1",
                 "--fail", "2@0.5", "--out-dir", str(out / "run")],
+        "fd-run": ["run", graph, model, "--sensors", "2,3", "--dt", "0.01", "--horizon", "1",
+                   "--fail", "2@0.5", "--mode", "finite-difference",
+                   "--out-dir", str(out / "fd-run")],
+        "fd-sweep": ["run", graph, model, "--sensors", "2,3", "--dt", "0.01",
+                     "--horizon", "1", "--mode", "finite-difference",
+                     "--sweep-failures", "all-edges", "--out-dir", str(out / "fd-sweep")],
     }[case]
     assert main(argv) in (0, 2)
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-@pytest.mark.parametrize("case", ["gen", "analyze", "place", "star5", "rgg", "library", "run"])
+@pytest.mark.parametrize("case", ["gen", "analyze", "place", "star5", "rgg", "library",
+                                  "simulate", "run", "fd-run", "fd-sweep"])
 def test_scipy_is_loaded_only_to_step_the_dynamics(tmp_path, case):
+    # stepping and derivative dumps run on numpy alone; scipy.sparse is
+    # loaded by the analytic detector only, and scipy.linalg by nothing
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE_CHILD, str(tmp_path), case],
                           capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
     if case == "run":
-        # the probe sees scipy where the run steps the network
-        assert "scipy.linalg" in loaded
+        assert "scipy.sparse" in loaded
+        assert not [m for m in loaded if m.startswith("scipy.linalg")]
     else:
         assert loaded == []
+
+
+def test_scipy_is_imported_only_by_the_first_jump_kernel():
+    def scipy_imports(node, scope):
+        """(module, function) of each scipy import under node, inside scope."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(name.split(".")[0] == "scipy" for name in names):
+                yield scope
+            inner = (scope[0], child.name) if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else scope
+            yield from scipy_imports(child, inner)
+
+    package = Path(netfdi.__file__).parent
+    sites = [site for path in sorted(package.rglob("*.py"))
+             for site in scipy_imports(ast.parse(path.read_text()), (path.stem, None))]
+    assert sites == [("fdi", "_first_jumps")]
 
 
 def test_analytic_sweep_matches_per_edge_runs_on_rgg(tmp_path):
@@ -806,7 +922,6 @@ def test_analytic_sweep_matches_per_edge_runs_on_rgg(tmp_path):
 
 def test_analytic_sweep_needs_no_per_edge_simulation(tmp_path, monkeypatch):
     import netfdi.cli
-    import scipy.linalg
     calls = Counter()
 
     def counting(name, fn):
@@ -817,8 +932,8 @@ def test_analytic_sweep_needs_no_per_edge_simulation(tmp_path, monkeypatch):
 
     monkeypatch.setattr(netfdi.cli, "simulate_edge_failures",
                         counting("simulate_edge_failures", netfdi.cli.simulate_edge_failures))
-    # the stepper imports expm at each call, so it picks up the counting one
-    monkeypatch.setattr(scipy.linalg, "expm", counting("expm", scipy.linalg.expm))
+    # the stepper looks _expm up at each call, so it picks up the counting one
+    monkeypatch.setattr(netfdi.dynamics, "_expm", counting("expm", netfdi.dynamics._expm))
     monkeypatch.setattr(NetworkSystem, "remove_edge",
                         counting("NetworkSystem.remove_edge", NetworkSystem.remove_edge))
     monkeypatch.setattr(Digraph, "remove_edge",

@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -173,6 +174,61 @@ def test_simulate_matches_single_expm():
     for idx in (10, 40, 80):
         direct = expm(sys_net.closed_loop * trace.times[idx]) @ x0
         assert np.allclose(trace.states[idx], direct, rtol=1e-11, atol=1e-12)
+
+
+def _expm_corpus():
+    """(name, ||A||_1, A) over shapes that reach every branch of the stepper's _expm.
+
+    Each shape is scaled to ||A||_1 from 1e-8 to 1e3: up to 1/2 the
+    Taylor polynomial is used unscaled (s = 0), above it it is squared
+    s > 0 times, and the Taylor degree shrinks with the norm.
+    """
+    rng = np.random.default_rng(21)
+    n = 6
+    companion = np.diag(np.ones(n - 1), 1)
+    companion[-1] = -np.poly(-np.arange(1.0, n + 1))[:0:-1]   # eigenvalues -1 .. -6
+    basis = rng.normal(size=(n, n)) + 2.0 * np.eye(n)
+    shapes = {
+        "1x1": np.array([[-1.0]]),
+        "shift chain": np.diag(np.arange(1.0, n), -1),        # the polynomial exosystem
+        "rotation": np.array([[0.0, 1.0], [-1.0, 0.0]]),      # the sinusoid exosystem
+        "companion": basis @ companion @ np.linalg.inv(basis),   # far from normal
+        "dense": rng.normal(size=(n, n)) - 4.0 * np.eye(n),   # stable: no overflow at 1e3
+    }
+    for name, shape in shapes.items():
+        for norm in (1e-8, 1e-3, 0.3, 0.5, 1.0, 7.0, 100.0, 1e3):
+            yield name, norm, shape * (norm / np.abs(shape).sum(axis=0).max())
+
+
+def test_expm_matches_scipy():
+    for name, norm, A in _expm_corpus():
+        ours, ref = netfdi.dynamics._expm(A), expm(A)
+        err = np.abs(ours - ref).sum(axis=0).max()
+        # relative to ||exp(A)||_1, which is 0 for the 1x1 at -1e3; squaring
+        # lets either method's error grow like u ||A||_1, and scipy's own is
+        # about 1e-11 on the rotation at 1e3
+        assert err <= 1e-13 * max(1.0, norm) * np.abs(ref).sum(axis=0).max(), (name, norm)
+
+
+def test_expm_closed_forms():
+    _expm = netfdi.dynamics._expm
+    for n in (1, 3, 8):
+        assert np.array_equal(_expm(np.zeros((n, n))), np.eye(n))
+    for a in (-30.0, -1.0, 1e-8, 0.4, 5.0):
+        assert _expm(np.array([[a]]))[0, 0] == pytest.approx(np.exp(a), rel=1e-14)
+    for theta in (1e-3, 0.5, 2.0, 40.0):
+        c, s = np.cos(theta), np.sin(theta)
+        assert np.allclose(_expm(theta * np.array([[0.0, 1.0], [-1.0, 0.0]])),
+                           [[c, s], [-s, c]], rtol=0, atol=1e-15 * max(1.0, theta))
+    # the shift chain S[k, k-1] = k steps (1, t, .., t^5): exp(S t)[k, j] = C(k, j) t^(k-j)
+    k, j = np.indices((6, 6))
+    binomial = np.vectorize(math.comb)(k, np.minimum(j, k)) * (k >= j)
+    for t in (1e-3, 0.7, 3.0):
+        assert np.allclose(_expm(np.diag(np.arange(1.0, 6), -1) * t),
+                           binomial * t ** np.maximum(k - j, 0), rtol=1e-14, atol=0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            _expm(np.array([[0.0, bad], [0.0, 0.0]]))
 
 
 def test_simulate_failure_segments_and_continuity():
