@@ -17,11 +17,19 @@ check the other:
                          where M_r is the first nonzero Markov parameter.
 
 Prediction reads memoised structure: each ``SubsystemModel`` keeps the powers
-(M_r Gamma)^(dist+1) it has been asked for in ``_q_powers``, and each
-``Digraph`` keeps its hop array and walk powers in ``_memo``.  A failure
-changes one block of the closed loop, so ``NetworkSystem.remove_edge``, the
-one place a link fails, copies the pre-failure matrix and overwrites that
-block with the model's ``_failed_block``.
+(M_r Gamma)^(dist+1) it has been asked for in ``_q_powers`` and, for the
+last x(t_f) it was asked about, the tail terms (M_r Gamma)^(dist+1) C x_j in
+``_tail_terms``; each ``Digraph`` keeps its hop array and walk powers in
+``_memo``.  The oracle side memoises too: each ``NetworkSystem`` keeps the
+orbit x, A x, A^2 x, ... of the last x(t_f) in ``_orbit``, so the
+pre-failure orbit is shared by every edge and sensor and a post-failure one
+by every sensor of its edge.  Both memos hold one x(t_f) at a time, keyed
+by its bytes, and every value is computed as it would be without them.
+``NetworkSystem.closed_loop`` is read-only, so an in-place edit raises
+instead of leaving a stale orbit.  A failure changes one block of the
+closed loop, so ``NetworkSystem.remove_edge``, the one place a link fails,
+copies the pre-failure matrix and overwrites that block with the model's
+``_failed_block``.
 
 A smooth drive w = H xi is the output of an exosystem xi' = S xi, so a
 driven run is the autonomous [x; xi]' = [[A_cl, (I_N (x) B) H], [0, S]] [x; xi],
@@ -65,7 +73,8 @@ class SubsystemModel:
     Construction fails if the model has no well-defined relative degree.
     """
 
-    __slots__ = ("A", "B", "C", "Gamma", "_r", "_mr_gamma", "_q_powers", "_failed_block")
+    __slots__ = ("A", "B", "C", "Gamma", "_r", "_mr_gamma", "_q_powers", "_tail_terms",
+                 "_failed_block")
 
     def __init__(self, A, B, C, Gamma):
         self.A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -90,6 +99,8 @@ class SubsystemModel:
         self._r = relative_degree(self)
         self._mr_gamma = markov_parameter(self, self._r) @ self.Gamma
         self._q_powers = {}
+        # (bytes of x(t_f), {(tail, dist): (M_r Gamma)^(dist+1) C x_tail}) for the last x asked
+        self._tail_terms = (None, {})
         # a failed edge's closed-loop block, as a rebuild writes it: 0 A + 0 B Gamma C
         self._failed_block = 0.0 * self.A + 0.0 * (self.B @ self.Gamma @ self.C)
 
@@ -173,14 +184,21 @@ def closed_loop(g: Digraph, model: SubsystemModel) -> np.ndarray:
 
 
 class NetworkSystem:
-    """A digraph plus one subsystem model, with the closed loop assembled."""
+    """A digraph plus one subsystem model, with the closed loop assembled.
 
-    __slots__ = ("graph", "model", "closed_loop")
+    ``closed_loop`` is read-only: the orbit memo of ``jump_oracle`` and
+    ``one_sided_derivative`` is built from it.
+    """
+
+    __slots__ = ("graph", "model", "closed_loop", "_orbit")
 
     def __init__(self, graph: Digraph, model: SubsystemModel):
         self.graph = graph
         self.model = model
         self.closed_loop = closed_loop(graph, model)
+        self.closed_loop.flags.writeable = False
+        # (bytes of x(t_f), the matrix A it was built from, [x, A x, A^2 x, ...])
+        self._orbit = None
 
     def remove_edge(self, label: int) -> "NetworkSystem":
         """System after the given link (tail -> head) fails.
@@ -196,6 +214,8 @@ class NetworkSystem:
         post.model = self.model
         post.closed_loop = loop = self.closed_loop.copy()
         loop[(e.head - 1) * d : e.head * d, (e.tail - 1) * d : e.tail * d] = self.model._failed_block
+        loop.flags.writeable = False
+        post._orbit = None
         return post
 
     @property
@@ -681,20 +701,50 @@ def _check_sensor_and_order(sys: NetworkSystem, p: int, k: int):
         raise ValueError(f"derivative order must be >= 0, got {k}")
 
 
+def _state_key(x_tf, n_states: int) -> tuple[np.ndarray, bytes]:
+    """(x, key): x(t_f) as a flat float vector and its bytes, the key of the jump memos.
+
+    ValueError unless x has n_states = N d entries.
+    """
+    x = np.asarray(x_tf, dtype=float).reshape(-1)
+    if len(x) != n_states:
+        raise ValueError(f"x_tf must have {n_states} entries (N d), got {len(x)}")
+    return x, x.tobytes()
+
+
+def _orbit_power(sys: NetworkSystem, x: np.ndarray, key: bytes, k: int) -> np.ndarray:
+    """A^k x for the closed loop A of sys; shared, never to be mutated.
+
+    (x, key) come from ``_state_key``.  The power is read from the system's
+    orbit [x, A x, A^2 x, ...] of the last x asked,
+    extended by the plain products A @ v as far as k.  The orbit is rebuilt
+    when x's bytes differ or ``sys.closed_loop`` is another array.
+    """
+    A = sys.closed_loop
+    orbit = sys._orbit
+    if orbit is None or orbit[0] != key or orbit[1] is not A:
+        orbit = sys._orbit = (key, A, [x.copy()])
+    powers = orbit[2]
+    while len(powers) <= k:
+        powers.append(A @ powers[-1])
+    return powers[k]
+
+
 def one_sided_derivative(sys_pre: NetworkSystem, sys_post: NetworkSystem,
                          x_tf, p: int, k: int, side: str) -> np.ndarray:
     """Exact one-sided k-th derivative of y_p at the failure time (w = zero).
 
     The left limit uses the pre-failure closed loop, the right limit the
     post-failure one: d^k y_p / dt^k = (e_p (x) C) A_side^k x(t_f).
+    A_side^k x(t_f) comes from that system's memoised orbit of x(t_f) (see
+    ``_orbit_power``); the result is a fresh array, bit for bit that of k
+    plain products.  ValueError unless x(t_f) has N d entries.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     _check_sensor_and_order(sys_pre, p, k)
-    A = sys_pre.closed_loop if side == "left" else sys_post.closed_loop
-    v = np.asarray(x_tf, dtype=float).reshape(-1)
-    for _ in range(k):
-        v = A @ v
+    x, key = _state_key(x_tf, sys_pre.n_states)
+    v = _orbit_power(sys_pre if side == "left" else sys_post, x, key, k)
     d = sys_pre.model.d
     return sys_pre.model.C @ v[(p - 1) * d : p * d]
 
@@ -704,18 +754,20 @@ def jump_oracle(sys_pre: NetworkSystem, sys_post: NetworkSystem,
     """Jump of the k-th output derivative at node p, straight from matrices.
 
     Returns (e_p (x) C)(A_post^k - A_pre^k) x(t_f) with no reference to the
-    closed-form prediction; serves as the independent check of it.
+    closed-form prediction; serves as the independent check of it.  Both
+    A^k x(t_f) come from the systems' memoised orbits (see ``_orbit_power``),
+    so the pre-failure orbit is shared by every edge and sensor and the
+    post-failure one by every sensor of its edge.  The result is a fresh
+    array, bit for bit that of k plain products on each side.  ValueError
+    unless x(t_f) has N d entries.
     """
     _check_sensor_and_order(sys_pre, p, k)
-    x = np.asarray(x_tf, dtype=float).reshape(-1)
-    v_pre = x.copy()
-    v_post = x.copy()
-    for _ in range(k):
-        v_pre = sys_pre.closed_loop @ v_pre
-        v_post = sys_post.closed_loop @ v_post
+    x, key = _state_key(x_tf, sys_pre.n_states)
+    v_pre = _orbit_power(sys_pre, x, key, k)
+    v_post = _orbit_power(sys_post, x, key, k)
     d = sys_pre.model.d
-    diff = v_post - v_pre
-    return sys_pre.model.C @ diff[(p - 1) * d : p * d]
+    block = slice((p - 1) * d, p * d)
+    return sys_pre.model.C @ (v_post[block] - v_pre[block])
 
 
 @dataclass(frozen=True)
@@ -743,19 +795,32 @@ def theoretical_jump(g: Digraph, model: SubsystemModel, edge: int, p: int,
         value = -g_ij [G^dist]_pi (M_r Gamma)^(dist+1) C x_j(t_f)
 
     When no directed i -> p path exists the failure never shows at p and an
-    unobservable prediction is returned.
+    unobservable prediction is returned.  ValueError unless x(t_f) has N d
+    entries.
+
+    The tail term (M_r Gamma)^(dist+1) C x_j is memoised per model for the
+    last x(t_f) asked (``SubsystemModel._tail_terms``), so it is computed
+    once per (tail, dist); the value is a fresh array, bit for bit that of
+    the unmemoised formula.
     """
     _check_node(p, g.n_nodes, "sensor")
+    x, key = _state_key(x_tf, g.n_nodes * model.d)
     e = g.edge(edge)
     dist = int(distances(g)._hops[e.head - 1, p - 1])
     if dist < 0:
         return JumpPrediction(observable=False, order=None, value=None)
     order = model._r * (dist + 1)
     walk = _walk_power(g, dist)[p - 1, e.head - 1]
-    d = model.d
-    x = np.asarray(x_tf, dtype=float).reshape(-1)
-    x_j = x[(e.tail - 1) * d : e.tail * d]
-    value = -e.weight * walk * (_q_power(model, dist) @ (model.C @ x_j))
+    memo_key, terms = model._tail_terms
+    if memo_key != key:
+        terms = {}
+        model._tail_terms = (key, terms)
+    term = terms.get((e.tail, dist))
+    if term is None:
+        d = model.d
+        x_j = x[(e.tail - 1) * d : e.tail * d]
+        term = terms[e.tail, dist] = _q_power(model, dist) @ (model.C @ x_j)
+    value = -e.weight * walk * term
     return JumpPrediction(observable=True, order=order, value=value)
 
 

@@ -173,6 +173,34 @@ def reference_jump(g, model, edge: int, p: int, x_tf):
     return True, r * (dist + 1), value
 
 
+def reference_power(A: np.ndarray, x_tf, k: int) -> np.ndarray:
+    """A^k x(t_f) by k plain products A @ v on a fresh copy of x, nothing memoised."""
+    v = np.asarray(x_tf, dtype=float).reshape(-1).copy()
+    for _ in range(k):
+        v = A @ v
+    return v
+
+
+def reference_one_sided(sys_pre, sys_post, x_tf, p: int, k: int, side: str) -> np.ndarray:
+    """(e_p (x) C) A_side^k x(t_f), the power taken by ``reference_power``."""
+    A = sys_pre.closed_loop if side == "left" else sys_post.closed_loop
+    d = sys_pre.model.d
+    return sys_pre.model.C @ reference_power(A, x_tf, k)[(p - 1) * d : p * d]
+
+
+def reference_oracle(sys_pre, sys_post, x_tf, p: int, k: int) -> np.ndarray:
+    """(e_p (x) C)(A_post^k - A_pre^k) x(t_f) with nothing memoised.
+
+    A fresh copy of x and k plain products A @ v on each side, then the
+    difference of the whole vectors, read at node p.  Every product is the
+    one ``jump_oracle`` makes, so the two must agree bit for bit.
+    """
+    diff = (reference_power(sys_post.closed_loop, x_tf, k)
+            - reference_power(sys_pre.closed_loop, x_tf, k))
+    d = sys_pre.model.d
+    return sys_pre.model.C @ diff[(p - 1) * d : p * d]
+
+
 def finite_difference_reference(trace, sensors, z: int) -> list[tuple[tuple[int, ...], float]]:
     """(orders, time) of each finite-difference detector event, by plain loops.
 

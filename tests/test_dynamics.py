@@ -16,8 +16,8 @@ from netfdi.graph import (INFINITE, Digraph, Edge, distances, gen_cycle, gen_sta
 
 from corpusgen import (chain_model, connected_digraphs_up_to, damp_coupling,
                        random_connected_digraph, random_stable_model)
-from oracles import (markov_parameter_limit, q_limit, reference_jump,
-                     relative_degree_slope)
+from oracles import (markov_parameter_limit, q_limit, reference_jump, reference_one_sided,
+                     reference_oracle, reference_power, relative_degree_slope)
 
 
 def scalar_model():
@@ -787,18 +787,32 @@ def test_predictions_survive_mutating_returned_arrays():
                            [[0.8]])
     x = np.linspace(-1.0, 1.0, 10)
 
+    sys_pre = NetworkSystem(g, model)
+    posts = {label: sys_pre.remove_edge(label) for label in g.edge_labels}
+
     def predictions():
         return [theoretical_jump(g, model, label, p, x)
                 for label in g.edge_labels for p in range(1, 6)]
 
-    before = predictions()
+    def matrix_reads():
+        return [read for label, post in posts.items() for p in range(1, 6) for k in range(4)
+                for read in (jump_oracle(sys_pre, post, x, p, k),
+                             one_sided_derivative(sys_pre, post, x, p, k, "left"),
+                             one_sided_derivative(sys_pre, post, x, p, k, "right"))]
+
+    before = [(pred.order, pred.value.tobytes()) for pred in predictions()]
+    reads = matrix_reads()
+    reads_before = [read.tobytes() for read in reads]
     for dist in range(5):
         q_matrix(model, dist)[...] = 7.0
         walk_matrix(g, dist)[...] = 7.0
+    for pred in predictions():
+        pred.value[...] = 7.0
+    for read in reads:
+        read[...] = 7.0
     assert q_matrix(model, 0).tobytes() == model._mr_gamma.tobytes()
-    after = predictions()
-    for old, new in zip(before, after):
-        assert (old.order, old.value.tobytes()) == (new.order, new.value.tobytes())
+    assert [(pred.order, pred.value.tobytes()) for pred in predictions()] == before
+    assert [read.tobytes() for read in matrix_reads()] == reads_before
 
 
 def test_matrix_power_runs_once_per_model_and_dist(monkeypatch):
@@ -824,6 +838,152 @@ def test_matrix_power_runs_once_per_model_and_dist(monkeypatch):
                 predictions += theoretical_jump(g, model, label, p, x).observable
     assert predictions > 2 * len(exponents)
     assert sorted(calls) == exponents
+
+
+def jump_call_orders(g, k_max, rng):
+    """Three orders of every (edge, sensor, k <= k_max): edge-major, sensor-major, shuffled.
+
+    The shuffled order visits the (edge, sensor) pairs in two random
+    permutations, each pair with k decreasing, so every call repeats once.
+    """
+    labels, sensors, ks = g.edge_labels, range(1, g.n_nodes + 1), range(k_max + 1)
+    edge_major = [(label, p, k) for label in labels for p in sensors for k in ks]
+    sensor_major = [(label, p, k) for p in sensors for label in labels for k in ks]
+    pairs = [(label, p) for label in labels for p in sensors]
+    shuffled = [(*pairs[i], k) for _ in range(2) for i in rng.permutation(len(pairs))
+                for k in reversed(ks)]
+    return edge_major, sensor_major, shuffled
+
+
+def memo_reads(sys_pre, sys_post, x, p, k):
+    """Bytes of the oracle and both one-sided derivatives at (p, k)."""
+    return (jump_oracle(sys_pre, sys_post, x, p, k).tobytes(),
+            one_sided_derivative(sys_pre, sys_post, x, p, k, "left").tobytes(),
+            one_sided_derivative(sys_pre, sys_post, x, p, k, "right").tobytes())
+
+
+def plain_reads(sys_pre, sys_post, x, p, k):
+    """The same three reads from the memo-free references."""
+    return (reference_oracle(sys_pre, sys_post, x, p, k).tobytes(),
+            reference_one_sided(sys_pre, sys_post, x, p, k, "left").tobytes(),
+            reference_one_sided(sys_pre, sys_post, x, p, k, "right").tobytes())
+
+
+def test_memoised_oracle_bit_identical_to_plain_products():
+    rng = np.random.default_rng(31)
+    checked = 0
+    for g, model, x in jump_corpus():
+        sensors = range(1, g.n_nodes + 1)
+        orders = [theoretical_jump(g, model, label, p, x).order
+                  for label in g.edge_labels for p in sensors]
+        k_max = max((order for order in orders if order is not None), default=0) + 2
+        plain = NetworkSystem(g, model)
+        want = {}
+        for label in g.edge_labels:
+            post = plain.remove_edge(label)
+            for p in sensors:
+                for k in range(k_max + 1):
+                    want[label, p, k] = plain_reads(plain, post, x, p, k)
+        for order in jump_call_orders(g, k_max, rng):
+            sys_pre = NetworkSystem(g, model)
+            posts = {label: sys_pre.remove_edge(label) for label in g.edge_labels}
+            for label, p, k in order:
+                assert memo_reads(sys_pre, posts[label], x, p, k) == want[label, p, k]
+                checked += 1
+    assert checked > 10000
+
+
+def test_jump_memos_follow_x_and_hold_one_state():
+    rng = np.random.default_rng(5)
+    g = random_connected_digraph(6, rng)
+    model = damp_coupling(g, chain_model(2, rng))
+    d = model.d
+    x1, x2 = rng.normal(0.0, 1.0, (2, g.n_nodes * d))
+    sys_pre = NetworkSystem(g, model)
+    posts = {label: sys_pre.remove_edge(label) for label in g.edge_labels}
+    ks = (0, 1, 4)
+
+    def check(x_arg, x_value):
+        """Every memoised read from x_arg equals the plain one from x_value, bit for bit."""
+        for label, post in posts.items():
+            for p in range(1, g.n_nodes + 1):
+                pred = theoretical_jump(g, model, label, p, x_arg)
+                observable, order, value = reference_jump(g, model, label, p, x_value)
+                assert (pred.observable, pred.order) == (observable, order)
+                if observable:
+                    assert pred.value.tobytes() == value.tobytes()
+                for k in ks:
+                    assert (memo_reads(sys_pre, post, x_arg, p, k)
+                            == plain_reads(sys_pre, post, x_value, p, k))
+
+    for x in (x1, x2, x1, x2):
+        check(x, x)
+    x = x1.copy()
+    check(x, x1)
+    x[...] = x2
+    check(x1, x1)  # the memos keep x1's values, not the caller's array
+    check(x, x2)
+    check(x1.tolist(), x1)
+
+    check(x1, x1)
+    check(x2, x2)
+    for sys_net in (sys_pre, *posts.values()):
+        key, matrix, orbit = sys_net._orbit
+        assert key == x2.tobytes() and matrix is sys_net.closed_loop
+        assert [v.tobytes() for v in orbit] == [
+            reference_power(sys_net.closed_loop, x2, k).tobytes() for k in range(max(ks) + 1)]
+    key, terms = model._tail_terms
+    assert key == x2.tobytes() and terms
+    for (tail, dist), term in terms.items():
+        want = q_matrix(model, dist) @ (model.C @ x2[(tail - 1) * d : tail * d])
+        assert term.tobytes() == want.tobytes()
+
+    # a system given another closed loop rebuilds its orbit from it
+    label, e = next(iter(g.edges()))
+    post = posts[label]
+    swapped = NetworkSystem(g, model)
+    one_sided_derivative(swapped, post, x1, e.head, 4, "left")
+    swapped.closed_loop = post.closed_loop
+    got = one_sided_derivative(swapped, post, x1, e.head, 4, "left")
+    assert got.tobytes() == reference_one_sided(post, post, x1, e.head, 4, "left").tobytes()
+    assert got.tobytes() != reference_one_sided(sys_pre, post, x1, e.head, 4, "left").tobytes()
+
+
+def test_closed_loop_is_read_only():
+    sys_net = example2_system()
+    for system in (sys_net, sys_net.remove_edge(2)):
+        assert not system.closed_loop.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            system.closed_loop[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            system.closed_loop[...] += 1.0
+    assert closed_loop(gen_cycle(5), scalar_model()).flags.writeable
+
+
+def test_wrong_sized_state_raises():
+    g = gen_cycle(3)
+    model = scalar_model()
+    sys_pre = NetworkSystem(g, model)
+    post = sys_pre.remove_edge(1)
+    for x in (np.ones(5), np.ones(1), np.ones((2, 2))):
+        message = rf"x_tf must have 3 entries \(N d\), got {x.size}"
+        for p in (2, 3):  # the jump of edge 1 -> 2 shows at order 1 at node 2, 2 at node 3
+            with pytest.raises(ValueError, match=message):
+                theoretical_jump(g, model, 1, p, x)
+        for k in (0, 2):
+            with pytest.raises(ValueError, match=message):
+                jump_oracle(sys_pre, post, x, 2, k)
+            for side in ("left", "right"):
+                with pytest.raises(ValueError, match=message):
+                    one_sided_derivative(sys_pre, post, x, 2, k, side)
+    # neither memo lets a wrong size through: the model's was built for a 5-node
+    # graph with the same bytes, the systems' for a good x
+    theoretical_jump(gen_cycle(5), model, 1, 2, np.ones(5))
+    with pytest.raises(ValueError, match=r"x_tf must have 3 entries \(N d\), got 5"):
+        theoretical_jump(g, model, 1, 2, np.ones(5))
+    jump_oracle(sys_pre, post, np.ones(3), 2, 2)
+    with pytest.raises(ValueError, match=r"x_tf must have 3 entries \(N d\), got 5"):
+        jump_oracle(sys_pre, post, np.ones(5), 2, 2)
 
 
 def test_output_of_checks_node_range():
