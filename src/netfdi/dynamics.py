@@ -35,9 +35,9 @@ A smooth drive w = H xi is the output of an exosystem xi' = S xi, so a
 driven run is the autonomous [x; xi]' = [[A_cl, (I_N (x) B) H], [0, S]] [x; xi],
 stepped like an undriven one; a failure still zeroes a block of A_cl.
 
-Stepping and derivative dumps run on numpy alone: each segment's step is
-netfdi's own ``_expm``, made of matrix products only, and derivatives are
-read out by ``np.einsum``, which calls no BLAS.
+netfdi runs on numpy alone: each segment's step is netfdi's own ``_expm``,
+made of matrix products only, and derivatives are read out by
+``np.einsum``, which calls no BLAS.
 """
 
 from __future__ import annotations
@@ -69,18 +69,18 @@ class SubsystemModel:
     """Matrices (A, B, C, Gamma) of one node's dynamics.
 
     A is d x d, B is d x m, C is o x d and the inner coupling Gamma is
-    m x o, so Gamma maps neighbor outputs into the input channels.
-    Construction fails if the model has no well-defined relative degree.
+    m x o, so Gamma maps neighbor outputs into the input channels.  All four
+    are read-only copies; construction fails without a relative degree.
     """
 
     __slots__ = ("A", "B", "C", "Gamma", "_r", "_mr_gamma", "_q_powers", "_tail_terms",
                  "_failed_block")
 
     def __init__(self, A, B, C, Gamma):
-        self.A = np.atleast_2d(np.asarray(A, dtype=float))
-        self.B = np.atleast_2d(np.asarray(B, dtype=float))
-        self.C = np.atleast_2d(np.asarray(C, dtype=float))
-        self.Gamma = np.atleast_2d(np.asarray(Gamma, dtype=float))
+        self.A = np.array(A, dtype=float, ndmin=2)
+        self.B = np.array(B, dtype=float, ndmin=2)
+        self.C = np.array(C, dtype=float, ndmin=2)
+        self.Gamma = np.array(Gamma, dtype=float, ndmin=2)
         d = self.A.shape[0]
         if self.A.shape != (d, d):
             raise ValueError(f"A must be square, got {self.A.shape}")
@@ -95,6 +95,7 @@ class SubsystemModel:
         for name in ("A", "B", "C", "Gamma"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} has non-finite entries")
+            getattr(self, name).flags.writeable = False
         self._r = None
         self._r = relative_degree(self)
         self._mr_gamma = markov_parameter(self, self._r) @ self.Gamma

@@ -274,28 +274,18 @@ def _first_jumps(A_pre, x, heads, tails, C, sensors, z: int) -> np.ndarray:
     |C δ_k[p]| > 16 |C| (b_k[p] + γ |δ_k[p]|) in some output channel.
     Returns the orders shaped (|sensors|, m), 0 where a sensor never fires.
 
-    A_pre is multiplied as a CSR array, since the closed loop
-    I_N ⊗ A + G ⊗ BΓC is block-sparse: nnz(A_pre) is N d^2 plus d^2 per
-    edge (343 of 10 000 entries on rgg50 with d = 2).  A_pre^k x is shared
-    by all columns, and each order costs the two sparse products A_pre δ
-    and |A_pre| (b + γ|δ|), O(nnz(A_pre) m) each, plus a gather from the
-    tail and a scatter to the head blocks, O(m d^2).  γ still bounds each
-    sparse inner product, which has at most N d terms.  This is the one
-    place netfdi imports scipy, because a compiled sparse product pays for
-    the import here: with the r = 2 model, one product with all edges'
-    columns takes 31 µs as CSR against 85 µs dense on rgg50 (27 products
-    per call at z = 9), 0.8 against 5.1 ms at N = 200 and 11 against 56 ms
-    at N = 500 (2 vCPUs, OpenBLAS).
+    A_pre^k x rides along as column m of the walk.  Each order costs the
+    products A_pre [δ, A_pre^{k-1} x] and |A_pre| (b + γ|δ|) over the nonzeros
+    of A_pre, one gather and one np.einsum per row length (numpy alone, one
+    thread: a dense OpenBLAS product took two), plus a gather from the tail
+    and a scatter to the head blocks, O(m d^2).  γ bounds each inner product.
 
     The bound grows like |A_post|^k, not like A_post^k: for a subsystem
     realisation far from normal (|A| much larger than A's spectral radius)
     it can outgrow a true jump at high orders, which then reads as 0 or
     at a later order.
     """
-    from scipy import sparse   # imported here: only the analytic detector needs it
-
-    dense = np.asarray(A_pre, dtype=float)
-    loop = sparse.csr_array(dense)
+    loop = np.asarray(A_pre, dtype=float)
     nd = loop.shape[0]
     d = C.shape[1]
     m = len(heads)
@@ -304,32 +294,41 @@ def _first_jumps(A_pre, x, heads, tails, C, sensors, z: int) -> np.ndarray:
     head_rows = span[:, None] + d * np.asarray(heads, dtype=np.int64)   # (d, m)
     tail_rows = span[:, None] + d * np.asarray(tails, dtype=np.int64)
     cols = np.arange(m)
-    blocks = dense[head_rows.T[:, :, None], tail_rows.T[:, None, :]]   # (m, d, d)
-    abs_loop = abs(loop)
+    blocks = loop[head_rows.T[:, :, None], tail_rows.T[:, None, :]]   # (m, d, d)
     abs_blocks = np.abs(blocks)
+    rows, at = np.nonzero((loop != 0) | np.eye(nd, dtype=bool))   # diagonal kept: no empty row
+    counts = np.bincount(rows, minlength=nd)
+    entries, length = loop[rows, at], counts[rows]
+    groups = [(at[length == c].reshape(-1, c), entries[length == c].reshape(-1, c))
+              for c in np.unique(counts)]   # per row length c: those rows' columns and entries
+    unsort = np.argsort(np.argsort(counts, kind="stable"))   # groups' rows back in place
     sensor_rows = (np.asarray(sensors, dtype=np.int64)[:, None] - 1) * d + span   # (|S|, d)
     abs_c = np.abs(C)
+
+    def times(X, absolute=False):
+        """A_pre X, or |A_pre| X, from the nonzeros of A_pre alone."""
+        return np.concatenate([np.einsum("rc,rcm->rm", np.abs(w) if absolute else w, X[r_at])
+                               for r_at, w in groups])[unsort]
 
     def at_heads(per_edge, gathered):
         """(d, m): per_edge[e] @ gathered[:, e] in column e, for column e's head rows."""
         return np.einsum("eab,be->ae", per_edge, gathered)
 
-    v = np.asarray(x, dtype=float).reshape(nd)
-    jump = np.zeros((nd, m))
+    walk = np.zeros((nd, m + 1))   # δ_k in columns 0..m-1, A_pre^k x in column m
+    walk[:, m] = np.asarray(x, dtype=float).reshape(nd)
     bound = np.zeros((nd, m))
     orders = np.zeros((len(sensors), m), dtype=np.int64)
     for k in range(1, z + 1):
-        v_tail = v[tail_rows]
-        carried = bound + gamma * np.abs(jump)
-        bound = abs_loop @ carried
+        v_tail = walk[tail_rows, m]
+        carried = bound + gamma * np.abs(walk[:, :m])
+        bound = times(carried, absolute=True)
         bound[head_rows, cols] -= at_heads(abs_blocks, carried[tail_rows, cols])
         bound[head_rows, cols] += gamma * at_heads(abs_blocks, np.abs(v_tail))
-        jump_tail = jump[tail_rows, cols]
-        jump = loop @ jump
-        jump[head_rows, cols] -= at_heads(blocks, jump_tail)
-        jump[head_rows, cols] -= at_heads(blocks, v_tail)
-        v = loop @ v
-        seen = jump[sensor_rows]
+        jump_tail = walk[tail_rows, cols]
+        walk = times(walk)
+        walk[head_rows, cols] -= at_heads(blocks, jump_tail)
+        walk[head_rows, cols] -= at_heads(blocks, v_tail)
+        seen = walk[sensor_rows, :m]
         limit = bound[sensor_rows] + gamma * np.abs(seen)
         fired = (np.abs(np.einsum("oa,sam->som", C, seen))
                  > 16.0 * np.einsum("oa,sam->som", abs_c, limit)).any(axis=1)

@@ -643,6 +643,47 @@ def test_trace_csv_independent_of_blas_threads(tmp_path):
     assert dumps[0] == dumps[1]
 
 
+_SWEEP_REPORTS_CHILD = """
+import json
+import sys
+from pathlib import Path
+import numpy as np
+from netfdi.cli import RGG_NODES, RGG_RADIUS, RGG_REGION, RGG_SEED, main
+from netfdi.graph import gen_random_geometric
+out = Path(sys.argv[1])
+model = out / "model.json"
+model.write_text(json.dumps({"A": [[0.0, 1.0], [-2.0, -3.0]], "B": [[0.0], [1.0]],
+                             "C": [[1.0, 0.0]], "Gamma": [[1.0]]}))
+graphs = {"rgg50": gen_random_geometric(RGG_NODES, RGG_REGION, RGG_RADIUS, RGG_SEED),
+          "rgg200": gen_random_geometric(200, 1.0, 0.125, 7)}
+for name, g in graphs.items():
+    g.save(out / f"{name}.json")
+    x0 = np.random.default_rng(1).normal(0.0, 1.0, 2 * g.n_nodes)
+    assert main(["run", str(out / f"{name}.json"), str(model), "--sensors",
+                 ",".join(map(str, range(1, 11))), "--z", "9", "--dt", "1e-3",
+                 "--horizon", "2", "--x0=" + ",".join(map(repr, x0.tolist())),
+                 "--sweep-failures", "all-edges", "--out-dir", str(out / name)]) in (0, 2)
+"""
+
+
+def test_analytic_sweep_report_independent_of_blas_threads(tmp_path):
+    # the state the first-jump kernel starts from is stepped by BLAS products
+    # (the kernel itself calls none): 100 states on rgg50, and 400 on the
+    # 200-node graph, past the order (384) up to which an OpenBLAS product
+    # keeps its bytes under 1 and 2 threads
+    reports = []
+    for threads in ("1", "2"):
+        directory = tmp_path / f"threads_{threads}"
+        directory.mkdir()
+        env = _child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=None)
+        proc = subprocess.run([sys.executable, "-c", _SWEEP_REPORTS_CHILD, str(directory)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        reports.append([(directory / name / "report.json").read_bytes()
+                        for name in ("rgg50", "rgg200")])
+    assert reports[0] == reports[1]
+
+
 def test_missing_graph_file_is_config_error(tmp_path, capsys):
     code = main(["analyze", str(tmp_path / "nope.json"), "--sensors", "1",
                  "--out", str(tmp_path / "t.json")])
@@ -853,6 +894,9 @@ else:
         "fd-sweep": ["run", graph, model, "--sensors", "2,3", "--dt", "0.01",
                      "--horizon", "1", "--mode", "finite-difference",
                      "--sweep-failures", "all-edges", "--out-dir", str(out / "fd-sweep")],
+        "sweep": ["run", graph, model, "--sensors", "2,3", "--dt", "0.01", "--horizon", "1",
+                  "--sweep-failures", "all-edges", "--out-dir", str(out / "sweep")],
+        "cycle5": ["reproduce", "cycle5", "--out-dir", str(out / "cycle5")],
     }[case]
     assert main(argv) in (0, 2)
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
@@ -860,41 +904,30 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 
 
 @pytest.mark.parametrize("case", ["gen", "analyze", "place", "star5", "rgg", "library",
-                                  "simulate", "run", "fd-run", "fd-sweep"])
+                                  "simulate", "run", "fd-run", "fd-sweep", "sweep", "cycle5"])
 def test_scipy_is_loaded_only_to_step_the_dynamics(tmp_path, case):
-    # stepping and derivative dumps run on numpy alone; scipy.sparse is
-    # loaded by the analytic detector only, and scipy.linalg by nothing
+    # netfdi runs on numpy alone: no command, the analytic ones included,
+    # loads any scipy module
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE_CHILD, str(tmp_path), case],
                           capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout.splitlines()[-1])
-    if case == "run":
-        assert "scipy.sparse" in loaded
-        assert not [m for m in loaded if m.startswith("scipy.linalg")]
-    else:
-        assert loaded == []
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
-def test_scipy_is_imported_only_by_the_first_jump_kernel():
-    def scipy_imports(node, scope):
-        """(module, function) of each scipy import under node, inside scope."""
-        for child in ast.iter_child_nodes(node):
+def test_no_module_of_the_package_imports_scipy():
+    def imported(node):
+        """Top-level package of each module imported anywhere under node."""
+        for child in ast.walk(node):
             if isinstance(child, ast.Import):
-                names = [alias.name for alias in child.names]
-            elif isinstance(child, ast.ImportFrom):
-                names = [child.module or ""]
-            else:
-                names = []
-            if any(name.split(".")[0] == "scipy" for name in names):
-                yield scope
-            inner = (scope[0], child.name) if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else scope
-            yield from scipy_imports(child, inner)
+                yield from (alias.name.split(".")[0] for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                yield child.module.split(".")[0]
 
     package = Path(netfdi.__file__).parent
-    sites = [site for path in sorted(package.rglob("*.py"))
-             for site in scipy_imports(ast.parse(path.read_text()), (path.stem, None))]
-    assert sites == [("fdi", "_first_jumps")]
+    sources = sorted(package.rglob("*.py"))
+    assert sources
+    assert [path.name for path in sources
+            if "scipy" in imported(ast.parse(path.read_text()))] == []
 
 
 def test_analytic_sweep_matches_per_edge_runs_on_rgg(tmp_path):

@@ -117,6 +117,28 @@ def test_model_json_roundtrip(tmp_path):
         assert np.array_equal(getattr(loaded, attr), getattr(model, attr))
 
 
+def test_model_matrices_are_read_only_copies(tmp_path):
+    given = {"A": np.array([[0.0, 1.0], [-2.0, -3.0]]), "B": np.array([[0.0], [1.0]]),
+             "C": np.array([[1.0, 0.0]]), "Gamma": np.array([[1.0]])}
+    kept = {name: array.copy() for name, array in given.items()}
+    model = SubsystemModel(**given)
+    model.save(tmp_path / "model.json")
+    models = (model, SubsystemModel(model.A, model.B, model.C, model.Gamma),
+              SubsystemModel.from_dict(model.to_dict()), SubsystemModel.load(tmp_path / "model.json"))
+    for copy in models:
+        for name in given:
+            assert not getattr(copy, name).flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(copy, name)[0, 0] = 1.0
+    for name, array in given.items():
+        assert array.flags.writeable
+        assert array.tobytes() == kept[name].tobytes()
+    # the caller's array is not aliased: writing into it leaves r and the model alone
+    given["B"][0, 0] = 1.0
+    assert model.B.tolist() == [[0.0], [1.0]]
+    assert relative_degree(model) == 2
+
+
 # -- closed loop ------------------------------------------------------------------
 
 

@@ -638,6 +638,19 @@ def test_first_jumps_without_edges_is_empty():
     assert orders.shape == (2, 0) and orders.dtype == np.int64
 
 
+def test_first_jumps_match_relation_matrix_with_empty_closed_loop_rows():
+    # A's second row is zero, so node 1 (no in-edges) has a closed-loop row
+    # without a single nonzero
+    g = Digraph(4, [(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (2, 4, 0.5)])
+    model = SubsystemModel([[-0.5, 1.0], [0.0, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[1.0]])
+    sys_net = NetworkSystem(g, model)
+    assert not sys_net.closed_loop[1].any()
+    rel = relation_matrix(g, 2)
+    x = np.random.default_rng(3).normal(size=8)
+    orders = _kernel_columns(sys_net, x, (1, 2, 3, 4), rel.z, g.edge_labels)
+    np.testing.assert_array_equal(orders.T, rel.entries)
+
+
 def test_detect_analytic_rejects_changes_outside_the_failed_block():
     trace = example2_trace(dt=1e-2)
     left, right = trace.segments
