@@ -16,10 +16,10 @@ randomness flows from the --seed flag; reports are deterministic given
 (config, seed).  The derivatives in derivatives.csv are read out by
 ``np.einsum``, which calls no BLAS, so that file does not change with the
 BLAS thread count; nor does trace.csv, stepped by matrix products alone,
-up to a few hundred states (see ``dynamics._expm``).  ``run`` and
-``simulate`` write every file under a temporary name beside it and rename
-them all once the last is written, report.json last: a failed call leaves
-no artefact, or the earlier whole one.
+up to a few hundred states (see ``dynamics._expm``).  Every command writes
+each file under a temporary name beside it and renames them all once the
+last is written, in order (report.json last): a failed call leaves no
+artefact, or the earlier whole one.
 
 Every CSV cell is a float at 17 significant digits, `format(v, ".17g")`.
 ``run`` writes trace.csv and derivatives.csv in one pass, a fixed number of
@@ -117,45 +117,40 @@ def _parse_z(spec: str, g: Digraph, r: int) -> int:
 
 
 @contextlib.contextmanager
-def _writing(field: str, directory):
-    """Make directory and its missing parents for the artefacts the block writes.
-
-    An OSError while making it or while writing is a config error naming the
-    field, as a missing input file is in ``_load``.
-    """
-    try:
-        Path(directory).mkdir(parents=True, exist_ok=True)
-        yield
-    except OSError as exc:
-        raise ConfigError(f"{field}: cannot write {exc.filename or directory}: "
-                          f"{exc.strerror or exc}")
-
-
-@contextlib.contextmanager
-def _staged(*paths: Path):
+def _artefacts(field: str, *paths):
     """Temporary names beside paths for the block to write, renamed onto paths after it.
 
-    The renames run in the order of paths, and only once the whole block has
-    succeeded, so a failed write leaves every path as it was, absent or
-    whole, and no temporary name behind.  A symbolic link is followed, so
-    the file it names is replaced and the link kept.  A path that exists
-    as anything but a regular file (a FIFO, /dev/stdout) is written in
-    place, since a rename would replace it.  An OSError names the path, not
-    its temporary name.
+    Missing parent directories are made first.  The renames run in the order
+    of paths, and only once the whole block has succeeded, so a failed write
+    leaves every path as it was, absent or whole, and no temporary name
+    behind.  A symbolic link is followed, so the file it names is replaced
+    and the link kept.  A path that exists as anything but a regular file (a
+    FIFO, /dev/stdout) is written in place, since a rename would replace it.
+    An OSError is a config error naming the field, as a missing input file
+    is in ``_load``, and the path, not its temporary name; an error that
+    carries no file name names the one path, or the directory of them all.
     """
-    targets = [Path(os.path.realpath(path)) for path in paths]
-    temps = [target.with_name(f".{target.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
-             if target.is_file() or not target.exists() else target for target in targets]
+    paths = [Path(path) for path in paths]
+    # asked of the path itself: /dev/stdout resolves to no file when it is a pipe
+    in_place = [path.exists() and not path.is_file() for path in paths]
+    targets = [path if keep else Path(os.path.realpath(path))
+               for path, keep in zip(paths, in_place)]
+    temps = []
     try:
+        for target in targets:
+            target.parent.mkdir(parents=True, exist_ok=True)
+        temps = [target if keep else
+                 target.with_name(f".{target.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+                 for target, keep in zip(targets, in_place)]
         yield temps
         for temp, target in zip(temps, targets):
             if temp != target:
                 os.replace(temp, target)
     except OSError as exc:
-        for temp, path in zip(temps, paths):
-            if exc.filename == str(temp):
-                exc.filename = str(path)
-        raise
+        names = {str(temp): path for temp, path in zip(temps, paths)}
+        name = names.get(exc.filename, exc.filename) or (
+            paths[0] if len(paths) == 1 else os.path.commonpath(paths))
+        raise ConfigError(f"{field}: cannot write {name}: {exc.strerror or exc}")
     finally:
         for temp, target in zip(temps, targets):
             if temp != target:
@@ -218,11 +213,6 @@ def _derivatives_table(trace, sensors, z: int):
     return header, (values.transpose(3, 0, 2, 1).reshape(len(trace.times), -1),)
 
 
-def _derivatives_csv(path: Path, trace, sensors, z: int):
-    """Write the plot data of ``_derivatives_table`` to path alone."""
-    _write_csv(trace.times, [(path, *_derivatives_table(trace, sensors, z))])
-
-
 # -- subcommands -----------------------------------------------------------------
 
 
@@ -240,8 +230,8 @@ def cmd_gen(args) -> int:
         # radius and region_side errors open with the field; the others are on n
         field = next((f for f in ("radius", "region_side") if str(exc).startswith(f)), "n")
         raise ConfigError(f"{field}: {exc}")
-    with _writing("output", Path(args.output).parent):
-        g.save(args.output)
+    with _artefacts("output", args.output) as (output,):
+        g.save(output)
     print(f"wrote {args.family} graph with {g.n_nodes} nodes, {g.n_edges} edges "
           f"to {args.output}")
     return EXIT_OK
@@ -258,8 +248,8 @@ def cmd_analyze(args) -> int:
         raise ConfigError("sensors: analyze needs an explicit sensor list")
     rel = relation_matrix(g, r, z)
     table = lookup_table(g, sensors, r, z)
-    with _writing("out", Path(args.out).parent):
-        _write_json(Path(args.out), {
+    with _artefacts("out", args.out) as (out,):
+        _write_json(out, {
             "R": rel.entries.tolist(),
             "D": table.table.tolist(),
             "z": z,
@@ -284,8 +274,8 @@ def cmd_place(args) -> int:
         raise ConfigError(f"exact: {exc}")
     text = _json_text(report.to_dict())
     if args.output:
-        with _writing("output", Path(args.output).parent):
-            Path(args.output).write_text(text + "\n")
+        with _artefacts("output", args.output) as (output,):
+            output.write_text(text + "\n")
     print(text)
     return EXIT_OK
 
@@ -300,9 +290,8 @@ def cmd_simulate(args) -> int:
         trace = simulate(sys_net, x0, args.t0, args.t_end, args.dt, schedule)
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"simulate: {_message(exc)}")
-    output = Path(args.output)
-    with _writing("output", output.parent), _staged(output) as (temp,):
-        trace.to_csv(temp)
+    with _artefacts("output", args.output) as (output,):
+        trace.to_csv(output)
     print(f"wrote {len(trace.times)} samples to {args.output}")
     return EXIT_OK
 
@@ -420,7 +409,7 @@ def cmd_run(args) -> int:
             "placement": placement_payload,
             "sensors": list(sensors),
         }
-        with _writing("out_dir", out_dir), _staged(out_dir / "report.json") as (report,):
+        with _artefacts("out_dir", out_dir / "report.json") as (report,):
             _write_json(report, payload)
         print(f"swept {len(sweep)} edges; report in {out_dir}")
         return EXIT_OK if all_unique else EXIT_UNRESOLVED
@@ -437,7 +426,7 @@ def cmd_run(args) -> int:
         "sensors": list(sensors),
     }
     names = [out_dir / name for name in ("trace.csv", "derivatives.csv", "report.json")]
-    with _writing("out_dir", out_dir), _staged(*names) as (trace_csv, derivatives_csv, report):
+    with _artefacts("out_dir", *names) as (trace_csv, derivatives_csv, report):
         # one pass over both files: t, and outputs that copy states or
         # reappear as order-0 derivatives, are formatted once
         _write_csv(trace.times, [(trace_csv, *trace._csv_table()),
@@ -457,9 +446,10 @@ RGG_SEED = 20240517
 def cmd_reproduce(args) -> int:
     out_dir = Path(args.out_dir)
     if args.name == "cycle5":
-        with _writing("out_dir", out_dir):
-            gen_cycle(5).save(out_dir / "graph.json")
-            SubsystemModel([[-1.0]], [[1.0]], [[1.0]], [[1.0]]).save(out_dir / "model.json")
+        with _artefacts("out_dir", out_dir / "graph.json", out_dir / "model.json") as (
+                graph, model):
+            gen_cycle(5).save(graph)
+            SubsystemModel([[-1.0]], [[1.0]], [[1.0]], [[1.0]]).save(model)
         return main(["run", str(out_dir / "graph.json"), str(out_dir / "model.json"),
                      "--sensors", "2,3", "--z", "4", "--dt", "1e-3", "--horizon", "10",
                      "--fail", "2@5", "--x0", "1,2,3,4,5", "--out-dir", str(out_dir)])
@@ -467,9 +457,10 @@ def cmd_reproduce(args) -> int:
         g = gen_star(5)
         rel = relation_matrix(g, r=1, z=1)
         report = approximation_report(rel, exact=True)
-        with _writing("out_dir", out_dir):
-            g.save(out_dir / "graph.json")
-            _write_json(out_dir / "report.json", {
+        with _artefacts("out_dir", out_dir / "graph.json", out_dir / "report.json") as (
+                graph, report_json):
+            g.save(graph)
+            _write_json(report_json, {
                 "R": rel.entries.tolist(),
                 "placement": report.to_dict(),
             })
@@ -484,9 +475,10 @@ def cmd_reproduce(args) -> int:
         payload["n_nodes"] = g.n_nodes
         payload["n_edges"] = g.n_edges
         payload["unresolved_with_M_D"] = report.f_i_trace[0]
-        with _writing("out_dir", out_dir):
-            g.save(out_dir / "graph.json")
-            _write_json(out_dir / "report.json", payload)
+        with _artefacts("out_dir", out_dir / "graph.json", out_dir / "report.json") as (
+                graph, report_json):
+            g.save(graph)
+            _write_json(report_json, payload)
         print(f"rgg: {g.n_edges} edges, |M_D|={len(report.m_d)}, "
               f"f_I(V)={report.f_i_of_v}")
         return EXIT_OK

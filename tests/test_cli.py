@@ -1,4 +1,5 @@
 import ast
+import errno
 import json
 import os
 import stat
@@ -16,8 +17,8 @@ from hypothesis import strategies as st
 import netfdi
 import netfdi.cli as cli
 import netfdi.dynamics
-from netfdi.cli import SWEEP_OUTCOMES, _derivatives_csv, _json_text, _sweep_outcome, main
-from netfdi.dynamics import FailureEvent, NetworkSystem, SubsystemModel, simulate
+from netfdi.cli import SWEEP_OUTCOMES, _derivatives_table, _json_text, _sweep_outcome, main
+from netfdi.dynamics import FailureEvent, NetworkSystem, SubsystemModel, _write_csv, simulate
 from netfdi.fdi import (DetectorConfig, JumpSignature, LookupTable, default_order_budget,
                         detect, isolate, lookup_table)
 from netfdi.graph import Digraph, Edge, gen_cycle, gen_random_geometric
@@ -449,7 +450,7 @@ def test_derivatives_csv_matches_segment_loop(tmp_path):
         trace = simulate(NetworkSystem(graph, model), x0, 0.0, 2.0, 0.01,
                          [FailureEvent(2, 1.0)])
         path = tmp_path / "derivatives.csv"
-        _derivatives_csv(path, trace, sensors, z)
+        _write_csv(trace.times, [(path, *_derivatives_table(trace, sensors, z))])
         lines = path.read_text().splitlines()
         o = model.o
         assert lines[0].split(",") == ["t"] + [f"y_{p}_{c}_d{k}" for p in sensors
@@ -464,7 +465,8 @@ def test_derivatives_csv_matches_segment_loop(tmp_path):
 
 def test_run_csvs_equal_single_file_writers(tmp_path):
     # run writes both CSVs in one pass that shares the text of equal columns;
-    # each file must equal what simulate -o and _derivatives_csv write alone
+    # each file must equal what simulate -o, or _write_csv of the derivatives
+    # table alone, writes
     for k, (graph, model, x0, sensors, z) in enumerate(CSV_CASES):
         case = tmp_path / f"case{k}"
         case.mkdir()
@@ -479,7 +481,8 @@ def test_run_csvs_equal_single_file_writers(tmp_path):
         assert (case / "run" / "trace.csv").read_bytes() == (case / "sim.csv").read_bytes()
         trace = simulate(NetworkSystem(graph, model), x0, 0.0, 2.0, 0.01,
                          [FailureEvent(2, 1.0)])
-        _derivatives_csv(case / "derivatives.csv", trace, sensors, z)
+        _write_csv(trace.times,
+                   [(case / "derivatives.csv", *_derivatives_table(trace, sensors, z))])
         assert ((case / "run" / "derivatives.csv").read_bytes()
                 == (case / "derivatives.csv").read_bytes())
 
@@ -562,6 +565,11 @@ def test_simulate_writes_through_a_link_and_into_a_fifo(tmp_path):
         assert main(sim + [str(fifo)]) == 0
         assert reader.read() == expected
     assert stat.S_ISFIFO(fifo.stat().st_mode)
+    # /dev/stdout on a pipe, whose resolved name is no file at all
+    proc = subprocess.run([sys.executable, "-m", "netfdi.cli", *sim, "/dev/stdout"],
+                          capture_output=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected + b"wrote 101 samples to /dev/stdout\n"
     assert sorted(path.name for path in tmp_path.iterdir()) == [
         "fifo", "graph.json", "link.csv", "model.json", "plain.csv", "real.csv"]
 
@@ -570,14 +578,14 @@ _DERIVATIVES_CHILD = """
 import sys
 from pathlib import Path
 import numpy as np
-from netfdi.cli import RGG_NODES, RGG_RADIUS, RGG_REGION, RGG_SEED, _derivatives_csv
-from netfdi.dynamics import FailureEvent, NetworkSystem, SubsystemModel, simulate
+from netfdi.cli import RGG_NODES, RGG_RADIUS, RGG_REGION, RGG_SEED, _derivatives_table
+from netfdi.dynamics import FailureEvent, NetworkSystem, SubsystemModel, _write_csv, simulate
 from netfdi.graph import gen_random_geometric
 g = gen_random_geometric(RGG_NODES, RGG_REGION, RGG_RADIUS, RGG_SEED)
 model = SubsystemModel([[-1.0]], [[1.0]], [[1.0]], [[1.0]])
 x0 = np.random.default_rng(3).normal(0.0, 1.0, g.n_nodes)
 trace = simulate(NetworkSystem(g, model), x0, 0.0, 5.0, 1e-3, [FailureEvent(157, 1.076)])
-_derivatives_csv(Path(sys.argv[1]), trace, range(1, 11), 2)
+_write_csv(trace.times, [(Path(sys.argv[1]), *_derivatives_table(trace, range(1, 11), 2))])
 """
 
 
@@ -610,8 +618,8 @@ _TRACES_CHILD = """
 import sys
 from pathlib import Path
 import numpy as np
-from netfdi.cli import RGG_NODES, RGG_RADIUS, RGG_REGION, RGG_SEED, _derivatives_csv
-from netfdi.dynamics import FailureEvent, NetworkSystem, SubsystemModel, simulate
+from netfdi.cli import RGG_NODES, RGG_RADIUS, RGG_REGION, RGG_SEED, _derivatives_table
+from netfdi.dynamics import FailureEvent, NetworkSystem, SubsystemModel, _write_csv, simulate
 from netfdi.graph import gen_random_geometric
 g = gen_random_geometric(RGG_NODES, RGG_REGION, RGG_RADIUS, RGG_SEED)
 models = {"scalar": SubsystemModel([[-1.0]], [[1.0]], [[1.0]], [[1.0]]),
@@ -622,7 +630,8 @@ for name, model in models.items():
     x0 = np.random.default_rng(3).normal(0.0, 1.0, sys_net.n_states)
     trace = simulate(sys_net, x0, 0.0, 2.0, 1e-3, [FailureEvent(157, 1.076)])
     trace.to_csv(Path(sys.argv[1]) / f"trace_{name}.csv")
-_derivatives_csv(Path(sys.argv[1]) / "derivatives_r2.csv", trace, range(1, 11), 9)
+_write_csv(trace.times, [(Path(sys.argv[1]) / "derivatives_r2.csv",
+                          *_derivatives_table(trace, range(1, 11), 9))])
 """
 
 
@@ -800,6 +809,63 @@ def test_unwritable_outputs_are_config_errors(tmp_path, capsys):
         assert captured.err.startswith(f"error: {field}: cannot write "), argv
         assert "Traceback" not in captured.err
     assert blocker.read_text() == ""
+
+
+_SIZE_LIMITED_CHILD = """
+import resource
+import signal
+import sys
+from netfdi.cli import main
+# a write past the limit fails with EFBIG instead of killing the process
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE,
+                   (int(sys.argv[1]), resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("case", ["gen", "analyze", "place", "simulate", "run", "sweep",
+                                  "cycle5", "star5", "rgg"])
+def test_failed_writes_leave_no_partial_artefact(tmp_path, case):
+    # no file of the child may grow past 200 bytes, and each call writes one
+    # that would; stderr goes to a pipe, which the limit does not cut
+    graph, model = map(str, write_cycle_inputs(tmp_path))
+    out = tmp_path / "out"
+    run = ["run", graph, model, "--sensors", "2,3", "--z", "4", "--dt", "0.01",
+           "--horizon", "1", "--x0", "1,2,3,4,5"]
+    # argv, error field, the artefact the error names, artefacts there before
+    argv, field, named, existing = {
+        "gen": (["gen", "cycle", "--n", "5", "-o", str(out / "g.json")], "output", "g.json",
+                []),
+        "analyze": (["analyze", graph, "--sensors", "1,2,3", "--out", str(out / "tables.json")],
+                    "out", "tables.json", ["tables.json"]),
+        "place": (["place", graph, "-o", str(out / "place.json")], "output", "place.json",
+                  ["place.json"]),
+        "simulate": (["simulate", graph, model, "--t-end", "1", "--dt", "0.01",
+                      "-o", str(out / "sim.csv")], "output", "sim.csv", []),
+        "run": (run + ["--fail", "2@0.5", "--out-dir", str(out / "run")], "out_dir", "run",
+                ["run/report.json"]),
+        "sweep": (run + ["--sweep-failures", "all-edges", "--out-dir", str(out / "sweep")],
+                  "out_dir", "sweep/report.json", []),
+        "cycle5": (["reproduce", "cycle5", "--out-dir", str(out / "cycle5")], "out_dir",
+                   "cycle5", ["cycle5/model.json"]),
+        "star5": (["reproduce", "star5", "--out-dir", str(out / "star5")], "out_dir",
+                  "star5", ["star5/report.json"]),
+        "rgg": (["reproduce", "rgg", "--out-dir", str(out / "rgg")], "out_dir", "rgg",
+                ["rgg/graph.json"]),
+    }[case]
+    for name in existing:
+        (out / name).parent.mkdir(parents=True, exist_ok=True)
+        (out / name).write_bytes(b"earlier\n")
+    proc = subprocess.run([sys.executable, "-c", _SIZE_LIMITED_CHILD, "200", *argv],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 3, proc.stderr
+    # the earlier artefacts keep their bytes; no partial file or temporary name
+    files = {path.relative_to(out).as_posix(): path.read_bytes()
+             for path in out.rglob("*") if path.is_file()}
+    assert files == dict.fromkeys(existing, b"earlier\n")
+    assert proc.stderr == (f"error: {field}: cannot write {out / named}: "
+                           f"{os.strerror(errno.EFBIG)}\n")
 
 
 def test_usage_error_maps_to_config_exit():
