@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -105,6 +106,8 @@ def _parse_fail(specs) -> list[FailureEvent]:
 
 
 def _parse_z(spec: str, g: Digraph, r: int) -> int:
+    if r < 1:
+        raise ConfigError(f"r: must be >= 1, got {r}")
     if spec.strip().lower() == "auto":
         return default_order_budget(g, r)
     try:
@@ -240,8 +243,6 @@ def cmd_gen(args) -> int:
 def cmd_analyze(args) -> int:
     g = _load("graph", args.graph, Digraph.load)
     r = args.r
-    if r < 1:
-        raise ConfigError(f"r: must be >= 1, got {r}")
     z = _parse_z(args.z, g, r)
     sensors = _parse_sensors(args.sensors, g.n_nodes)
     if sensors is None:
@@ -264,8 +265,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_place(args) -> int:
     g = _load("graph", args.graph, Digraph.load)
-    if args.r < 1:
-        raise ConfigError(f"r: must be >= 1, got {args.r}")
     z = _parse_z(args.z, g, args.r)
     rel = relation_matrix(g, args.r, z)
     try:
@@ -307,15 +306,6 @@ def _resolve_x0(spec, sys_net, seed):
     if x0.size != sys_net.n_states:
         raise ConfigError(f"x0: expected {sys_net.n_states} entries, got {x0.size}")
     return x0
-
-
-def _report_events(signatures, table):
-    """Isolate detected events against one table in one pass: (report events, all unique)."""
-    verdicts = _isolate_all([sig.orders for sig in signatures], table)
-    events = [{"t": sig.time, "signature": np.asarray(sig.orders, dtype=np.int64).tolist(),
-               "verdict": verdict.verdict, "edges": list(verdict.edges)}
-              for sig, verdict in zip(signatures, verdicts)]
-    return events, all(verdict.is_unique for verdict in verdicts)
 
 
 SWEEP_OUTCOMES = ("unique-correct", "unique-wrong", "ambiguous-with-truth",
@@ -371,9 +361,9 @@ def cmd_run(args) -> int:
     schedule = _parse_fail(args.fail)
     table = lookup_table(g, sensors, r, z)
     cfg = DetectorConfig(z=z, mode=args.mode)
-    tables = {"R": rel.entries.tolist(), "D": table.table.tolist(), "z": z, "r": r}
 
-    if args.sweep_failures == "all-edges":
+    sweeping = args.sweep_failures == "all-edges"
+    if sweeping:
         # every edge fails in turn; a --fail gives only the time, and must name an edge
         if len(schedule) > 1:
             raise ConfigError("fail: a sweep takes at most one --fail, for its failure time")
@@ -381,59 +371,53 @@ def cmd_run(args) -> int:
             raise ConfigError(f"fail: unknown edge label {schedule[0].edge}")
         mid = args.t0 + (args.horizon - args.t0) / 2
         t_fail = schedule[0].time if schedule else mid
-        try:
-            if cfg.mode == "analytic":
-                # the analytic verdicts need only the state at the failure
-                detected = detect_edge_failures(sys_net, x0, args.t0, args.horizon,
-                                                args.dt, t_fail, sensors, z)
-            else:
-                detected = [detect(trace, sensors, cfg) for trace in simulate_edge_failures(
-                    sys_net, x0, args.t0, args.horizon, args.dt, t_fail)]
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(f"sweep: {_message(exc)}")
-        sweep = []
+    # one signature list per scenario: the run itself, or each swept edge
+    try:
+        if not sweeping:
+            trace = simulate(sys_net, x0, args.t0, args.horizon, args.dt, schedule)
+            detected = [detect(trace, sensors, cfg)]
+        elif cfg.mode == "analytic":
+            # the analytic verdicts need only the state at the failure
+            detected = detect_edge_failures(sys_net, x0, args.t0, args.horizon,
+                                            args.dt, t_fail, sensors, z)
+        else:
+            detected = [detect(trace, sensors, cfg) for trace in simulate_edge_failures(
+                sys_net, x0, args.t0, args.horizon, args.dt, t_fail)]
+    except (ValueError, KeyError) as exc:
+        raise ConfigError(f"{'sweep' if sweeping else 'run'}: {_message(exc)}")
+
+    signatures = [sig for sigs in detected for sig in sigs]
+    verdicts = _isolate_all([sig.orders for sig in signatures], table)
+    events = [{"t": sig.time, "signature": np.asarray(sig.orders, dtype=np.int64).tolist(),
+               "verdict": verdict.verdict, "edges": list(verdict.edges)}
+              for sig, verdict in zip(signatures, verdicts)]
+    if sweeping:
+        flat = iter(events)
+        sweep = [{"edge": label, "events": list(itertools.islice(flat, len(sigs)))}
+                 for label, sigs in zip(g.edge_labels, detected)]
         summary = dict.fromkeys(SWEEP_OUTCOMES, 0)
-        all_events, all_unique = _report_events([s for sigs in detected for s in sigs], table)
         # an event within one stencil width of t_fail belongs to the failure
         tol = cfg.stencil_width * args.dt
-        start = 0
-        for label, column, signatures in zip(g.edge_labels, table.table.T, detected):
-            events = all_events[start:start + len(signatures)]
-            start += len(signatures)
-            sweep.append({"edge": label, "events": events})
-            summary[_sweep_outcome(label, events, column, t_fail, tol)] += 1
-        payload = {
-            "sweep": sweep,
-            "summary": summary,
-            "tables": tables,
-            "placement": placement_payload,
-            "sensors": list(sensors),
-        }
-        with _artefacts("out_dir", out_dir / "report.json") as (report,):
-            _write_json(report, payload)
-        print(f"swept {len(sweep)} edges; report in {out_dir}")
-        return EXIT_OK if all_unique else EXIT_UNRESOLVED
+        for entry, column in zip(sweep, table.table.T):
+            summary[_sweep_outcome(entry["edge"], entry["events"], column, t_fail, tol)] += 1
+        payload = {"sweep": sweep, "summary": summary}
+        names, done = ["report.json"], f"swept {len(sweep)} edges"
+    else:
+        payload = {"events": events}
+        names, done = ["trace.csv", "derivatives.csv", "report.json"], f"{len(events)} event(s)"
+    payload.update(tables={"R": rel.entries.tolist(), "D": table.table.tolist(), "z": z, "r": r},
+                   placement=placement_payload, sensors=list(sensors))
 
-    try:
-        trace = simulate(sys_net, x0, args.t0, args.horizon, args.dt, schedule)
-        events, all_unique = _report_events(detect(trace, sensors, cfg), table)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"run: {_message(exc)}")
-    payload = {
-        "events": events,
-        "tables": tables,
-        "placement": placement_payload,
-        "sensors": list(sensors),
-    }
-    names = [out_dir / name for name in ("trace.csv", "derivatives.csv", "report.json")]
-    with _artefacts("out_dir", *names) as (trace_csv, derivatives_csv, report):
-        # one pass over both files: t, and outputs that copy states or
-        # reappear as order-0 derivatives, are formatted once
-        _write_csv(trace.times, [(trace_csv, *trace._csv_table()),
-                                 (derivatives_csv, *_derivatives_table(trace, sensors, z))])
+    with _artefacts("out_dir", *(out_dir / name for name in names)) as (*csvs, report):
+        if not sweeping:
+            # one pass over both files: t, and outputs that copy states or
+            # reappear as order-0 derivatives, are formatted once
+            trace_csv, derivatives_csv = csvs
+            _write_csv(trace.times, [(trace_csv, *trace._csv_table()),
+                                     (derivatives_csv, *_derivatives_table(trace, sensors, z))])
         _write_json(report, payload)
-    print(f"{len(events)} event(s); report in {out_dir}")
-    return EXIT_OK if all_unique else EXIT_UNRESOLVED
+    print(f"{done}; report in {out_dir}")
+    return EXIT_OK if all(verdict.is_unique for verdict in verdicts) else EXIT_UNRESOLVED
 
 
 # RGG reproduction constants; pinned so reports are bit-stable run to run.
@@ -467,22 +451,21 @@ def cmd_reproduce(args) -> int:
         print(f"star5: f_I(V)={report.f_i_of_v}, M_I="
               f"{'EMPTY' if report.m_i is None else list(report.m_i)}")
         return EXIT_OK
-    if args.name == "rgg":
-        g = gen_random_geometric(RGG_NODES, RGG_REGION, RGG_RADIUS, RGG_SEED)
-        rel = relation_matrix(g, r=1)
-        report = approximation_report(rel)
-        payload = report.to_dict()
-        payload["n_nodes"] = g.n_nodes
-        payload["n_edges"] = g.n_edges
-        payload["unresolved_with_M_D"] = report.f_i_trace[0]
-        with _artefacts("out_dir", out_dir / "graph.json", out_dir / "report.json") as (
-                graph, report_json):
-            g.save(graph)
-            _write_json(report_json, payload)
-        print(f"rgg: {g.n_edges} edges, |M_D|={len(report.m_d)}, "
-              f"f_I(V)={report.f_i_of_v}")
-        return EXIT_OK
-    raise ConfigError(f"name: unknown scenario {args.name!r}")
+    # rgg, since the parser's choices admit no other name
+    g = gen_random_geometric(RGG_NODES, RGG_REGION, RGG_RADIUS, RGG_SEED)
+    rel = relation_matrix(g, r=1)
+    report = approximation_report(rel)
+    payload = report.to_dict()
+    payload["n_nodes"] = g.n_nodes
+    payload["n_edges"] = g.n_edges
+    payload["unresolved_with_M_D"] = report.f_i_trace[0]
+    with _artefacts("out_dir", out_dir / "graph.json", out_dir / "report.json") as (
+            graph, report_json):
+        g.save(graph)
+        _write_json(report_json, payload)
+    print(f"rgg: {g.n_edges} edges, |M_D|={len(report.m_d)}, "
+          f"f_I(V)={report.f_i_of_v}")
+    return EXIT_OK
 
 
 # -- argument parsing --------------------------------------------------------------

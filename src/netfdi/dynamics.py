@@ -501,9 +501,10 @@ def _snap_schedule(schedule: Sequence[FailureEvent], t0: float, dt: float,
     for ev in schedule:
         if not np.isfinite(ev.time):
             raise ValueError(f"failure time {ev.time} not alignable to the grid")
-        idx = int(round((ev.time - t0) / dt))
-        if not 0 < idx < n_steps:
+        ratio = (ev.time - t0) / dt
+        if not (math.isfinite(ratio) and 0 < round(ratio) < n_steps):
             raise ValueError(f"failure time {ev.time} must fall strictly inside the horizon")
+        idx = int(round(ratio))
         snapped.append((idx, FailureEvent(ev.edge, t0 + idx * dt)))
     snapped.sort(key=lambda pair: pair[0])
     if len({idx for idx, _ in snapped}) != len(snapped):
@@ -520,7 +521,10 @@ def _time_grid(t0: float, t_end: float, dt: float) -> np.ndarray:
         raise ValueError(f"dt must be > 0, got {dt}")
     if t_end <= t0:
         raise ValueError(f"need t_end > t0, got [{t0}, {t_end}]")
-    n_steps = int(round((t_end - t0) / dt))
+    ratio = (t_end - t0) / dt
+    if not math.isfinite(ratio):
+        raise ValueError(f"horizon [{t0}, {t_end}] holds too many steps of dt {dt}")
+    n_steps = int(round(ratio))
     if n_steps < 1:
         raise ValueError("horizon shorter than one step")
     return t0 + dt * np.arange(n_steps + 1)

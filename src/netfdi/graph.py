@@ -282,14 +282,18 @@ def walk_matrix(g: Digraph, k: int) -> np.ndarray:
 
 
 def _walk_power(g: Digraph, k: int) -> np.ndarray:
-    """Memoised G^k (k >= 0) of the graph; shared, never to be mutated."""
-    powers = g._memo.get("walk_powers")
-    if powers is None or len(powers) <= k:
-        base = g.adjacency()
-        powers = [np.eye(g.n_nodes)]
-        while len(powers) <= k:
-            powers.append(powers[-1] @ base)
-        g._memo["walk_powers"] = powers
+    """Memoised G^k (k >= 0) of the graph; shared, never to be mutated.
+
+    The memo holds G and the powers G^0 .. G^m; a higher k appends
+    G^(m+1) = G^m @ G and on, so every power is the same product whenever
+    it is first asked for.
+    """
+    memo = g._memo.get("walk_powers")
+    if memo is None:
+        memo = g._memo["walk_powers"] = (g.adjacency(), [np.eye(g.n_nodes)])
+    base, powers = memo
+    while len(powers) <= k:
+        powers.append(powers[-1] @ base)
     return powers[k]
 
 

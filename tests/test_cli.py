@@ -307,9 +307,31 @@ def test_non_finite_inputs_are_config_errors(tmp_path, capsys):
             ([str(graph), str(model), "--x0", "1,nan,3,4,5"], "x0 has non-finite"),
             ([str(graph), str(model), "--horizon", "inf"], "t_end must be finite"),
             ([str(graph), str(model), "--horizon", "inf", "--sweep-failures", "all-edges"],
-             "t_end must be finite")):
+             "t_end must be finite"),
+            ([str(graph), str(model), "--horizon", "1e308"],
+             "run: horizon [0.0, 1e+308] holds too many steps of dt 0.01"),
+            ([str(graph), str(model), "--horizon", "1e308", "--sweep-failures", "all-edges"],
+             "sweep: horizon [0.0, 1e+308] holds too many steps of dt 0.01"),
+            ([str(graph), str(model), "--fail", "1@1e308"],
+             "run: failure time 1e+308 must fall strictly inside the horizon")):
         assert main(["run", *argv, *base]) == 3, argv
         assert name in capsys.readouterr().err, argv
+
+
+def test_overflowing_step_counts_are_config_errors(tmp_path, capsys):
+    graph, model = write_cycle_inputs(tmp_path)
+    csv = tmp_path / "trace.csv"
+    assert main(["simulate", str(graph), str(model), "--t-end", "1e300", "--dt", "1e-10",
+                 "-o", str(csv)]) == 3
+    assert capsys.readouterr().err == (
+        "error: simulate: horizon [0.0, 1e+300] holds too many steps of dt 1e-10\n")
+    out_dir = tmp_path / "sweep"
+    assert main(["run", str(graph), str(model), "--sensors", "2,3", "--z", "4",
+                 "--dt", "0.01", "--fail", "1@-1e308", "--sweep-failures", "all-edges",
+                 "--out-dir", str(out_dir)]) == 3
+    assert capsys.readouterr().err == (
+        "error: sweep: failure time -1e+308 must fall strictly inside the horizon\n")
+    assert not csv.exists() and not out_dir.exists()
 
 
 def test_run_sweep_all_edges(tmp_path):
@@ -324,6 +346,23 @@ def test_run_sweep_all_edges(tmp_path):
     for entry in report["sweep"]:
         assert entry["events"][0]["verdict"] == "unique"
         assert entry["events"][0]["edges"] == [entry["edge"]]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: later failures are matched against the healthy graph")
+@pytest.mark.parametrize("mode", ["analytic", "finite-difference"])
+def test_second_failure_is_matched_against_the_failed_graph(tmp_path, mode):
+    # edge 2 then edge 1 fails; edge 4 then edge 5 shows the same two signatures
+    _, model = write_cycle_inputs(tmp_path)
+    graph = tmp_path / "graph4.json"
+    Digraph(4, [Edge(1, 2), Edge(2, 4), Edge(2, 3), Edge(3, 4), Edge(4, 1)]).save(graph)
+    out_dir = tmp_path / "out"
+    assert main(["run", str(graph), str(model), "--sensors", "4", "--z", "4", "--dt", "1e-3",
+                 "--horizon", "3", "--x0", "1,2,3,4", "--fail", "2@1", "--fail", "1@2",
+                 "--mode", mode, "--out-dir", str(out_dir)]) == 2
+    second = json.loads((out_dir / "report.json").read_text())["events"][1]
+    assert second["verdict"] != "unique"
+    assert 1 in second["edges"]
 
 
 def _per_edge_sweep(graph, model, sensors, z, mode, x0, horizon, dt):
@@ -870,6 +909,37 @@ def test_failed_writes_leave_no_partial_artefact(tmp_path, case):
 
 def test_usage_error_maps_to_config_exit():
     assert main(["reproduce", "bogus"]) == 3
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("run {graph} {model} --sensors ,", "sensors: empty list"),
+    ("run {graph} {model} --sensors 2 --fail 2at1", "fail: expected EDGE_LABEL@TIME, got '2at1'"),
+    ("run {graph} {model2} --sensors 2 --z 1", "z: budget 1 below relative degree 2"),
+    ("analyze {graph} --r 0 --sensors 2 --out {out}/t.json", "r: must be >= 1, got 0"),
+    ("place {graph} --r 0", "r: must be >= 1, got 0"),
+    ("analyze {graph} --sensors auto --out {out}/t.json",
+     "sensors: analyze needs an explicit sensor list"),
+    ("place {star} --exact",
+     "exact: exhaustive search refused: 21 nodes exceeds the 20-node limit"),
+    ("run {graph} {model} --sensors 2 --x0 1,a,3,4",
+     "x0: expected comma-separated reals, got '1,a,3,4'"),
+    ("run {graph} {model} --sensors 2 --x0 1,2", "x0: expected 4 entries, got 2"),
+    ("run --sensors 2", "graph/model: required (positionally or via --config)"),
+], ids=["run-sensors", "run-fail", "run-z", "analyze-r", "place-r", "analyze-sensors",
+        "place-exact", "run-x0-text", "run-x0-size", "run-graph"])
+def test_config_errors_name_their_field(tmp_path, capsys, argv, message):
+    graph, model = write_cycle_inputs(tmp_path, n=4)
+    model2 = tmp_path / "model2.json"
+    model2.write_text(json.dumps({"A": [[0.0, 1.0], [-2.0, -3.0]], "B": [[0.0], [1.0]],
+                                  "C": [[1.0, 0.0]], "Gamma": [[1.0]]}))
+    star = tmp_path / "star.json"
+    assert main(["gen", "star", "--n", "21", "-o", str(star)]) == 0
+    out = tmp_path / "out"
+    capsys.readouterr()
+    argv = argv.format(graph=graph, model=model, model2=model2, star=star, out=out).split()
+    assert main([*argv, "--out-dir", str(out)] if argv[0] == "run" else argv) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_reproduce_cycle5(tmp_path):

@@ -326,6 +326,15 @@ def test_simulate_rejects_non_finite_grid():
             simulate(sys_net, np.ones(5), *grid)
 
 
+def test_simulate_rejects_grids_whose_step_count_overflows():
+    sys_net = example2_system()
+    with pytest.raises(ValueError, match=r"horizon \[0.0, 1e\+300\] holds too many steps"):
+        simulate(sys_net, np.ones(5), 0.0, 1e300, 1e-10)
+    for time in (1e308, -1e308):
+        with pytest.raises(ValueError, match="must fall strictly inside the horizon"):
+            simulate(sys_net, np.ones(5), 0.0, 1.0, 0.1, [FailureEvent(2, time)])
+
+
 def test_simulate_snaps_failure_to_grid():
     sys_net = example2_system()
     trace = simulate(sys_net, np.ones(5), 0.0, 1.0, 0.1, [FailureEvent(2, 0.52)])

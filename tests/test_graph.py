@@ -58,6 +58,24 @@ def test_walk_matrix_matches_enumeration_exactly():
             assert np.array_equal(walk_matrix(g, k), enumerated_walk_matrix(adj, k))
 
 
+def test_walk_powers_extend_their_memo(monkeypatch):
+    calls = []
+    adjacency = Digraph.adjacency
+
+    def counted(self):
+        calls.append(self)
+        return adjacency(self)
+
+    g = gen_cycle(6)
+    monkeypatch.setattr(Digraph, "adjacency", counted)
+    powers = [walk_matrix(g, k) for k in range(1, 8)]
+    assert len(calls) == 1
+    monkeypatch.undo()
+    for k, power in enumerate(powers, start=1):
+        fresh = walk_matrix(Digraph(g.n_nodes, [e for _, e in g.edges()]), k)
+        assert power.tobytes() == fresh.tobytes(), k
+
+
 def test_walk_counting_zero_below_distance_positive_at_distance():
     rng = np.random.default_rng(7)
     for n in (2, 4, 6, 8):
