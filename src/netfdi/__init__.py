@@ -11,8 +11,8 @@ from .dynamics import (DegenerateModelError, ExogenousInput, FailureEvent,
                        theoretical_jump)
 from .fdi import (DetectorConfig, IsolationResult, JumpSignature, LookupTable,
                   RelationMatrix, default_order_budget, detect, detect_edge_failures,
-                  detectable, estimate_one_sided_derivative, isolate, lookup_table,
-                  relation_matrix)
+                  detectable, diagnose, estimate_one_sided_derivative, isolate,
+                  lookup_table, relation_matrix, sweep_summary)
 from .placement import (PlacementReport, approximation_report, binary_incidence,
                         brute_force_min_detection, brute_force_min_isolation,
                         coverage_deficit, greedy_detection, greedy_isolation,

@@ -35,20 +35,24 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import math
 import os
+import signal
 import sys
+import tempfile
+import warnings
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from .dynamics import (FailureEvent, NetworkSystem, SubsystemModel, _write_csv,
-                       relative_degree, simulate, simulate_edge_failures)
-from .fdi import (DetectorConfig, _isolate_all, _validated_sensors, default_order_budget,
-                  detect, detect_edge_failures, lookup_table, relation_matrix)
+from .dynamics import (FailureEvent, NetworkSystem, SubsystemModel, relative_degree,
+                       simulate, simulate_edge_failures)
+from .fdi import (DetectorConfig, _validated_sensors, default_order_budget, detect,
+                  detect_edge_failures, diagnose, lookup_table, relation_matrix,
+                  sweep_summary)
 from .graph import Digraph, gen_cycle, gen_random_geometric, gen_star
 from .placement import approximation_report
 
@@ -207,6 +211,15 @@ def _write_json(path: Path, payload: dict):
     path.write_text(_json_text(payload) + "\n")
 
 
+def _trace_table(trace):
+    """(header, blocks) of the trace CSV: the network states x (no exosystem state), then y."""
+    n, d, o = trace.n_nodes, trace.state_dim, trace.output_dim
+    header = (["t"]
+              + [f"x_{i}_{l}" for i in range(1, n + 1) for l in range(1, d + 1)]
+              + [f"y_{i}_{c}" for i in range(1, n + 1) for c in range(1, o + 1)])
+    return header, (trace.states[:, : n * d], trace.outputs)
+
+
 def _derivatives_table(trace, sensors, z: int):
     """(header, blocks) of the plot data: per sensor, the output and its first z derivatives."""
     o = trace.output_dim
@@ -214,6 +227,122 @@ def _derivatives_table(trace, sensors, z: int):
     header = ["t"] + [f"y_{p}_{c}_d{k}"
                       for p in sensors for c in range(1, o + 1) for k in range(z + 1)]
     return header, (values.transpose(3, 0, 2, 1).reshape(len(trace.times), -1),)
+
+
+#: samples per chunk of a CSV write: each writing process holds only one
+#: chunk's formatted text in memory, whatever the length of the trace
+CSV_CHUNK_ROWS = 128
+
+
+def _write_csv(times: np.ndarray,
+               files: Sequence[tuple[str | Path, Sequence[str], Sequence[np.ndarray]]]):
+    """Write each (path, header, blocks) of files as `t,<row of each block>` per sample.
+
+    Each block is shaped (n_samples, width); all files share the time axis.
+    The samples are split at CSV_CHUNK_ROWS boundaries into one range per
+    CPU the process may use (at most one per chunk).  This process writes
+    the headers and the first range into the files; each further range is
+    written by a forked child into an anonymous temporary file, which is
+    then appended in order with ``os.sendfile``, so the bytes are those of
+    one writer.  A child that fails is an OSError.  With one CPU, one chunk
+    or no ``os.fork``, every range is written here.  Nothing sets the
+    number of writers but the affinity mask.  ``_write_rows`` gives the
+    format of a range.
+    """
+    times = np.ascontiguousarray(times, dtype=float)
+    n_chunks = -(-len(times) // CSV_CHUNK_ROWS)
+    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    parts = max(1, min(len(os.sched_getaffinity(0)) if forks else 1, n_chunks))
+    bounds = [CSV_CHUNK_ROWS * (n_chunks * k // parts) for k in range(parts)] + [len(times)]
+    with contextlib.ExitStack() as stack:
+        handles = [(stack.enter_context(open(path, "w")), blocks) for path, _, blocks in files]
+        # per further range, one anonymous spill file per file, made before
+        # the fork so that this process holds them too
+        spills = [[(stack.enter_context(tempfile.TemporaryFile("w")), blocks)
+                   for _, blocks in handles] for _ in bounds[2:]]
+        pids = []
+        try:
+            for (lo, hi), spill in zip(zip(bounds[1:], bounds[2:]), spills):
+                pids.append(_fork_writer(times, spill, lo, hi))
+            for (fh, _), (_, header, _) in zip(handles, files):
+                fh.write(",".join(header) + "\n")
+            _write_rows(times, handles, bounds[0], bounds[1])
+        except BaseException:
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+        for code, lo, hi in zip(codes, bounds[1:], bounds[2:]):
+            if code:
+                raise OSError(f"the writer of samples {lo}..{hi - 1} exited with code {code}")
+        for f, (fh, _) in enumerate(handles):
+            fh.flush()
+            for spill in spills:
+                _append(fh.fileno(), spill[f][0].fileno())
+
+
+def _fork_writer(times: np.ndarray, handles, lo: int, hi: int) -> int:
+    """Fork a child that runs ``_write_rows(times, handles, lo, hi)``; return its pid.
+
+    The child leaves by ``os._exit``, 0 once the handles are flushed and 1
+    on any exception, so it never flushes or closes the parent's files.
+    It formats and writes Python strings only: no BLAS call and no logging.
+    """
+    with warnings.catch_warnings():
+        # Python 3.12+ warns on forking a process that has threads (here
+        # BLAS's idle workers); the child takes none of their locks
+        warnings.filterwarnings("ignore", r"This process .* is multi-threaded, use of fork\(\)",
+                                DeprecationWarning)
+        pid = os.fork()
+    if pid:
+        return pid
+    code = 1
+    try:
+        _write_rows(times, handles, lo, hi)
+        for fh, _ in handles:
+            fh.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _append(out_fd: int, in_fd: int):
+    """Append the whole file in_fd to out_fd in the kernel, with no Python buffer."""
+    size, sent = os.fstat(in_fd).st_size, 0
+    while sent < size:
+        n = os.sendfile(out_fd, in_fd, sent, size - sent)
+        if not n:
+            raise OSError(f"spill file ended at byte {sent} of {size}")
+        sent += n
+
+
+def _write_rows(times: np.ndarray, handles, lo: int, hi: int):
+    """Write rows [lo, hi) of each (handle, blocks) in handles, CSV_CHUNK_ROWS at a time.
+
+    In a chunk, every distinct column of every file (t included) is
+    formatted once, keyed by its float64 bytes, with one "%.17g" template
+    over the whole column.  Columns that are bit copies (an output equal to
+    a state, the t column of each file) share that text; columns equal in
+    value only (0.0 and -0.0, NaNs) do not.  So each cell is
+    `format(v, ".17g")`, whichever columns repeat, and the bytes are those
+    of a row-by-row writer.
+    """
+    for a in range(lo, hi, CSV_CHUNK_ROWS):
+        rows = slice(a, min(a + CSV_CHUNK_ROWS, hi))
+        template = "%.17g\n" * len(times[rows])
+        cells = {}
+        for fh, blocks in handles:
+            columns = [times[rows]]
+            for block in blocks:
+                columns.extend(np.ascontiguousarray(block[rows].T, dtype=float))
+            texts = []
+            for col in columns:
+                key = col.tobytes()
+                if key not in cells:
+                    cells[key] = (template % tuple(col.tolist()))[:-1].split("\n")
+                texts.append(cells[key])
+            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -290,7 +419,7 @@ def cmd_simulate(args) -> int:
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"simulate: {_message(exc)}")
     with _artefacts("output", args.output) as (output,):
-        trace.to_csv(output)
+        _write_csv(trace.times, [(output, *_trace_table(trace))])
     print(f"wrote {len(trace.times)} samples to {args.output}")
     return EXIT_OK
 
@@ -306,31 +435,6 @@ def _resolve_x0(spec, sys_net, seed):
     if x0.size != sys_net.n_states:
         raise ConfigError(f"x0: expected {sys_net.n_states} entries, got {x0.size}")
     return x0
-
-
-SWEEP_OUTCOMES = ("unique-correct", "unique-wrong", "ambiguous-with-truth",
-                  "ambiguous-without-truth", "nomatch", "missed", "undetectable-by-table",
-                  "spurious")
-
-
-def _sweep_outcome(edge: int, events, column, t_fail: float, tol: float) -> str:
-    """Outcome of one swept edge against its known failure and its table column.
-
-    A second event, or one farther than tol from t_fail, is spurious; so is
-    an event for an edge whose column says no sensor can see it.
-    """
-    if len(events) > 1 or any(abs(ev["t"] - t_fail) > tol for ev in events):
-        return "spurious"
-    if not events:
-        return "missed" if column.any() else "undetectable-by-table"
-    if not column.any():
-        return "spurious"
-    verdict, edges = events[0]["verdict"], events[0]["edges"]
-    if verdict == "unique":
-        return "unique-correct" if edges == [edge] else "unique-wrong"
-    if verdict == "ambiguous":
-        return "ambiguous-with-truth" if edge in edges else "ambiguous-without-truth"
-    return "nomatch"
 
 
 def cmd_run(args) -> int:
@@ -386,24 +490,17 @@ def cmd_run(args) -> int:
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"{'sweep' if sweeping else 'run'}: {_message(exc)}")
 
-    signatures = [sig for sigs in detected for sig in sigs]
-    verdicts = _isolate_all([sig.orders for sig in signatures], table)
-    events = [{"t": sig.time, "signature": np.asarray(sig.orders, dtype=np.int64).tolist(),
-               "verdict": verdict.verdict, "edges": list(verdict.edges)}
-              for sig, verdict in zip(signatures, verdicts)]
+    diagnosed = diagnose(detected, table)
     if sweeping:
-        flat = iter(events)
-        sweep = [{"edge": label, "events": list(itertools.islice(flat, len(sigs)))}
-                 for label, sigs in zip(g.edge_labels, detected)]
-        summary = dict.fromkeys(SWEEP_OUTCOMES, 0)
+        sweep = [{"edge": label, "events": [ev.to_dict() for ev in events]}
+                 for label, events in zip(g.edge_labels, diagnosed)]
         # an event within one stencil width of t_fail belongs to the failure
-        tol = cfg.stencil_width * args.dt
-        for entry, column in zip(sweep, table.table.T):
-            summary[_sweep_outcome(entry["edge"], entry["events"], column, t_fail, tol)] += 1
+        summary = sweep_summary(diagnosed, table, t_fail, cfg.stencil_width * args.dt)
         payload = {"sweep": sweep, "summary": summary}
         names, done = ["report.json"], f"swept {len(sweep)} edges"
     else:
-        payload = {"events": events}
+        [events] = diagnosed
+        payload = {"events": [ev.to_dict() for ev in events]}
         names, done = ["trace.csv", "derivatives.csv", "report.json"], f"{len(events)} event(s)"
     payload.update(tables={"R": rel.entries.tolist(), "D": table.table.tolist(), "z": z, "r": r},
                    placement=placement_payload, sensors=list(sensors))
@@ -413,11 +510,11 @@ def cmd_run(args) -> int:
             # one pass over both files: t, and outputs that copy states or
             # reappear as order-0 derivatives, are formatted once
             trace_csv, derivatives_csv = csvs
-            _write_csv(trace.times, [(trace_csv, *trace._csv_table()),
+            _write_csv(trace.times, [(trace_csv, *_trace_table(trace)),
                                      (derivatives_csv, *_derivatives_table(trace, sensors, z))])
         _write_json(report, payload)
     print(f"{done}; report in {out_dir}")
-    return EXIT_OK if all(verdict.is_unique for verdict in verdicts) else EXIT_UNRESOLVED
+    return EXIT_OK if all(ev.is_unique for evs in diagnosed for ev in evs) else EXIT_UNRESOLVED
 
 
 # RGG reproduction constants; pinned so reports are bit-stable run to run.

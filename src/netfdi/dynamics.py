@@ -42,13 +42,8 @@ made of matrix products only, and derivatives are read out by
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
-import os
-import signal
-import tempfile
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -310,7 +305,7 @@ class SimulationTrace:
     both neighboring segments and only derivatives change there.  A driven
     run's ``states`` carry the exosystem state xi after the N d network
     states, and its segment matrices are the augmented ones that step
-    [x; xi]; ``outputs`` and the CSV read x alone.
+    [x; xi]; ``outputs`` read x alone.
     """
 
     times: np.ndarray
@@ -357,141 +352,6 @@ class SimulationTrace:
             sl = slice(seg.start, seg.stop + 1)
             np.einsum("tn,sckn->tsck", self.states[sl], rows, out=values[sl])
         return values.transpose(1, 3, 2, 0)
-
-    def to_csv(self, path: str | Path):
-        """Write `t,x_1_1..x_N_d,y_1_1..y_N_o` rows with 17 significant digits.
-
-        Each cell reads as `format(v, ".17g")`.  Where C copies a state into
-        an output (C = [1 0 ...]), `_write_csv` formats that column once per
-        chunk for both.  The rows are split across the CPUs the process may
-        use, each writer holding one chunk's text at a time; the bytes are
-        those of one writer.
-        """
-        _write_csv(self.times, [(path, *self._csv_table())])
-
-    def _csv_table(self) -> tuple[list[str], tuple[np.ndarray, ...]]:
-        """(header, blocks) of the trace CSV: the network states, then the outputs."""
-        n, d, o = self.n_nodes, self.state_dim, self.output_dim
-        header = (["t"]
-                  + [f"x_{i}_{l}" for i in range(1, n + 1) for l in range(1, d + 1)]
-                  + [f"y_{i}_{c}" for i in range(1, n + 1) for c in range(1, o + 1)])
-        return header, (self.states[:, : n * d], self.outputs)
-
-
-#: samples per chunk of a CSV write: each writing process holds only one
-#: chunk's formatted text in memory, whatever the length of the trace
-CSV_CHUNK_ROWS = 128
-
-
-def _write_csv(times: np.ndarray,
-               files: Sequence[tuple[str | Path, Sequence[str], Sequence[np.ndarray]]]):
-    """Write each (path, header, blocks) of files as `t,<row of each block>` per sample.
-
-    Each block is shaped (n_samples, width); all files share the time axis.
-    The samples are split at CSV_CHUNK_ROWS boundaries into one range per
-    CPU the process may use (at most one per chunk).  This process writes
-    the headers and the first range into the files; each further range is
-    written by a forked child into an anonymous temporary file, which is
-    then appended in order with ``os.sendfile``, so the bytes are those of
-    one writer.  A child that fails is an OSError.  With one CPU, one chunk
-    or no ``os.fork``, every range is written here.  Nothing sets the
-    number of writers but the affinity mask.  ``_write_rows`` gives the
-    format of a range.
-    """
-    times = np.ascontiguousarray(times, dtype=float)
-    n_chunks = -(-len(times) // CSV_CHUNK_ROWS)
-    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    parts = max(1, min(len(os.sched_getaffinity(0)) if forks else 1, n_chunks))
-    bounds = [CSV_CHUNK_ROWS * (n_chunks * k // parts) for k in range(parts)] + [len(times)]
-    with contextlib.ExitStack() as stack:
-        handles = [(stack.enter_context(open(path, "w")), blocks) for path, _, blocks in files]
-        # per further range, one anonymous spill file per file, made before
-        # the fork so that this process holds them too
-        spills = [[(stack.enter_context(tempfile.TemporaryFile("w")), blocks)
-                   for _, blocks in handles] for _ in bounds[2:]]
-        pids = []
-        try:
-            for (lo, hi), spill in zip(zip(bounds[1:], bounds[2:]), spills):
-                pids.append(_fork_writer(times, spill, lo, hi))
-            for (fh, _), (_, header, _) in zip(handles, files):
-                fh.write(",".join(header) + "\n")
-            _write_rows(times, handles, bounds[0], bounds[1])
-        except BaseException:
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-        for code, lo, hi in zip(codes, bounds[1:], bounds[2:]):
-            if code:
-                raise OSError(f"the writer of samples {lo}..{hi - 1} exited with code {code}")
-        for f, (fh, _) in enumerate(handles):
-            fh.flush()
-            for spill in spills:
-                _append(fh.fileno(), spill[f][0].fileno())
-
-
-def _fork_writer(times: np.ndarray, handles, lo: int, hi: int) -> int:
-    """Fork a child that runs ``_write_rows(times, handles, lo, hi)``; return its pid.
-
-    The child leaves by ``os._exit``, 0 once the handles are flushed and 1
-    on any exception, so it never flushes or closes the parent's files.
-    It formats and writes Python strings only: no BLAS call and no logging.
-    """
-    with warnings.catch_warnings():
-        # Python 3.12+ warns on forking a process that has threads (here
-        # BLAS's idle workers); the child takes none of their locks
-        warnings.filterwarnings("ignore", r"This process .* is multi-threaded, use of fork\(\)",
-                                DeprecationWarning)
-        pid = os.fork()
-    if pid:
-        return pid
-    code = 1
-    try:
-        _write_rows(times, handles, lo, hi)
-        for fh, _ in handles:
-            fh.flush()
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _append(out_fd: int, in_fd: int):
-    """Append the whole file in_fd to out_fd in the kernel, with no Python buffer."""
-    size, sent = os.fstat(in_fd).st_size, 0
-    while sent < size:
-        n = os.sendfile(out_fd, in_fd, sent, size - sent)
-        if not n:
-            raise OSError(f"spill file ended at byte {sent} of {size}")
-        sent += n
-
-
-def _write_rows(times: np.ndarray, handles, lo: int, hi: int):
-    """Write rows [lo, hi) of each (handle, blocks) in handles, CSV_CHUNK_ROWS at a time.
-
-    In a chunk, every distinct column of every file (t included) is
-    formatted once, keyed by its float64 bytes, with one "%.17g" template
-    over the whole column.  Columns that are bit copies (an output equal to
-    a state, the t column of each file) share that text; columns equal in
-    value only (0.0 and -0.0, NaNs) do not.  So each cell is
-    `format(v, ".17g")`, whichever columns repeat, and the bytes are those
-    of a row-by-row writer.
-    """
-    for a in range(lo, hi, CSV_CHUNK_ROWS):
-        rows = slice(a, min(a + CSV_CHUNK_ROWS, hi))
-        template = "%.17g\n" * len(times[rows])
-        cells = {}
-        for fh, blocks in handles:
-            columns = [times[rows]]
-            for block in blocks:
-                columns.extend(np.ascontiguousarray(block[rows].T, dtype=float))
-            texts = []
-            for col in columns:
-                key = col.tobytes()
-                if key not in cells:
-                    cells[key] = (template % tuple(col.tolist()))[:-1].split("\n")
-                texts.append(cells[key])
-            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
 def _snap_schedule(schedule: Sequence[FailureEvent], t0: float, dt: float,

@@ -7,7 +7,8 @@ gives the relation matrix R (edges x nodes) and, restricted to a sensor
 set, the lookup table D whose columns are failure signatures.  Detection
 scans a trace for jumps (analytically, only the state at each failure is
 needed, so every single-edge failure can be checked from one state);
-isolation matches the observed signature against the columns of D.
+isolation matches the observed signature against the columns of D, and
+``diagnose`` turns the signatures of many scenarios into event records.
 """
 
 from __future__ import annotations
@@ -444,8 +445,10 @@ def _detect_finite_difference(trace, sensors, cfg) -> list[JumpSignature]:
 
 @dataclass(frozen=True)
 class IsolationResult:
-    """Signature-to-column match outcome: unique, ambiguous or nomatch."""
+    """One diagnosed event: time, order signature, and the verdict and edges of its match."""
 
+    time: float
+    signature: tuple[int, ...]
     verdict: str
     edges: tuple[int, ...]
 
@@ -459,6 +462,11 @@ class IsolationResult:
             raise ValueError(f"no unique edge in a {self.verdict} result")
         return self.edges[0]
 
+    def to_dict(self) -> dict:
+        """The event as a report writes it: t, signature, verdict and edges."""
+        return {"t": self.time, "signature": list(self.signature),
+                "verdict": self.verdict, "edges": list(self.edges)}
+
 
 def isolate(signature: JumpSignature, table: LookupTable) -> IsolationResult:
     """Match the observed order vector against the lookup-table columns.
@@ -466,34 +474,67 @@ def isolate(signature: JumpSignature, table: LookupTable) -> IsolationResult:
     Matching is exact integer equality; a signature matching no column is
     reported as nomatch instead of being rounded to the nearest column.
     """
-    return _isolate_all([signature.orders], table)[0]
+    return diagnose([[signature]], table)[0][0]
 
 
-def _isolate_all(signatures, table: LookupTable) -> list[IsolationResult]:
-    """``isolate`` for many order vectors against one table, in one pass over D.
+def diagnose(detected, table: LookupTable) -> list[list[IsolationResult]]:
+    """``isolate`` every signature of every scenario: one record list per signature list.
 
-    The columns of D are keyed by their int64 bytes once, each edge label
-    joining its column's key in table order, so every signature costs one
-    dictionary lookup and the hits keep the order of a column scan.
+    All orders are stacked into one int64 array and read back as tuples of
+    ints, the keys under which each column of D lists its edge labels in
+    table order, so a signature costs one dictionary lookup.
     """
-    if not len(signatures):
-        return []
+    signatures = [sig for sigs in detected for sig in sigs]
     n_sensors = len(table.sensors)
-    orders = np.asarray(signatures, dtype=np.int64)
+    orders = np.array([sig.orders for sig in signatures] or np.zeros((0, n_sensors)),
+                      dtype=np.int64)
     if orders.ndim != 2 or orders.shape[1] != n_sensors:
-        raise ValueError(
-            f"signature has {orders.shape[-1]} entries for {n_sensors} sensors")
-    columns: dict[bytes, list[int]] = {}
+        raise ValueError(f"signature has {orders.shape[-1]} entries for {n_sensors} sensors")
+    columns: dict[tuple[int, ...], list[int]] = {}
     for label, column in zip(table.edge_labels,
-                             np.ascontiguousarray(table.table.T, dtype=np.int64)):
-        columns.setdefault(column.tobytes(), []).append(label)
-    results = []
-    for row in orders:
-        hits = tuple(columns.get(row.tobytes(), ()))
-        if len(hits) == 1:
-            results.append(IsolationResult("unique", hits))
-        elif hits:
-            results.append(IsolationResult("ambiguous", hits))
-        else:
-            results.append(IsolationResult("nomatch", ()))
-    return results
+                             np.asarray(table.table, dtype=np.int64).T.tolist()):
+        columns.setdefault(tuple(column), []).append(label)
+    records = []
+    for sig, row in zip(signatures, map(tuple, orders.tolist())):
+        hits = tuple(columns.get(row, ()))
+        verdict = "unique" if len(hits) == 1 else "ambiguous" if hits else "nomatch"
+        records.append(IsolationResult(sig.time, row, verdict, hits))
+    flat = iter(records)
+    return [[next(flat) for _ in sigs] for sigs in detected]
+
+
+#: outcome classes of a swept edge, in the order of a sweep summary
+SWEEP_OUTCOMES = ("unique-correct", "unique-wrong", "ambiguous-with-truth",
+                  "ambiguous-without-truth", "nomatch", "missed", "undetectable-by-table",
+                  "spurious")
+
+
+def _sweep_outcome(edge: int, events, column, t_fail: float, tol: float) -> str:
+    """Outcome of one swept edge's records against its known failure and its table column.
+
+    A second event, or one farther than tol from t_fail, is spurious; so is
+    an event for an edge whose column says no sensor can see it.
+    """
+    if len(events) > 1 or any(abs(ev.time - t_fail) > tol for ev in events):
+        return "spurious"
+    if not events:
+        return "missed" if column.any() else "undetectable-by-table"
+    if not column.any():
+        return "spurious"
+    verdict, edges = events[0].verdict, events[0].edges
+    if verdict == "unique":
+        return "unique-correct" if edges == (edge,) else "unique-wrong"
+    if verdict == "ambiguous":
+        return "ambiguous-with-truth" if edge in edges else "ambiguous-without-truth"
+    return "nomatch"
+
+
+def sweep_summary(events, table: LookupTable, t_fail: float, tol: float) -> dict[str, int]:
+    """Count of each SWEEP_OUTCOMES class, in that order, over one record list per edge.
+
+    The lists follow the table's edge order, each edge failing alone at t_fail.
+    """
+    summary = dict.fromkeys(SWEEP_OUTCOMES, 0)
+    for edge, records, column in zip(table.edge_labels, events, table.table.T, strict=True):
+        summary[_sweep_outcome(edge, records, column, t_fail, tol)] += 1
+    return summary

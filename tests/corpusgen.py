@@ -13,12 +13,13 @@ closed loop to stay well conditioned.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from functools import lru_cache
 
 import numpy as np
 
-from netfdi.dynamics import SubsystemModel
+from netfdi.dynamics import SimulationTrace, SubsystemModel
 from netfdi.graph import Digraph, Edge
 
 
@@ -179,3 +180,16 @@ def damp_coupling(g: Digraph, model: SubsystemModel, target: float = 0.5) -> Sub
     if strength <= target:
         return model
     return SubsystemModel(model.A, model.B, model.C, model.Gamma * (target / strength))
+
+
+# -- output noise --------------------------------------------------------------
+
+
+def noisy_outputs(trace: SimulationTrace, sigma: float, seed: int) -> SimulationTrace:
+    """The trace with seeded Gaussian noise of standard deviation sigma * max|y| on each output.
+
+    Only ``outputs`` change, which is all the finite-difference detector reads.
+    """
+    noise = np.random.default_rng(seed).normal(0.0, sigma * np.abs(trace.outputs).max(),
+                                               trace.outputs.shape)
+    return dataclasses.replace(trace, outputs=trace.outputs + noise)

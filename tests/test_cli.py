@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 import netfdi
 import netfdi.cli as cli
 import netfdi.dynamics
-from netfdi.cli import SWEEP_OUTCOMES, _derivatives_table, _json_text, _sweep_outcome, main
-from netfdi.dynamics import FailureEvent, NetworkSystem, SubsystemModel, _write_csv, simulate
-from netfdi.fdi import (DetectorConfig, JumpSignature, LookupTable, default_order_budget,
-                        detect, isolate, lookup_table)
+from netfdi.cli import _derivatives_table, _json_text, _trace_table, _write_csv, main
+from netfdi.dynamics import (FailureEvent, NetworkSystem, SubsystemModel, simulate,
+                             simulate_edge_failures)
+from netfdi.fdi import (SWEEP_OUTCOMES, DetectorConfig, IsolationResult, JumpSignature,
+                        LookupTable, _sweep_outcome, default_order_budget, detect,
+                        detect_edge_failures, diagnose, isolate, lookup_table, sweep_summary)
 from netfdi.graph import Digraph, Edge, gen_cycle, gen_random_geometric
 
 CYCLE5_R = [[1, 2, 3, 4, 0], [0, 1, 2, 3, 4], [4, 0, 1, 2, 3],
@@ -535,7 +537,7 @@ def test_run_leaves_no_writer_process_or_temp_file(tmp_path, capsys, monkeypatch
     spill_dir.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(spill_dir))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    write_rows = netfdi.dynamics._write_rows
+    write_rows = cli._write_rows
 
     def failing_from(first):
         def rows(times, handles, lo, hi):
@@ -557,7 +559,7 @@ def test_run_leaves_no_writer_process_or_temp_file(tmp_path, capsys, monkeypatch
             ("ok", write_rows, 0, ""),
             ("child", failing_from(1), 3, "exited with code 1"),
             ("parent", failing_from(0), 3, "no space left")):
-        monkeypatch.setattr(netfdi.dynamics, "_write_rows", rows)
+        monkeypatch.setattr(cli, "_write_rows", rows)
         out_dir = tmp_path / name
         assert main(run + ["--out-dir", str(out_dir)]) == code, name
         captured = capsys.readouterr()
@@ -617,8 +619,9 @@ _DERIVATIVES_CHILD = """
 import sys
 from pathlib import Path
 import numpy as np
-from netfdi.cli import RGG_NODES, RGG_RADIUS, RGG_REGION, RGG_SEED, _derivatives_table
-from netfdi.dynamics import FailureEvent, NetworkSystem, SubsystemModel, _write_csv, simulate
+from netfdi.cli import (RGG_NODES, RGG_RADIUS, RGG_REGION, RGG_SEED, _derivatives_table,
+                        _write_csv)
+from netfdi.dynamics import FailureEvent, NetworkSystem, SubsystemModel, simulate
 from netfdi.graph import gen_random_geometric
 g = gen_random_geometric(RGG_NODES, RGG_REGION, RGG_RADIUS, RGG_SEED)
 model = SubsystemModel([[-1.0]], [[1.0]], [[1.0]], [[1.0]])
@@ -657,8 +660,9 @@ _TRACES_CHILD = """
 import sys
 from pathlib import Path
 import numpy as np
-from netfdi.cli import RGG_NODES, RGG_RADIUS, RGG_REGION, RGG_SEED, _derivatives_table
-from netfdi.dynamics import FailureEvent, NetworkSystem, SubsystemModel, _write_csv, simulate
+from netfdi.cli import (RGG_NODES, RGG_RADIUS, RGG_REGION, RGG_SEED, _derivatives_table,
+                        _trace_table, _write_csv)
+from netfdi.dynamics import FailureEvent, NetworkSystem, SubsystemModel, simulate
 from netfdi.graph import gen_random_geometric
 g = gen_random_geometric(RGG_NODES, RGG_REGION, RGG_RADIUS, RGG_SEED)
 models = {"scalar": SubsystemModel([[-1.0]], [[1.0]], [[1.0]], [[1.0]]),
@@ -668,7 +672,7 @@ for name, model in models.items():
     sys_net = NetworkSystem(g, model)
     x0 = np.random.default_rng(3).normal(0.0, 1.0, sys_net.n_states)
     trace = simulate(sys_net, x0, 0.0, 2.0, 1e-3, [FailureEvent(157, 1.076)])
-    trace.to_csv(Path(sys.argv[1]) / f"trace_{name}.csv")
+    _write_csv(trace.times, [(Path(sys.argv[1]) / f"trace_{name}.csv", *_trace_table(trace))])
 _write_csv(trace.times, [(Path(sys.argv[1]) / "derivatives_r2.csv",
                           *_derivatives_table(trace, range(1, 11), 9))])
 """
@@ -1050,20 +1054,32 @@ def test_scipy_is_loaded_only_to_step_the_dynamics(tmp_path, case):
     assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
-def test_no_module_of_the_package_imports_scipy():
-    def imported(node):
-        """Top-level package of each module imported anywhere under node."""
+#: what a module reaches the process, its files and its terminal through
+_PROCESS_NAMES = {"os", "signal", "tempfile", "warnings", "contextlib", "sys", "print()"}
+
+
+def test_module_boundaries():
+    # no module imports scipy, and none but the CLI imports a process module
+    # or prints: the library is maths and returns what it finds
+    def reached(node):
+        """Top-level package of each module imported under node, and "print()" per print call."""
         for child in ast.walk(node):
             if isinstance(child, ast.Import):
                 yield from (alias.name.split(".")[0] for alias in child.names)
             elif isinstance(child, ast.ImportFrom) and child.level == 0:
                 yield child.module.split(".")[0]
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                  and child.func.id == "print"):
+                yield "print()"
 
     package = Path(netfdi.__file__).parent
     sources = sorted(package.rglob("*.py"))
     assert sources
-    assert [path.name for path in sources
-            if "scipy" in imported(ast.parse(path.read_text()))] == []
+    reach = {path.name: set(reached(ast.parse(path.read_text()))) for path in sources}
+    assert [name for name, names in reach.items() if "scipy" in names] == []
+    assert {name: sorted(names & _PROCESS_NAMES) for name, names in reach.items()
+            if name != "cli.py" and names & _PROCESS_NAMES} == {}
+    assert {"os", "print()"} <= reach["cli.py"]   # the walk sees both kinds
 
 
 def test_analytic_sweep_matches_per_edge_runs_on_rgg(tmp_path):
@@ -1148,6 +1164,7 @@ def test_sweep_summary_counts_outcomes(tmp_path):
         (star, "5", "1", {"ambiguous-with-truth": 4}),
         (star, "1,2", "1", {"undetectable-by-table": 4}),
     ]
+    x0 = [1.0, 2.0, 3.0, 4.0, 5.0]
     for k, (graph_path, sensors, z, counts) in enumerate(cases):
         for mode in ("analytic", "finite-difference"):
             out_dir = tmp_path / f"case{k}_{mode}"
@@ -1155,26 +1172,43 @@ def test_sweep_summary_counts_outcomes(tmp_path):
                   "--dt", "0.01", "--horizon", "2", "--mode", mode,
                   "--sweep-failures", "all-edges", "--x0", "1,2,3,4,5",
                   "--out-dir", str(out_dir)])
-            summary = json.loads((out_dir / "report.json").read_text())["summary"]
+            report = json.loads((out_dir / "report.json").read_text())
+            summary = report["summary"]
             assert list(summary) == list(SWEEP_OUTCOMES)
             assert summary == {**dict.fromkeys(SWEEP_OUTCOMES, 0), **counts}, (k, mode)
+            # the same sweep scored by the library alone, from that mode's signatures
+            sys_net = NetworkSystem(Digraph.load(graph_path), SubsystemModel.load(model))
+            sensor_set = tuple(map(int, sensors.split(",")))
+            table = lookup_table(sys_net.graph, sensor_set, 1, int(z))
+            if mode == "analytic":
+                detected = detect_edge_failures(sys_net, x0, 0.0, 2.0, 0.01, 1.0, sensor_set,
+                                                int(z))
+            else:
+                cfg = DetectorConfig(z=int(z), mode=mode)
+                detected = [detect(trace, sensor_set, cfg) for trace in
+                            simulate_edge_failures(sys_net, x0, 0.0, 2.0, 0.01, 1.0)]
+            events = diagnose(detected, table)
+            tol = DetectorConfig(z=int(z)).stencil_width * 0.01
+            assert sweep_summary(events, table, 1.0, tol) == summary, (k, mode)
+            assert ([[ev.to_dict() for ev in records] for records in events]
+                    == [entry["events"] for entry in report["sweep"]]), (k, mode)
 
 
 def test_sweep_outcome_classes():
-    unique = lambda *edges: {"t": 1.0, "verdict": "unique", "edges": list(edges)}
+    unique = lambda *edges: IsolationResult(1.0, (1, 2), "unique", edges)
     column, silent = np.array([1, 2]), np.array([0, 0])
     assert _sweep_outcome(3, [unique(3)], column, 1.0, 0.01) == "unique-correct"
     assert _sweep_outcome(3, [unique(4)], column, 1.0, 0.01) == "unique-wrong"
-    ambiguous = {"t": 1.0, "verdict": "ambiguous", "edges": [2, 3]}
+    ambiguous = IsolationResult(1.0, (1, 2), "ambiguous", (2, 3))
     assert _sweep_outcome(3, [ambiguous], column, 1.0, 0.01) == "ambiguous-with-truth"
     assert _sweep_outcome(4, [ambiguous], column, 1.0, 0.01) == "ambiguous-without-truth"
-    nomatch = {"t": 1.0, "verdict": "nomatch", "edges": []}
+    nomatch = IsolationResult(1.0, (4, 4), "nomatch", ())
     assert _sweep_outcome(3, [nomatch], column, 1.0, 0.01) == "nomatch"
     assert _sweep_outcome(3, [], column, 1.0, 0.01) == "missed"
     assert _sweep_outcome(3, [], silent, 1.0, 0.01) == "undetectable-by-table"
     assert _sweep_outcome(3, [unique(3)], silent, 1.0, 0.01) == "spurious"
     assert _sweep_outcome(3, [unique(3), unique(3)], column, 1.0, 0.01) == "spurious"
-    late = {**unique(3), "t": 1.5}
+    late = IsolationResult(1.5, (1, 2), "unique", (3,))
     assert _sweep_outcome(3, [late], column, 1.0, 0.01) == "spurious"
 
 

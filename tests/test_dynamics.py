@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import netfdi.cli
 import netfdi.dynamics
-from netfdi.dynamics import (CSV_CHUNK_ROWS, DegenerateModelError, ExogenousInput, FailureEvent,
+from netfdi.cli import CSV_CHUNK_ROWS, _trace_table, _write_csv
+from netfdi.dynamics import (DegenerateModelError, ExogenousInput, FailureEvent,
                              NetworkSystem, SimulationTrace, SubsystemModel, closed_loop,
                              fault_replicant_check, jump_oracle, markov_parameter,
                              one_sided_derivative, q_matrix, relative_degree, simulate,
@@ -441,11 +443,14 @@ def test_exogenous_input_validation():
             simulate(sys_net, np.ones(5), 0.0, 1.0, 0.1, w=bad)
 
 
+# -- the CSV writer of netfdi.cli, on simulated traces --------------------------------
+
+
 def test_trace_csv_format(tmp_path):
     sys_net = NetworkSystem(gen_cycle(3), double_integrator())
     trace = simulate(sys_net, np.arange(6, dtype=float), 0.0, 0.5, 0.1)
     path = tmp_path / "trace.csv"
-    trace.to_csv(path)
+    _write_csv(trace.times, [(path, *_trace_table(trace))])
     lines = path.read_text().strip().splitlines()
     assert lines[0] == ("t,x_1_1,x_1_2,x_2_1,x_2_2,x_3_1,x_3_2,y_1_1,y_2_1,y_3_1")
     parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
@@ -463,7 +468,7 @@ def test_trace_csv_bytes_equal_per_cell_loop(tmp_path):
                             segments=(), n_nodes=3, state_dim=1, output_dim=1,
                             c_matrix=np.eye(1))
     path = tmp_path / "trace.csv"
-    trace.to_csv(path)
+    _write_csv(trace.times, [(path, *_trace_table(trace))])
     lines = ["t,x_1_1,x_2_1,x_3_1,y_1_1,y_2_1,y_3_1"]
     for row_t, row_x, row_y in zip(times, states, outputs):
         cells = [f"{row_t:.17g}"] + [f"{v:.17g}" for v in row_x] + [f"{v:.17g}" for v in row_y]
@@ -476,7 +481,7 @@ def test_trace_csv_bytes_equal_per_cell_loop(tmp_path):
 def test_trace_csv_bytes_equal_per_cell_loop_across_chunks(tmp_path, monkeypatch, chunk_rows):
     # more than two chunks of outputs that repeat a state bit for bit, repeat
     # one in value only, or hold NaN and +-inf; the writer shares text by bits
-    monkeypatch.setattr(netfdi.dynamics, "CSV_CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(netfdi.cli, "CSV_CHUNK_ROWS", chunk_rows)
     n_samples = 2 * CSV_CHUNK_ROWS + 37
     rng = np.random.default_rng(17)
     times = 0.5 + 0.01 * np.arange(n_samples)
@@ -500,7 +505,7 @@ def test_trace_csv_bytes_equal_per_cell_loop_across_chunks(tmp_path, monkeypatch
                             segments=(), n_nodes=3, state_dim=2, output_dim=2,
                             c_matrix=np.eye(2))
     path = tmp_path / "trace.csv"
-    trace.to_csv(path)
+    _write_csv(trace.times, [(path, *_trace_table(trace))])
     lines = ["t,x_1_1,x_1_2,x_2_1,x_2_2,x_3_1,x_3_2,y_1_1,y_1_2,y_2_1,y_2_2,y_3_1,y_3_2"]
     for row_t, row_x, row_y in zip(times, states, outputs):
         lines.append(",".join(format(v, ".17g") for v in [row_t, *row_x, *row_y]))
@@ -539,7 +544,7 @@ def test_csv_bytes_equal_per_cell_loop_across_writers(tmp_path, monkeypatch, cpu
     files = [(tmp_path / "trace.csv", ["t", "x1", "x2", "x3", "x4", "y1", "y2"],
               (states, outputs)),
              (tmp_path / "derivatives.csv", ["t", "d0", "d1", "d2", "d3"], (plots,))]
-    netfdi.dynamics._write_csv(times, files)
+    _write_csv(times, files)
     for path, header, blocks in files:
         lines = [",".join(header)]
         for k, t in enumerate(times):

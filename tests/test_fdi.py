@@ -8,13 +8,14 @@ import pytest
 from netfdi.dynamics import (ExogenousInput, FailureEvent, NetworkSystem, SubsystemModel,
                              jump_oracle, markov_parameter, relative_degree, simulate)
 from netfdi.fdi import (DetectorConfig, JumpSignature, LookupTable, _first_jumps,
-                        _isolate_all, default_order_budget, detect, detect_edge_failures,
-                        detectable, estimate_one_sided_derivative, isolate, lookup_table,
+                        default_order_budget, detect, detect_edge_failures, detectable,
+                        diagnose, estimate_one_sided_derivative, isolate, lookup_table,
                         relation_matrix)
 from netfdi.graph import Digraph, Edge, gen_cycle, gen_random_geometric, gen_star
 from netfdi.placement import resolution_deficit
 
-from corpusgen import chain_model, damp_coupling, random_connected_digraph, random_stable_model
+from corpusgen import (chain_model, damp_coupling, noisy_outputs, random_connected_digraph,
+                       random_stable_model)
 from oracles import finite_difference_reference, floyd_warshall_hops
 
 CYCLE5_R = np.array([
@@ -456,6 +457,9 @@ def test_isolate_unique_example2():
     assert result.verdict == "unique"
     assert result.edges == (2,)
     assert result.edge == 2
+    assert result.to_dict() == {"t": 5.0, "signature": [1, 2], "verdict": "unique",
+                                "edges": [2]}
+    assert all(type(k) is int for k in result.signature)
 
 
 def test_isolate_ambiguous_on_star():
@@ -509,12 +513,15 @@ def test_batched_isolation_equals_isolate_per_signature():
     rng = np.random.default_rng(8)
     signatures = np.concatenate([table.table.T, rng.integers(0, 5, size=(40, 10)),
                                  np.zeros((2, 10), dtype=np.int64)])
-    batched = _isolate_all(signatures, table)
-    assert batched == [isolate(JumpSignature(sig, 0.0), table) for sig in signatures]
-    assert {result.verdict for result in batched} == {"unique", "ambiguous", "nomatch"}
-    assert _isolate_all([], table) == []
+    scenarios = [[JumpSignature(sig, 0.0) for sig in signatures[:60]], [],
+                 [JumpSignature(sig, 0.0) for sig in signatures[60:]]]
+    batched = diagnose(scenarios, table)
+    assert [len(records) for records in batched] == [60, 0, len(signatures) - 60]
+    assert sum(batched, []) == [isolate(JumpSignature(sig, 0.0), table) for sig in signatures]
+    assert {result.verdict for result in sum(batched, [])} == {"unique", "ambiguous", "nomatch"}
+    assert diagnose([], table) == [] and diagnose([[], []], table) == [[], []]
     with pytest.raises(ValueError):
-        _isolate_all(signatures[:, :9], table)
+        diagnose([[JumpSignature(sig, 0.0) for sig in signatures[:, :9]]], table)
 
 
 def test_every_cycle_edge_isolated_uniquely():
@@ -528,6 +535,26 @@ def test_every_cycle_edge_isolated_uniquely():
         result = isolate(events[0], table)
         assert result.verdict == "unique"
         assert result.edge == label
+
+
+_NOISE_XFAIL = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 4: the finite-difference detector has no noise term")
+
+
+@pytest.mark.parametrize("sigma, seed", [
+    (0.0, 0), (1e-15, 0), (1e-15, 1), (1e-15, 2),
+    *(pytest.param(sigma, seed, marks=_NOISE_XFAIL) for sigma in (1e-13, 1e-9)
+      for seed in range(3))])
+def test_finite_difference_cycle5_under_output_noise(sigma, seed):
+    # reproduce cycle5 in finite-difference mode, with noise of sigma * max|y|
+    # on the outputs: one event, at the failure, that can name edge 2
+    detected = detect(noisy_outputs(example2_trace(), sigma, seed), (2, 3),
+                      DetectorConfig(z=4, mode="finite-difference"))
+    [events] = diagnose([detected], cycle_table())
+    assert len(events) == 1
+    assert round(abs(events[0].time - 5.0) / 1e-3) <= 7
+    assert 2 in events[0].edges
 
 
 # -- first-jump kernel and weak coupling ------------------------------------------------
