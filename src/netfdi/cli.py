@@ -103,9 +103,13 @@ def _parse_fail(specs) -> list[FailureEvent]:
     for spec in specs:
         try:
             edge_text, time_text = spec.split("@")
-            events.append(FailureEvent(int(edge_text), float(time_text)))
+            edge, time = int(edge_text), float(time_text)
         except ValueError:
             raise ConfigError(f"fail: expected EDGE_LABEL@TIME, got {spec!r}")
+        try:
+            events.append(FailureEvent(edge, time))
+        except ValueError as exc:
+            raise ConfigError(f"fail: {exc}")
     return events
 
 

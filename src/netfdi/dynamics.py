@@ -50,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Digraph, _check_node, _walk_power, distances
+from .graph import Digraph, _check_int, _walk_power, distances
 
 #: absolute tolerance below which a Markov parameter counts as zero
 NONZERO_ATOL = 1e-12
@@ -72,10 +72,14 @@ class SubsystemModel:
                  "_failed_block")
 
     def __init__(self, A, B, C, Gamma):
-        self.A = np.array(A, dtype=float, ndmin=2)
-        self.B = np.array(B, dtype=float, ndmin=2)
-        self.C = np.array(C, dtype=float, ndmin=2)
-        self.Gamma = np.array(Gamma, dtype=float, ndmin=2)
+        for name, value in zip(("A", "B", "C", "Gamma"), (A, B, C, Gamma)):
+            # numpy would read true as 1.0 and "2" as 2.0: entries must be numbers,
+            # as those of an integer or float array are
+            if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf"):
+                for v in np.array(value, dtype=object).flat:
+                    if isinstance(v, (bool, np.bool_, str, bytes)):
+                        raise ValueError(f"{name} has a non-numeric entry {v!r}")
+            setattr(self, name, np.array(value, dtype=float, ndmin=2))
         d = self.A.shape[0]
         if self.A.shape != (d, d):
             raise ValueError(f"A must be square, got {self.A.shape}")
@@ -130,8 +134,7 @@ class SubsystemModel:
 
 def markov_parameter(model: SubsystemModel, k: int) -> np.ndarray:
     """k-th Markov parameter C A^(k-1) B (the s^-k series coefficient of H)."""
-    if k < 1:
-        raise ValueError(f"Markov parameter index must be >= 1, got {k}")
+    k = _check_int(k, "Markov parameter index", 1)
     return model.C @ np.linalg.matrix_power(model.A, k - 1) @ model.B
 
 
@@ -156,9 +159,7 @@ def q_matrix(model: SubsystemModel, dist: int) -> np.ndarray:
     Equals the large-s limit of s^(r (dist+1)) [H(s) Gamma]^(dist+1); may be
     the zero matrix when M_r Gamma is nilpotent even though M_r is not.
     """
-    if dist < 0:
-        raise ValueError(f"dist must be >= 0, got {dist}")
-    return _q_power(model, dist).copy()
+    return _q_power(model, _check_int(dist, "dist", 0)).copy()
 
 
 def _q_power(model: SubsystemModel, dist: int) -> np.ndarray:
@@ -228,6 +229,9 @@ class FailureEvent:
 
     edge: int
     time: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "edge", _check_int(self.edge, "edge", 1))
 
 
 class ExogenousInput:
@@ -324,7 +328,7 @@ class SimulationTrace:
 
     def output_of(self, p: int) -> np.ndarray:
         """Samples of y_p, shaped (n_samples, o)."""
-        _check_node(p, self.n_nodes, "sensor")
+        p = _check_int(p, "sensor", 1, self.n_nodes)
         o = self.output_dim
         return self.outputs[:, (p - 1) * o : p * o]
 
@@ -340,10 +344,11 @@ class SimulationTrace:
         segments; the later one (right-hand derivatives) wins.
         """
         n, d, o = self.n_nodes, self.state_dim, self.output_dim
+        z = _check_int(z, "order budget z", 0)
+        sensors = [_check_int(p, "sensor", 1, n) for p in sensors]
         # rows[s, c, k] is row c of R_k for sensor s; values[t, s, c, k] its read-out
         rows = np.zeros((len(sensors), o, z + 1, self.states.shape[1]))
         for si, p in enumerate(sensors):
-            _check_node(p, n, "sensor")
             rows[si, :, 0, (p - 1) * d : p * d] = self.c_matrix
         values = np.empty((len(self.times), len(sensors), o, z + 1))
         for seg in self.segments:
@@ -526,7 +531,7 @@ def _healthy_prefix(sys: NetworkSystem, x0, t0: float, t_end: float, dt: float,
     times = _time_grid(t0, t_end, dt)
     n_steps = len(times) - 1
     # the edge label plays no part in snapping a time to the grid
-    [(idx, event)] = _snap_schedule([FailureEvent(0, t_fail)], t0, dt, n_steps)
+    [(idx, event)] = _snap_schedule([FailureEvent(1, t_fail)], t0, dt, n_steps)
     states = _initial_states(sys, x0, n_steps + 1)
     _propagate_exact(sys.closed_loop, dt, states, 0, idx)
     return times, idx, event.time, states
@@ -556,12 +561,6 @@ def simulate_edge_failures(sys: NetworkSystem, x0, t0: float, t_end: float, dt: 
                          [0, idx, n_steps], [sys, post], [sys.closed_loop, post.closed_loop])
 
     return traces()
-
-
-def _check_sensor_and_order(sys: NetworkSystem, p: int, k: int):
-    _check_node(p, sys.graph.n_nodes, "sensor")
-    if k < 0:
-        raise ValueError(f"derivative order must be >= 0, got {k}")
 
 
 def _state_key(x_tf, n_states: int) -> tuple[np.ndarray, bytes]:
@@ -605,7 +604,8 @@ def one_sided_derivative(sys_pre: NetworkSystem, sys_post: NetworkSystem,
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    _check_sensor_and_order(sys_pre, p, k)
+    p = _check_int(p, "sensor", 1, sys_pre.graph.n_nodes)
+    k = _check_int(k, "derivative order", 0)
     x, key = _state_key(x_tf, sys_pre.n_states)
     v = _orbit_power(sys_pre if side == "left" else sys_post, x, key, k)
     d = sys_pre.model.d
@@ -624,7 +624,8 @@ def jump_oracle(sys_pre: NetworkSystem, sys_post: NetworkSystem,
     array, bit for bit that of k plain products on each side.  ValueError
     unless x(t_f) has N d entries.
     """
-    _check_sensor_and_order(sys_pre, p, k)
+    p = _check_int(p, "sensor", 1, sys_pre.graph.n_nodes)
+    k = _check_int(k, "derivative order", 0)
     x, key = _state_key(x_tf, sys_pre.n_states)
     v_pre = _orbit_power(sys_pre, x, key, k)
     v_post = _orbit_power(sys_post, x, key, k)
@@ -666,7 +667,7 @@ def theoretical_jump(g: Digraph, model: SubsystemModel, edge: int, p: int,
     once per (tail, dist); the value is a fresh array, bit for bit that of
     the unmemoised formula.
     """
-    _check_node(p, g.n_nodes, "sensor")
+    p = _check_int(p, "sensor", 1, g.n_nodes)
     x, key = _state_key(x_tf, g.n_nodes * model.d)
     e = g.edge(edge)
     dist = int(distances(g)._hops[e.head - 1, p - 1])

@@ -19,21 +19,12 @@ from math import comb, factorial
 import numpy as np
 
 from .dynamics import NetworkSystem, SimulationTrace, _healthy_prefix
-from .graph import Digraph, _check_node, _is_integer, distances, finite_diameter
+from .graph import Digraph, _check_int, distances, finite_diameter
 
 
 def default_order_budget(g: Digraph, r: int) -> int:
     """Largest derivative order a failure can ever produce: r*(finite diameter + 1)."""
-    return r * (finite_diameter(g) + 1)
-
-
-def _check_order_budget(z) -> int:
-    """The order budget z as an int >= 1 (a bool is no integer); ValueError otherwise."""
-    if not _is_integer(z):
-        raise ValueError(f"order budget z must be an integer, got {z!r}")
-    if z < 1:
-        raise ValueError(f"order budget z must be >= 1, got {z}")
-    return int(z)
+    return _check_int(r, "relative degree", 1) * (finite_diameter(g) + 1)
 
 
 @dataclass(frozen=True)
@@ -60,6 +51,7 @@ class RelationMatrix:
         return self.entries.shape[1]
 
     def row_index(self, label: int) -> int:
+        label = _check_int(label, "edge label", 1)
         try:
             return self.edge_labels.index(label)
         except ValueError:
@@ -77,24 +69,11 @@ class LookupTable:
     z: int
 
     def column(self, label: int) -> np.ndarray:
+        label = _check_int(label, "edge label", 1)
         try:
             return self.table[:, self.edge_labels.index(label)]
         except ValueError:
             raise KeyError(f"unknown edge label {label}") from None
-
-
-def _head_orders(g: Digraph, r: int, z: int) -> np.ndarray:
-    """N x N first-jump orders keyed by failed-edge head: [i-1, p-1] = r*(hops+1).
-
-    A row of R depends on its edge's head only, so R = H[heads].  Entries
-    are 0 where p is unreachable from i (hops -1 gives r*0) or the order
-    exceeds z.
-    """
-    if r < 1:
-        raise ValueError(f"relative degree must be >= 1, got {r}")
-    orders = r * (distances(g)._hops + 1)
-    orders[orders > z] = 0
-    return orders
 
 
 def relation_matrix(g: Digraph, r: int, z: int | None = None) -> RelationMatrix:
@@ -103,23 +82,25 @@ def relation_matrix(g: Digraph, r: int, z: int | None = None) -> RelationMatrix:
     z defaults to the largest order any failure can produce on this graph,
     r*(finite_diameter+1); pass a smaller budget to model a sensor that
     only exposes few derivatives.
+
+    A row of R depends on its edge's head only, so R is the N x N table of
+    orders r*(hops+1) keyed by head, [i-1, p-1], read at the heads.  Entries
+    are 0 where p is unreachable from i (hops -1 gives r*0) or the order
+    exceeds z.
     """
-    z = default_order_budget(g, r) if z is None else _check_order_budget(z)
+    r = _check_int(r, "relative degree", 1)
+    z = default_order_budget(g, r) if z is None else _check_int(z, "order budget z", 1)
     if z < r:
         raise ValueError(f"order budget z={z} below relative degree r={r}")
-    heads = [e.head - 1 for _, e in g.edges()]
-    entries = _head_orders(g, r, z)[heads]
+    orders = r * (distances(g)._hops + 1)
+    orders[orders > z] = 0
+    entries = orders[[e.head - 1 for _, e in g.edges()]]
     return RelationMatrix(entries=entries, edge_labels=g.edge_labels, r=r, z=z)
 
 
 def _validated_sensors(sensors, n_nodes: int) -> tuple[int, ...]:
     """Sensors as a tuple of ints; each an integer (not a bool) in 1..n_nodes, none repeated."""
-    out = []
-    for p in sensors:
-        if not _is_integer(p):
-            raise ValueError(f"sensor {p!r} is not an integer")
-        _check_node(p, n_nodes, "sensor")
-        out.append(int(p))
+    out = [_check_int(p, "sensor", 1, n_nodes) for p in sensors]
     if len(set(out)) != len(out):
         p = next(p for i, p in enumerate(out) if p in out[:i])
         raise ValueError(f"duplicate node {p}")
@@ -141,11 +122,9 @@ def detectable(g: Digraph, sensors, r: int, z: int, edge: int) -> bool:
     """Whether failing `edge` jumps some sensor derivative of order <= z.
 
     Equivalent to a directed path of length <= z/r - 1 from the edge head
-    to a sensor.
+    to a sensor.  Arguments are validated as by ``lookup_table``.
     """
-    sensors = _validated_sensors(sensors, g.n_nodes)
-    head = g.edge(edge).head
-    return bool(_head_orders(g, r, z)[head - 1, [p - 1 for p in sensors]].any())
+    return bool(lookup_table(g, sensors, r, z).column(edge).any())
 
 
 @dataclass
@@ -161,7 +140,7 @@ THRESHOLD_REL = 1e-3
 THRESHOLD_ABS = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectorConfig:
     """Detector knobs: the order budget z and the mode.
 
@@ -181,7 +160,7 @@ class DetectorConfig:
     mode: str = "analytic"
 
     def __post_init__(self):
-        self.z = _check_order_budget(self.z)
+        object.__setattr__(self, "z", _check_int(self.z, "order budget z", 1))
         if self.mode not in ("analytic", "finite-difference"):
             raise ValueError(f"unknown detector mode {self.mode!r}")
 
@@ -219,8 +198,7 @@ def estimate_one_sided_derivative(times, values, k: int, side: str,
     ones (k = 0 gives that sample itself).  The grid must be uniform and at
     least stencil_width long.
     """
-    if k < 0:
-        raise ValueError(f"derivative order must be >= 0, got {k}")
+    k = _check_int(k, "derivative order", 0)
     if k > cfg.z:
         raise ValueError(f"derivative order {k} above the order budget z={cfg.z}")
     t = np.asarray(times, dtype=float)
@@ -384,7 +362,7 @@ def detect_edge_failures(sys: NetworkSystem, x0, t0: float, t_end: float, dt: fl
     sensors = _validated_sensors(sensors, sys.graph.n_nodes)
     if not sensors:
         raise ValueError("sensor set must be nonempty")
-    z = _check_order_budget(z)
+    z = _check_int(z, "order budget z", 1)
     times, idx, _, states = _healthy_prefix(sys, x0, t0, t_end, dt, t_fail)
     edges = [e for _, e in sys.graph.edges()]
     orders = _first_jumps(sys.closed_loop, states[idx], [e.head - 1 for e in edges],
@@ -480,19 +458,23 @@ def isolate(signature: JumpSignature, table: LookupTable) -> IsolationResult:
 def diagnose(detected, table: LookupTable) -> list[list[IsolationResult]]:
     """``isolate`` every signature of every scenario: one record list per signature list.
 
-    All orders are stacked into one int64 array and read back as tuples of
-    ints, the keys under which each column of D lists its edge labels in
-    table order, so a signature costs one dictionary lookup.
+    All orders are stacked into one integer array and read back as tuples
+    of ints, the keys under which each column of D lists its edge labels in
+    table order, so a signature costs one dictionary lookup.  Orders that
+    are not of an integer dtype (float, bool) are a ValueError, never cast.
     """
     signatures = [sig for sigs in detected for sig in sigs]
     n_sensors = len(table.sensors)
-    orders = np.array([sig.orders for sig in signatures] or np.zeros((0, n_sensors)),
-                      dtype=np.int64)
+    orders = np.array([sig.orders for sig in signatures]
+                      or np.zeros((0, n_sensors), dtype=np.int64))
+    entries = np.asarray(table.table)
+    for name, array in (("signature", orders), ("lookup table", entries)):
+        if array.dtype.kind not in "iu":
+            raise ValueError(f"{name} orders must be integers, got dtype {array.dtype}")
     if orders.ndim != 2 or orders.shape[1] != n_sensors:
         raise ValueError(f"signature has {orders.shape[-1]} entries for {n_sensors} sensors")
     columns: dict[tuple[int, ...], list[int]] = {}
-    for label, column in zip(table.edge_labels,
-                             np.asarray(table.table, dtype=np.int64).T.tolist()):
+    for label, column in zip(table.edge_labels, entries.T.tolist()):
         columns.setdefault(tuple(column), []).append(label)
     records = []
     for sig, row in zip(signatures, map(tuple, orders.tolist())):

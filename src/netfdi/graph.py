@@ -63,18 +63,26 @@ class Edge:
 
 
 def _is_integer(value) -> bool:
-    """Whether value is an integer; bool is not one here, though Python counts it.
+    """Whether value is an integer; bool is not one here, though Python counts it."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
-    ``type(value) is int`` answers the common case first: the Integral
-    check goes through the ABC machinery and costs several times more.
+
+def _check_int(value, name: str, low: int, high: int | None = None) -> int:
+    """value as a plain int in low..high (no upper bound when high is None).
+
+    ValueError naming the argument for a non-integer (a bool included) or
+    a value out of range.  ``type(value) is int`` is tested first: this
+    sits on the per-call path of the jump checks, and the Integral check
+    goes through the ABC machinery and costs several times more.
     """
-    return type(value) is int or (isinstance(value, Integral) and not isinstance(value, bool))
-
-
-def _check_node(p: int, n_nodes: int, role: str = "node"):
-    """ValueError unless 1 <= p <= n_nodes; ``role`` names p in the message."""
-    if not 1 <= p <= n_nodes:
-        raise ValueError(f"{role} {p} outside 1..{n_nodes}")
+    if type(value) is not int:
+        if not _is_integer(value):
+            raise ValueError(f"{name} {value!r} is not an integer")
+        value = int(value)
+    if low <= value and (high is None or value <= high):
+        return value
+    raise ValueError(f"{name} must be >= {low}, got {value}" if high is None
+                     else f"{name} {value} outside {low}..{high}")
 
 
 class Digraph:
@@ -88,16 +96,13 @@ class Digraph:
     __slots__ = ("n_nodes", "_edges", "_memo")
 
     def __init__(self, n_nodes: int, edges: Iterable[Edge | tuple] = ()):
-        if not _is_integer(n_nodes):
-            raise ValueError(f"n_nodes must be an integer, got {n_nodes!r}")
-        if n_nodes < 1:
-            raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
+        n_nodes = _check_int(n_nodes, "n_nodes", 1)
         normalized = []
         for e in edges:
             if not isinstance(e, Edge):
                 e = Edge(*e)
             normalized.append(e)
-        self.n_nodes = int(n_nodes)
+        self.n_nodes = n_nodes
         self._edges = {label: e for label, e in enumerate(normalized, start=1)}
         self._memo = {}
         self._validate()
@@ -113,10 +118,11 @@ class Digraph:
     def _validate(self):
         seen = set()
         for label, e in self._edges.items():
-            if not (_is_integer(e.tail) and _is_integer(e.head)):
-                raise ValueError(f"edge {label}: endpoints ({e.tail!r},{e.head!r}) must be integers")
-            if not (1 <= e.tail <= self.n_nodes and 1 <= e.head <= self.n_nodes):
-                raise ValueError(f"edge {label}: endpoints ({e.tail},{e.head}) outside 1..{self.n_nodes}")
+            try:   # format the label only on failure: this runs for every edge
+                _check_int(e.tail, "tail", 1, self.n_nodes)
+                _check_int(e.head, "head", 1, self.n_nodes)
+            except ValueError as exc:
+                raise ValueError(f"edge {label}: {exc}") from None
             if e.tail == e.head:
                 raise ValueError(f"edge {label}: self-loop on node {e.tail} not allowed")
             if type(e.weight) is bool or not (math.isfinite(e.weight) and e.weight > 0):
@@ -137,7 +143,7 @@ class Digraph:
 
     def edge(self, label: int) -> Edge:
         try:
-            return self._edges[label]
+            return self._edges[_check_int(label, "edge label", 1)]
         except KeyError:
             raise KeyError(f"unknown edge label {label}") from None
 
@@ -160,8 +166,7 @@ class Digraph:
 
         A subset of a valid edge set is valid, so nothing is re-validated.
         """
-        if label not in self._edges:
-            raise KeyError(f"unknown edge label {label}")
+        self.edge(label)   # ValueError for a non-integer label, KeyError for an unknown one
         remaining = {l: e for l, e in self._edges.items() if l != label}
         return Digraph._from_labeled(self.n_nodes, remaining)
 
@@ -209,8 +214,8 @@ class DistanceMatrix:
     def __getitem__(self, pair: tuple[int, int]):
         """dist(q, p): length of the shortest directed q -> p path."""
         q, p = pair
-        _check_node(q, self.n)
-        _check_node(p, self.n)
+        q = _check_int(q, "node", 1, self.n)
+        p = _check_int(p, "node", 1, self.n)
         h = self._hops[q - 1, p - 1]
         return INFINITE if h < 0 else int(h)
 
@@ -276,9 +281,7 @@ def walk_matrix(g: Digraph, k: int) -> np.ndarray:
     length k, so it vanishes for k < dist(q, p) and is positive at
     k = dist(q, p).
     """
-    if k < 0:
-        raise ValueError(f"walk length must be >= 0, got {k}")
-    return _walk_power(g, k).copy()
+    return _walk_power(g, _check_int(k, "walk length", 0)).copy()
 
 
 def _walk_power(g: Digraph, k: int) -> np.ndarray:
@@ -311,16 +314,14 @@ def gen_cycle(n: int) -> Digraph:
     Edge labels follow the convention that edge q (for q >= 2) is
     (q-1 -> q) and edge 1 closes the cycle as (n -> 1).
     """
-    if n < 2:
-        raise ValueError(f"cycle needs n >= 2, got {n}")
+    n = _check_int(n, "cycle size n", 2)
     edges = [Edge(n, 1)] + [Edge(q - 1, q) for q in range(2, n + 1)]
     return Digraph(n, edges)
 
 
 def gen_star(n: int) -> Digraph:
     """Inward star: n-1 edges (q -> n) for q < n, all sharing head n."""
-    if n < 2:
-        raise ValueError(f"star needs n >= 2, got {n}")
+    n = _check_int(n, "star size n", 2)
     return Digraph(n, [Edge(q, n) for q in range(1, n)])
 
 
@@ -338,8 +339,7 @@ def gen_random_geometric(n: int, region_side: float, radius: float, seed: int) -
     radius : connection radius (> 0).
     seed : seed for numpy's default_rng; same seed -> identical graph.
     """
-    if n < 2:
-        raise ValueError(f"random geometric graph needs n >= 2, got {n}")
+    n = _check_int(n, "random geometric graph size n", 2)
     if not radius > 0:
         raise ValueError(f"radius must be > 0, got {radius}")
     if not 0 < region_side < np.inf:

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fdi import RelationMatrix, _validated_sensors
-from .graph import _is_integer
+from .graph import _check_int, _is_integer
 
 #: exhaustive search refuses beyond this many nodes rather than running forever
 MAX_EXACT_NODES = 20
@@ -234,9 +234,7 @@ def harmonic(d: int) -> float:
     """
     if not _is_integer(d):
         raise TypeError(f"harmonic sum needs an integer d, got {d!r}")
-    d = int(d)
-    if d < 1:
-        raise ValueError(f"harmonic sum needs d >= 1, got {d}")
+    d = _check_int(d, "harmonic sum d", 1)
 
     def stretch(lo: int, hi: int) -> tuple[int, int]:
         """Sum of 1/i over lo <= i < hi as (numerator, denominator)."""

@@ -445,6 +445,26 @@ def test_unknown_failed_edge_is_named_without_quotes(tmp_path, capsys):
     assert capsys.readouterr().err == "error: simulate: unknown edge label 7\n"
 
 
+def test_model_file_with_bool_or_str_entry_is_config_error(tmp_path, capsys):
+    # a model file holds numbers only, as a graph file does
+    graph, model = map(str, write_cycle_inputs(tmp_path))
+    for field, value, entry in (("A", [["-1"]], "'-1'"), ("B", [[True]], "True")):
+        matrices = {"A": [[-1.0]], "B": [[1.0]], "C": [[1.0]], "Gamma": [[1.0]], field: value}
+        Path(model).write_text(json.dumps(matrices))
+        assert main(["run", graph, model, "--sensors", "2,3", "--dt", "0.01", "--horizon", "2",
+                     "--out-dir", str(tmp_path / "run")]) == 3
+        assert capsys.readouterr().err == (
+            f"error: model: cannot parse {model}: {field} has a non-numeric entry {entry}\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_failure_event_with_a_label_below_1_is_config_error(tmp_path, capsys):
+    graph, model = map(str, write_cycle_inputs(tmp_path, n=4))
+    assert main(["run", graph, model, "--sensors", "1,2", "--dt", "0.01", "--horizon", "2",
+                 "--fail", "0@1", "--out-dir", str(tmp_path / "run")]) == 3
+    assert capsys.readouterr().err == "error: fail: edge must be >= 1, got 0\n"
+
+
 def test_edge_failing_twice_is_config_error(tmp_path, capsys):
     graph, model = map(str, write_cycle_inputs(tmp_path, n=4))
     fails = ["--fail", "1@1", "--fail", "1@1.5"]

@@ -65,6 +65,21 @@ def test_model_rejects_non_finite_entries():
                 SubsystemModel(**{**good, name: [[bad]]})
 
 
+@pytest.mark.parametrize("name,value,entry", [
+    ("B", [[0.0], [True]], "True"),
+    ("C", [[-1, True]], "True"),
+    ("C", [[-1.0, "2"]], "'2'"),
+    ("A", np.array([[False, True], [False, False]]), "False"),
+], ids=["bool", "bool-among-ints", "str-among-floats", "bool-array"])
+def test_model_refuses_bool_and_str_entries(name, value, entry):
+    # numpy would read each as a number, and every case below then has relative degree 2
+    good = {"A": [[0.0, 1.0], [0.0, 0.0]], "B": [[0.0], [1.0]], "C": [[1.0, 0.0]],
+            "Gamma": [[1.0]]}
+    with pytest.raises(ValueError, match=f"^{name} has a non-numeric entry {entry}$"):
+        SubsystemModel(**{**good, name: value})
+    assert relative_degree(SubsystemModel(**good)) == 2
+
+
 def test_relative_degree_matches_large_s_slope():
     rng = np.random.default_rng(3)
     models = [random_stable_model(rng) for _ in range(10)]

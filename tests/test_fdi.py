@@ -172,6 +172,20 @@ def test_detectable_golden_cases():
     assert detectable(g, (3,), r=1, z=4, edge=3)
 
 
+def test_detectable_validates_as_lookup_table():
+    # each of these once answered False instead of refusing the question
+    g = gen_cycle(5)
+    for sensors, r, z, message in (((2,), 1, 0, "order budget z must be >= 1, got 0"),
+                                   ((2,), 2, 1, "order budget z=1 below relative degree r=2"),
+                                   ((), 1, 4, "sensor set must be nonempty")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            detectable(g, sensors, r, z, 2)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            lookup_table(g, sensors, r, z)
+    with pytest.raises(KeyError, match="unknown edge label 9"):
+        detectable(g, (2,), 1, 4, 9)
+
+
 def test_detectable_matches_jump_oracle_observability():
     rng = np.random.default_rng(12)
     model = scalar_model()
@@ -249,6 +263,14 @@ def test_detector_config_validation():
         DetectorConfig(z=0)
     with pytest.raises(ValueError):
         DetectorConfig(z=4, mode="magic")
+
+
+def test_detector_config_is_frozen():
+    cfg = DetectorConfig(z=np.int64(4))
+    assert type(cfg.z) is int
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.z = 0
+    assert cfg.z == 4
 
 
 @pytest.mark.parametrize("z", [0, -3, 2.5, True])
@@ -450,6 +472,19 @@ def test_detect_sensor_validation():
 
 def cycle_table():
     return lookup_table(gen_cycle(5), (2, 3), r=1, z=4)
+
+
+def test_diagnose_refuses_non_integer_orders():
+    # orders are never truncated: (1.9, 2.2) is not the signature (1, 2) of edge 2
+    table = lookup_table(gen_cycle(5), (2, 3), 1, 4)
+    for orders in (np.array([1.9, 2.2]), np.array([1.0, 2.0]), np.array([True, True])):
+        with pytest.raises(ValueError, match="^signature orders must be integers"):
+            diagnose([[JumpSignature(orders, 5.0)]], table)
+    float_table = dataclasses.replace(table, table=table.table.astype(float))
+    with pytest.raises(ValueError, match="^lookup table orders must be integers"):
+        diagnose([[JumpSignature(np.array([1, 2]), 5.0)]], float_table)
+    [[record]] = diagnose([[JumpSignature(np.array([1, 2], dtype=np.int32), 5.0)]], table)
+    assert record.verdict == "unique" and record.edges == (2,)
 
 
 def test_isolate_unique_example2():

@@ -1,6 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 
+from netfdi.dynamics import (FailureEvent, NetworkSystem, SubsystemModel, jump_oracle,
+                             markov_parameter, one_sided_derivative, q_matrix, simulate,
+                             theoretical_jump)
+from netfdi.fdi import (DetectorConfig, default_order_budget, detect, detect_edge_failures,
+                        detectable, estimate_one_sided_derivative, lookup_table,
+                        relation_matrix)
 from netfdi.graph import (INFINITE, Digraph, Edge, diameter, distances, finite_diameter,
                           gen_cycle, gen_random_geometric, gen_star, remove_edge,
                           walk_matrix)
@@ -246,6 +254,75 @@ def test_distance_lookup_checks_node_range():
     for pair in ((0, 1), (1, 0), (6, 1), (1, 6)):
         with pytest.raises(ValueError, match="outside 1..5"):
             d[pair]
+
+
+def _gate_cases():
+    """(id, argument name, call taking the value of that argument); 2 is valid in each slot."""
+    g = gen_cycle(5)
+    model = SubsystemModel([[-1.0]], [[1.0]], [[1.0]], [[1.0]])
+    pre = NetworkSystem(g, model)
+    post = pre.remove_edge(2)
+    x = np.arange(1.0, 6.0)
+    trace = simulate(pre, x, 0.0, 1.0, 0.1)
+    cfg = DetectorConfig(z=4)
+    t = np.arange(8) * 0.1
+    return [
+        ("Digraph-n_nodes", "n_nodes", lambda v: Digraph(v)),
+        ("Digraph-tail", "edge 1: tail", lambda v: Digraph(3, [Edge(v, 1)])),
+        ("Digraph.edge", "edge label", lambda v: g.edge(v)),
+        ("Digraph.remove_edge", "edge label", lambda v: g.remove_edge(v)),
+        ("gen_cycle", "cycle size n", lambda v: gen_cycle(v)),
+        ("gen_star", "star size n", lambda v: gen_star(v)),
+        ("gen_random_geometric", "random geometric graph size n",
+         lambda v: gen_random_geometric(v, 1.0, 0.5, 0)),
+        ("DistanceMatrix", "node", lambda v: distances(g)[v, 1]),
+        ("walk_matrix", "walk length", lambda v: walk_matrix(g, v)),
+        ("markov_parameter", "Markov parameter index", lambda v: markov_parameter(model, v)),
+        ("q_matrix", "dist", lambda v: q_matrix(model, v)),
+        ("FailureEvent", "edge", lambda v: FailureEvent(v, 0.5)),
+        ("output_of", "sensor", lambda v: trace.output_of(v)),
+        ("derivatives-sensor", "sensor", lambda v: trace.derivatives([v], 2)),
+        ("derivatives-z", "order budget z", lambda v: trace.derivatives([2], v)),
+        ("one_sided_derivative", "derivative order",
+         lambda v: one_sided_derivative(pre, post, x, 3, v, "left")),
+        ("jump_oracle-sensor", "sensor", lambda v: jump_oracle(pre, post, x, v, 1)),
+        ("jump_oracle-order", "derivative order", lambda v: jump_oracle(pre, post, x, 3, v)),
+        ("theoretical_jump-sensor", "sensor", lambda v: theoretical_jump(g, model, 2, v, x)),
+        ("theoretical_jump-edge", "edge label", lambda v: theoretical_jump(g, model, v, 3, x)),
+        ("relation_matrix-r", "relative degree", lambda v: relation_matrix(g, v, 4)),
+        ("relation_matrix-z", "order budget z", lambda v: relation_matrix(g, 1, v)),
+        ("default_order_budget", "relative degree", lambda v: default_order_budget(g, v)),
+        ("lookup_table-r", "relative degree", lambda v: lookup_table(g, (2, 3), v, 4)),
+        ("lookup_table-z", "order budget z", lambda v: lookup_table(g, (2, 3), 1, v)),
+        ("lookup_table-sensor", "sensor", lambda v: lookup_table(g, (v, 3), 1, 4)),
+        ("detectable-z", "order budget z", lambda v: detectable(g, (2, 3), 1, v, 2)),
+        ("detectable-sensor", "sensor", lambda v: detectable(g, (v, 3), 1, 4, 2)),
+        ("detectable-edge", "edge label", lambda v: detectable(g, (2, 3), 1, 4, v)),
+        ("DetectorConfig", "order budget z", lambda v: DetectorConfig(z=v)),
+        ("detect", "sensor", lambda v: detect(trace, (v,), cfg)),
+        ("detect_edge_failures-z", "order budget z",
+         lambda v: detect_edge_failures(pre, x, 0.0, 1.0, 0.1, 0.5, (2, 3), v)),
+        ("detect_edge_failures-sensor", "sensor",
+         lambda v: detect_edge_failures(pre, x, 0.0, 1.0, 0.1, 0.5, (v, 3), 4)),
+        ("estimate_one_sided_derivative", "derivative order",
+         lambda v: estimate_one_sided_derivative(t, t**2, v, "left", cfg)),
+    ]
+
+
+_GATE_CASES = _gate_cases()
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, "2"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize("name,call", [case[1:] for case in _GATE_CASES],
+                         ids=[case[0] for case in _GATE_CASES])
+def test_every_integer_argument_passes_one_gate(name, call, bad):
+    # a bool, a real or a string where a node, sensor, edge label, order, r or z
+    # goes is a ValueError naming the argument, never read as the integer it
+    # resembles; a numpy integer is an integer
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} {re.escape(repr(bad))} "
+                                         "is not an integer$"):
+        call(bad)
+    call(np.int64(2))
 
 
 def test_remove_edge_does_not_revalidate(monkeypatch):
