@@ -36,7 +36,7 @@ driven run is the autonomous [x; xi]' = [[A_cl, (I_N (x) B) H], [0, S]] [x; xi],
 stepped like an undriven one; a failure still zeroes a block of A_cl.
 
 netfdi runs on numpy alone: each segment's step is netfdi's own ``_expm``,
-made of matrix products only, and derivatives are read out by
+made of matrix products only, and outputs and derivatives are read out by
 ``np.einsum``, which calls no BLAS.
 """
 
@@ -50,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Digraph, _check_int, _walk_power, distances
+from .graph import Digraph, _check_int, _check_real, _real_array, _walk_power, distances
 
 #: absolute tolerance below which a Markov parameter counts as zero
 NONZERO_ATOL = 1e-12
@@ -73,13 +73,8 @@ class SubsystemModel:
 
     def __init__(self, A, B, C, Gamma):
         for name, value in zip(("A", "B", "C", "Gamma"), (A, B, C, Gamma)):
-            # numpy would read true as 1.0 and "2" as 2.0: entries must be numbers,
-            # as those of an integer or float array are
-            if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf"):
-                for v in np.array(value, dtype=object).flat:
-                    if isinstance(v, (bool, np.bool_, str, bytes)):
-                        raise ValueError(f"{name} has a non-numeric entry {v!r}")
-            setattr(self, name, np.array(value, dtype=float, ndmin=2))
+            setattr(self, name, np.atleast_2d(_real_array(value, name)))
+            getattr(self, name).flags.writeable = False
         d = self.A.shape[0]
         if self.A.shape != (d, d):
             raise ValueError(f"A must be square, got {self.A.shape}")
@@ -91,10 +86,6 @@ class SubsystemModel:
             raise ValueError(
                 f"Gamma must be {self.B.shape[1]}x{self.C.shape[0]} (inputs x outputs), "
                 f"got {self.Gamma.shape}")
-        for name in ("A", "B", "C", "Gamma"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name} has non-finite entries")
-            getattr(self, name).flags.writeable = False
         self._r = None
         self._r = relative_degree(self)
         self._mr_gamma = markov_parameter(self, self._r) @ self.Gamma
@@ -219,9 +210,6 @@ class NetworkSystem:
     def n_states(self) -> int:
         return self.graph.n_nodes * self.model.d
 
-    def output_matrix(self) -> np.ndarray:
-        return np.kron(np.eye(self.graph.n_nodes), self.model.C)
-
 
 @dataclass(frozen=True)
 class FailureEvent:
@@ -244,8 +232,7 @@ class ExogenousInput:
     def __init__(self, kind: str, **params):
         if kind not in ("zero", "polynomial", "sinusoid"):
             raise ValueError(f"unknown input kind {kind!r}")
-        self.kind = kind
-        self.params = {k: np.asarray(v, dtype=float) for k, v in params.items()}
+        self.kind, self.params = kind, params   # checked when a run asks for the exosystem
 
     @classmethod
     def zero(cls) -> "ExogenousInput":
@@ -268,26 +255,24 @@ class ExogenousInput:
         xi = (1, t, ..., t^(K-1)), S[k, k-1] = k, shared by all nodes.  A
         sinusoid is one rotation xi = (sin, cos)(2 pi frequency t + phase)
         per (node, channel).  Zero has no state.  ValueError for parameters
-        that are non-finite or of the wrong shape.
+        that are not numbers, non-finite or of the wrong shape.
         """
-        for name, value in self.params.items():
-            if not np.isfinite(value).all():
-                raise ValueError(f"{self.kind} input: {name} has non-finite entries")
+        params = {k: _real_array(v, f"{self.kind} input: {k}") for k, v in self.params.items()}
         if self.kind == "zero":
             return np.zeros((0, 0)), np.zeros((n_nodes * m, 0)), np.zeros(0)
         if self.kind == "polynomial":
-            coeffs = self.params["coeffs"]
+            coeffs = params["coeffs"]
             if coeffs.ndim != 3 or coeffs.shape[:2] != (n_nodes, m) or not coeffs.shape[2]:
                 raise ValueError(f"coeffs must be ({n_nodes},{m},K), K >= 1, got {coeffs.shape}")
             k = np.arange(coeffs.shape[2])
             return np.diag(k[1:], -1), coeffs.reshape(n_nodes * m, -1), float(t0) ** k
         for name in ("amplitude", "frequency", "phase"):
-            if self.params[name].shape != (n_nodes, m):
-                raise ValueError(f"{name} must be ({n_nodes},{m}), got {self.params[name].shape}")
-        omega = 2.0 * np.pi * self.params["frequency"].reshape(-1)
-        angle = omega * t0 + self.params["phase"].reshape(-1)
+            if params[name].shape != (n_nodes, m):
+                raise ValueError(f"{name} must be ({n_nodes},{m}), got {params[name].shape}")
+        omega = 2.0 * np.pi * params["frequency"].reshape(-1)
+        angle = omega * t0 + params["phase"].reshape(-1)
         S = np.kron(np.diag(omega), [[0.0, 1.0], [-1.0, 0.0]])
-        H = np.kron(np.diag(self.params["amplitude"].reshape(-1)), [[1.0, 0.0]])
+        H = np.kron(np.diag(params["amplitude"].reshape(-1)), [[1.0, 0.0]])
         return S, H, np.column_stack([np.sin(angle), np.cos(angle)]).reshape(-1)
 
 
@@ -364,11 +349,10 @@ def _snap_schedule(schedule: Sequence[FailureEvent], t0: float, dt: float,
     """Snap failure times to grid indices, validating the spacing rules."""
     snapped = []
     for ev in schedule:
-        if not np.isfinite(ev.time):
-            raise ValueError(f"failure time {ev.time} not alignable to the grid")
-        ratio = (ev.time - t0) / dt
+        time = _check_real(ev.time, "failure time")
+        ratio = (time - t0) / dt
         if not (math.isfinite(ratio) and 0 < round(ratio) < n_steps):
-            raise ValueError(f"failure time {ev.time} must fall strictly inside the horizon")
+            raise ValueError(f"failure time {time} must fall strictly inside the horizon")
         idx = int(round(ratio))
         snapped.append((idx, FailureEvent(ev.edge, t0 + idx * dt)))
     snapped.sort(key=lambda pair: pair[0])
@@ -377,13 +361,9 @@ def _snap_schedule(schedule: Sequence[FailureEvent], t0: float, dt: float,
     return snapped
 
 
-def _time_grid(t0: float, t_end: float, dt: float) -> np.ndarray:
-    """Uniform sample times t0, t0 + dt, ..., t_end (validated)."""
-    for name, value in (("t0", t0), ("t_end", t_end), ("dt", dt)):
-        if not np.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
+def _time_grid(t0: float, t_end: float, dt: float) -> tuple[np.ndarray, float, float]:
+    """(times, t0, dt): uniform sample times t0, t0 + dt, ..., t_end, t0 and dt validated."""
+    t0, t_end, dt = _check_real(t0, "t0"), _check_real(t_end, "t_end"), _check_real(dt, "dt", 0)
     if t_end <= t0:
         raise ValueError(f"need t_end > t0, got [{t0}, {t_end}]")
     ratio = (t_end - t0) / dt
@@ -392,17 +372,15 @@ def _time_grid(t0: float, t_end: float, dt: float) -> np.ndarray:
     n_steps = int(round(ratio))
     if n_steps < 1:
         raise ValueError("horizon shorter than one step")
-    return t0 + dt * np.arange(n_steps + 1)
+    return t0 + dt * np.arange(n_steps + 1), t0, dt
 
 
 def _initial_states(sys: NetworkSystem, x0, n_samples: int, xi0=()) -> np.ndarray:
     """Uninitialized (n_samples, N d + q) state array with [x0; xi0] in its first row."""
     nd = sys.n_states
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    x0 = _real_array(x0, "x0").reshape(-1)
     if x0.shape != (nd,):
         raise ValueError(f"x0 must have {nd} entries, got {x0.shape}")
-    if not np.isfinite(x0).all():
-        raise ValueError("x0 has non-finite entries")
     states = np.empty((n_samples, nd + len(xi0)))
     states[0, :nd] = x0
     states[0, nd:] = xi0
@@ -457,7 +435,9 @@ def _propagate_exact(A: np.ndarray, dt: float, states: np.ndarray, a: int, b: in
 def _trace(sys: NetworkSystem, times, states, snapped, boundaries, systems,
            matrices) -> SimulationTrace:
     """Package simulated states with their outputs, schedule and one segment per system."""
-    outputs = states[:, : sys.n_states] @ sys.output_matrix().T
+    # y_p = C x_p by einsum, summed as ``SimulationTrace.derivatives`` sums order 0
+    x = states[:, : sys.n_states].reshape(len(times), sys.graph.n_nodes, sys.model.d)
+    outputs = np.einsum("tnd,od->tno", x, sys.model.C).reshape(len(times), -1)
     segments = tuple(
         TraceSegment(boundaries[s], boundaries[s + 1], matrix, seg.graph)
         for s, (seg, matrix) in enumerate(zip(systems, matrices)))
@@ -489,7 +469,7 @@ def simulate(sys: NetworkSystem, x0, t0: float, t_end: float, dt: float,
         nearest sample, no two on the same one; each edge fails at most once.
     w : exogenous input; None means zero.
     """
-    times = _time_grid(t0, t_end, dt)
+    times, t0, dt = _time_grid(t0, t_end, dt)
     n_steps = len(times) - 1
 
     if w is None:
@@ -528,7 +508,7 @@ def _healthy_prefix(sys: NetworkSystem, x0, t0: float, t_end: float, dt: float,
     those of ``simulate`` with any failure at t_fail, bit for bit; the later
     rows are left uninitialized.
     """
-    times = _time_grid(t0, t_end, dt)
+    times, t0, dt = _time_grid(t0, t_end, dt)
     n_steps = len(times) - 1
     # the edge label plays no part in snapping a time to the grid
     [(idx, event)] = _snap_schedule([FailureEvent(1, t_fail)], t0, dt, n_steps)
@@ -699,7 +679,7 @@ def fault_replicant_check(sys: NetworkSystem, edge: int, x0, t_f: float,
     -g_ij (e_i e_j^T (x) B Gamma C).  The two must agree to integration
     accuracy; a failure time outside (0, horizon) leaves both runs healthy.
     """
-    inside = 0.0 < t_f < horizon
+    inside = 0.0 < _check_real(t_f, "t_f") < _check_real(horizon, "horizon")
     schedule = [FailureEvent(edge, t_f)] if inside else []
     faulty = simulate(sys, x0, 0.0, horizon, dt, schedule)
 

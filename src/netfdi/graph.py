@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -85,6 +85,31 @@ def _check_int(value, name: str, low: int, high: int | None = None) -> int:
                      else f"{name} {value} outside {low}..{high}")
 
 
+def _check_real(value, name: str, low: float | None = None) -> float:
+    """value as a plain finite float above low (if given); a bool or a string is no real."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, Real):   # np.bool_ is no Real
+            raise ValueError(f"{name} {value!r} is not a real number")
+        value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if low is not None and value <= low:
+        raise ValueError(f"{name} must be > {low}, got {value}")
+    return value
+
+
+def _real_array(value, name: str) -> np.ndarray:
+    """value as a new finite float array of numbers: numpy reads true as 1.0 and "2" as 2.0."""
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf"):
+        for v in np.array(value, dtype=object).flat:
+            if isinstance(v, (bool, np.bool_, str, bytes)):
+                raise ValueError(f"{name} has a non-numeric entry {v!r}")
+    array = np.array(value, dtype=float)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return array
+
+
 class Digraph:
     """Directed graph on nodes 1..n with labeled, weighted edges.
 
@@ -121,12 +146,11 @@ class Digraph:
             try:   # format the label only on failure: this runs for every edge
                 _check_int(e.tail, "tail", 1, self.n_nodes)
                 _check_int(e.head, "head", 1, self.n_nodes)
+                _check_real(e.weight, "weight", 0)   # checked, not converted: an int stays one
             except ValueError as exc:
                 raise ValueError(f"edge {label}: {exc}") from None
             if e.tail == e.head:
                 raise ValueError(f"edge {label}: self-loop on node {e.tail} not allowed")
-            if type(e.weight) is bool or not (math.isfinite(e.weight) and e.weight > 0):
-                raise ValueError(f"edge {label}: weight must be positive and finite, got {e.weight}")
             if (e.tail, e.head) in seen:
                 raise ValueError(f"duplicate edge ({e.tail},{e.head})")
             seen.add((e.tail, e.head))
@@ -336,14 +360,13 @@ def gen_random_geometric(n: int, region_side: float, radius: float, seed: int) -
     ----------
     n : number of nodes (>= 2).
     region_side : side length of the square placement region (finite, > 0).
-    radius : connection radius (> 0).
-    seed : seed for numpy's default_rng; same seed -> identical graph.
+    radius : connection radius (finite, > 0).
+    seed : seed for numpy's default_rng (>= 0); same seed -> identical graph.
     """
     n = _check_int(n, "random geometric graph size n", 2)
-    if not radius > 0:
-        raise ValueError(f"radius must be > 0, got {radius}")
-    if not 0 < region_side < np.inf:
-        raise ValueError(f"region_side must be finite and > 0, got {region_side}")
+    radius = _check_real(radius, "radius", 0)
+    region_side = _check_real(region_side, "region_side", 0)
+    seed = _check_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     points = rng.uniform(0.0, region_side, size=(n, 2))
     # pairs (a, b), a < b, in row-major order; one coin per close pair, drawn

@@ -13,8 +13,8 @@ from netfdi.dynamics import (DegenerateModelError, ExogenousInput, FailureEvent,
                              fault_replicant_check, jump_oracle, markov_parameter,
                              one_sided_derivative, q_matrix, relative_degree, simulate,
                              simulate_edge_failures, theoretical_jump)
-from netfdi.graph import (INFINITE, Digraph, Edge, distances, gen_cycle, gen_star,
-                          walk_matrix)
+from netfdi.graph import (INFINITE, Digraph, Edge, distances, gen_cycle, gen_random_geometric,
+                          gen_star, walk_matrix)
 
 from corpusgen import (chain_model, connected_digraphs_up_to, damp_coupling,
                        random_connected_digraph, random_stable_model)
@@ -607,6 +607,20 @@ def test_trace_derivatives_match_one_sided_derivatives():
                     want = one_sided_derivative(sys_net, post, trace.states[idx], p, k, side)
                     assert np.allclose(dy[si, k, :, idx], want, rtol=1e-12,
                                        atol=1e-14 * max(1.0, np.abs(want).max()))
+
+
+def test_outputs_equal_order_zero_derivatives_bit_for_bit():
+    # a two-state model whose C mixes states: y_p = C x_p is one sum of two terms per
+    # entry, and trace.csv's y columns must read exactly derivatives.csv's d0 columns
+    g = gen_random_geometric(30, 1.0, 0.3, 3)
+    model = SubsystemModel([[0, 1], [-2, -3]], [[0.3], [1]],
+                           [[0.37, 0.71], [1.13, -0.29]], [[0.4, 0.2]])
+    sys_net = NetworkSystem(g, model)
+    x0 = np.random.default_rng(4).normal(0.0, 1.0, sys_net.n_states)
+    trace = simulate(sys_net, x0, 0.0, 2.0, 1e-3, [FailureEvent(3, 1.0)])
+    d0 = trace.derivatives(range(1, g.n_nodes + 1), 0)[:, 0]   # (N, o, T)
+    assert trace.outputs.shape == (len(trace.times), g.n_nodes * model.o)
+    assert np.array_equal(trace.outputs, d0.transpose(2, 0, 1).reshape(len(trace.times), -1))
 
 
 def test_trace_derivatives_validation():

@@ -3,8 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from netfdi.dynamics import (FailureEvent, NetworkSystem, SubsystemModel, jump_oracle,
-                             markov_parameter, one_sided_derivative, q_matrix, simulate,
+from netfdi.dynamics import (ExogenousInput, FailureEvent, NetworkSystem, SubsystemModel,
+                             fault_replicant_check, jump_oracle, markov_parameter,
+                             one_sided_derivative, q_matrix, simulate, simulate_edge_failures,
                              theoretical_jump)
 from netfdi.fdi import (DetectorConfig, default_order_budget, detect, detect_edge_failures,
                         detectable, estimate_one_sided_derivative, lookup_table,
@@ -275,6 +276,7 @@ def _gate_cases():
         ("gen_star", "star size n", lambda v: gen_star(v)),
         ("gen_random_geometric", "random geometric graph size n",
          lambda v: gen_random_geometric(v, 1.0, 0.5, 0)),
+        ("gen_random_geometric-seed", "seed", lambda v: gen_random_geometric(5, 1.0, 0.5, v)),
         ("DistanceMatrix", "node", lambda v: distances(g)[v, 1]),
         ("walk_matrix", "walk length", lambda v: walk_matrix(g, v)),
         ("markov_parameter", "Markov parameter index", lambda v: markov_parameter(model, v)),
@@ -323,6 +325,86 @@ def test_every_integer_argument_passes_one_gate(name, call, bad):
                                          "is not an integer$"):
         call(bad)
     call(np.int64(2))
+
+
+def _real_gate_cases():
+    """(id, argument name, call taking the value, a valid value, whether it must be > 0).
+
+    A valid value that is a list is an array slot: its first entry takes the
+    value under test.
+    """
+    g = gen_cycle(5)
+    model = SubsystemModel([[-1.0]], [[1.0]], [[1.0]], [[1.0]])
+    pre = NetworkSystem(g, model)
+    x = np.arange(1.0, 6.0)
+    ones = np.ones((5, 1))
+    column = [[2.0]] + [[1.0]] * 4
+    return [
+        ("simulate-t0", "t0", lambda v: simulate(pre, x, v, 1.0, 0.1), 0.0, False),
+        ("simulate-t_end", "t_end", lambda v: simulate(pre, x, 0.0, v, 0.1), 1.0, False),
+        ("simulate-dt", "dt", lambda v: simulate(pre, x, 0.0, 1.0, v), 0.1, True),
+        ("FailureEvent", "failure time",
+         lambda v: simulate(pre, x, 0.0, 1.0, 0.1, [FailureEvent(1, v)]), 0.5, False),
+        ("detect_edge_failures", "failure time",
+         lambda v: detect_edge_failures(pre, x, 0.0, 1.0, 0.1, v, (2, 3), 4), 0.5, False),
+        ("simulate_edge_failures", "failure time",
+         lambda v: simulate_edge_failures(pre, x, 0.0, 1.0, 0.1, v), 0.5, False),
+        ("fault_replicant_check-t_f", "t_f",
+         lambda v: fault_replicant_check(pre, 2, x, v, 1.0, 0.1), 0.5, False),
+        ("fault_replicant_check-horizon", "horizon",
+         lambda v: fault_replicant_check(pre, 2, x, 0.5, v, 0.1), 1.0, False),
+        ("Edge-weight", "edge 1: weight", lambda v: Digraph(2, [Edge(1, 2, v)]), 2.0, True),
+        ("gen_random_geometric-radius", "radius",
+         lambda v: gen_random_geometric(5, 1.0, v, 0), 0.5, True),
+        ("gen_random_geometric-region_side", "region_side",
+         lambda v: gen_random_geometric(5, v, 0.5, 0), 1.0, True),
+        ("x0", "x0", lambda v: simulate(pre, v, 0.0, 1.0, 0.1), x.tolist(), False),
+        ("sinusoid", "sinusoid input: amplitude",
+         lambda v: simulate(pre, x, 0.0, 1.0, 0.1, w=ExogenousInput.sinusoid(v, ones, ones)),
+         column, False),
+        ("polynomial", "polynomial input: coeffs",
+         lambda v: simulate(pre, x, 0.0, 1.0, 0.1, w=ExogenousInput.polynomial(v)),
+         [[[2.0, 1.0]]] + [[[1.0, 1.0]]] * 4, False),
+        ("SubsystemModel", "A", lambda v: SubsystemModel(v, [[1.0]], [[1.0]], [[1.0]]),
+         [[-1.0]], False),
+    ]
+
+
+_REAL_GATE_CASES = _real_gate_cases()
+
+
+def _with_first_entry(nested, value):
+    """A copy of a nested list whose first scalar entry is value."""
+    if not isinstance(nested, list):
+        return value
+    return [_with_first_entry(nested[0], value)] + nested[1:]
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, "2", np.nan, np.inf],
+                         ids=["bool", "numpy-bool", "str", "nan", "inf"])
+@pytest.mark.parametrize("name,call,good,positive", [case[1:] for case in _REAL_GATE_CASES],
+                         ids=[case[0] for case in _REAL_GATE_CASES])
+def test_every_real_argument_passes_one_gate(name, call, good, positive, bad):
+    # a bool or a string where a time, step, weight, radius, state or matrix entry
+    # goes is a ValueError naming the argument, never read as the number it
+    # resembles, and so is a non-finite value; numpy scalars are reals
+    number = not isinstance(bad, (bool, np.bool_, str))
+    if isinstance(good, list):
+        want = (f"{name} has non-finite entries" if number
+                else f"{name} has a non-numeric entry {bad!r}")
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            call(_with_first_entry(good, bad))
+        call(np.array(good))
+        call(_with_first_entry(good, np.array(good).flat[0]))   # a numpy float entry
+        return
+    want = f"{name} must be finite, got {bad}" if number else f"{name} {bad!r} is not a real number"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        call(bad)
+    call(np.float64(good))
+    if positive:
+        for low in (0.0, np.int64(-1)):
+            with pytest.raises(ValueError, match=f"^{re.escape(name)} must be > 0, got "):
+                call(low)
 
 
 def test_remove_edge_does_not_revalidate(monkeypatch):
