@@ -50,10 +50,9 @@ import numpy as np
 
 from .dynamics import (FailureEvent, NetworkSystem, SubsystemModel, relative_degree,
                        simulate, simulate_edge_failures)
-from .fdi import (DetectorConfig, _validated_sensors, default_order_budget, detect,
-                  detect_edge_failures, diagnose, lookup_table, relation_matrix,
-                  sweep_summary)
-from .graph import Digraph, gen_cycle, gen_random_geometric, gen_star
+from .fdi import (DetectorConfig, default_order_budget, detect, detect_edge_failures,
+                  diagnose, lookup_table, relation_matrix, sweep_summary)
+from .graph import Digraph, _validated_sensors, gen_cycle, gen_random_geometric, gen_star
 from .placement import approximation_report
 
 EXIT_OK = 0

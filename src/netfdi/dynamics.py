@@ -50,7 +50,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Digraph, _check_int, _check_real, _real_array, _walk_power, distances
+from .graph import (Digraph, _check_int, _check_real, _real_array, _validated_sensors,
+                    _walk_power, distances)
 
 #: absolute tolerance below which a Markov parameter counts as zero
 NONZERO_ATOL = 1e-12
@@ -65,7 +66,8 @@ class SubsystemModel:
 
     A is d x d, B is d x m, C is o x d and the inner coupling Gamma is
     m x o, so Gamma maps neighbor outputs into the input channels.  All four
-    are read-only copies; construction fails without a relative degree.
+    are read-only copies; construction fails without a relative degree,
+    which it computes once and keeps in ``_r`` for the jump prediction.
     """
 
     __slots__ = ("A", "B", "C", "Gamma", "_r", "_mr_gamma", "_q_powers", "_tail_terms",
@@ -86,7 +88,6 @@ class SubsystemModel:
             raise ValueError(
                 f"Gamma must be {self.B.shape[1]}x{self.C.shape[0]} (inputs x outputs), "
                 f"got {self.Gamma.shape}")
-        self._r = None
         self._r = relative_degree(self)
         self._mr_gamma = markov_parameter(self, self._r) @ self.Gamma
         self._q_powers = {}
@@ -135,8 +136,6 @@ def relative_degree(model: SubsystemModel) -> int:
     By Cayley-Hamilton no index beyond d can be the first nonzero one, so
     a model whose first d Markov parameters all vanish is rejected.
     """
-    if model._r is not None:
-        return model._r
     for k in range(1, model.d + 1):
         if np.abs(markov_parameter(model, k)).max() > NONZERO_ATOL:
             return k
@@ -326,11 +325,13 @@ class SimulationTrace:
         sample's state through them.  Both are ``np.einsum`` contractions,
         which sum in a fixed order without BLAS, so the values do not depend
         on the BLAS thread count.  A boundary sample belongs to both of its
-        segments; the later one (right-hand derivatives) wins.
+        segments; the later one (right-hand derivatives) wins.  The sensors
+        pass the sensor-set gate: a repeated one is a ValueError, none gives
+        an empty array.
         """
         n, d, o = self.n_nodes, self.state_dim, self.output_dim
         z = _check_int(z, "order budget z", 0)
-        sensors = [_check_int(p, "sensor", 1, n) for p in sensors]
+        sensors = _validated_sensors(sensors, n)
         # rows[s, c, k] is row c of R_k for sensor s; values[t, s, c, k] its read-out
         rows = np.zeros((len(sensors), o, z + 1, self.states.shape[1]))
         for si, p in enumerate(sensors):

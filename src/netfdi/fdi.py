@@ -19,12 +19,22 @@ from math import comb, factorial
 import numpy as np
 
 from .dynamics import NetworkSystem, SimulationTrace, _healthy_prefix
-from .graph import Digraph, _check_int, distances, finite_diameter
+from .graph import (Digraph, _check_int, _real_array, _validated_sensors, distances,
+                    finite_diameter)
 
 
 def default_order_budget(g: Digraph, r: int) -> int:
     """Largest derivative order a failure can ever produce: r*(finite diameter + 1)."""
     return _check_int(r, "relative degree", 1) * (finite_diameter(g) + 1)
+
+
+def _label_index(edge_labels: tuple[int, ...], label: int) -> int:
+    """Position of an edge label among edge_labels; KeyError for one not there."""
+    label = _check_int(label, "edge label", 1)
+    try:
+        return edge_labels.index(label)
+    except ValueError:
+        raise KeyError(f"unknown edge label {label}") from None
 
 
 @dataclass(frozen=True)
@@ -51,11 +61,7 @@ class RelationMatrix:
         return self.entries.shape[1]
 
     def row_index(self, label: int) -> int:
-        label = _check_int(label, "edge label", 1)
-        try:
-            return self.edge_labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown edge label {label}") from None
+        return _label_index(self.edge_labels, label)
 
 
 @dataclass(frozen=True)
@@ -69,11 +75,7 @@ class LookupTable:
     z: int
 
     def column(self, label: int) -> np.ndarray:
-        label = _check_int(label, "edge label", 1)
-        try:
-            return self.table[:, self.edge_labels.index(label)]
-        except ValueError:
-            raise KeyError(f"unknown edge label {label}") from None
+        return self.table[:, _label_index(self.edge_labels, label)]
 
 
 def relation_matrix(g: Digraph, r: int, z: int | None = None) -> RelationMatrix:
@@ -98,20 +100,9 @@ def relation_matrix(g: Digraph, r: int, z: int | None = None) -> RelationMatrix:
     return RelationMatrix(entries=entries, edge_labels=g.edge_labels, r=r, z=z)
 
 
-def _validated_sensors(sensors, n_nodes: int) -> tuple[int, ...]:
-    """Sensors as a tuple of ints; each an integer (not a bool) in 1..n_nodes, none repeated."""
-    out = [_check_int(p, "sensor", 1, n_nodes) for p in sensors]
-    if len(set(out)) != len(out):
-        p = next(p for i, p in enumerate(out) if p in out[:i])
-        raise ValueError(f"duplicate node {p}")
-    return tuple(out)
-
-
 def lookup_table(g: Digraph, sensors, r: int, z: int | None = None) -> LookupTable:
     """Sensor-restricted transpose of the relation matrix (rows in sensor order)."""
-    sensors = _validated_sensors(sensors, g.n_nodes)
-    if not sensors:
-        raise ValueError("sensor set must be nonempty")
+    sensors = _validated_sensors(sensors, g.n_nodes, nonempty=True)
     rel = relation_matrix(g, r, z)
     table = rel.entries[:, [p - 1 for p in sensors]].T.copy()
     return LookupTable(table=table, sensors=sensors, edge_labels=rel.edge_labels,
@@ -201,8 +192,8 @@ def estimate_one_sided_derivative(times, values, k: int, side: str,
     k = _check_int(k, "derivative order", 0)
     if k > cfg.z:
         raise ValueError(f"derivative order {k} above the order budget z={cfg.z}")
-    t = np.asarray(times, dtype=float)
-    y = np.asarray(values, dtype=float)
+    t = _real_array(times, "times")
+    y = _real_array(values, "values")
     y2d = y.reshape(len(t), -1)
     w = cfg.stencil_width
     if len(t) < w:
@@ -227,9 +218,7 @@ def detect(trace: SimulationTrace, sensors, cfg: DetectorConfig) -> list[JumpSig
     smallest order k <= z whose jump exceeds threshold, or 0 when that
     sensor saw nothing.
     """
-    sensors = _validated_sensors(sensors, trace.n_nodes)
-    if not sensors:
-        raise ValueError("sensor set must be nonempty")
+    sensors = _validated_sensors(sensors, trace.n_nodes, nonempty=True)
     if cfg.mode == "analytic":
         return _detect_analytic(trace, sensors, cfg)
     return _detect_finite_difference(trace, sensors, cfg)
@@ -359,9 +348,7 @@ def detect_edge_failures(sys: NetworkSystem, x0, t0: float, t_end: float, dt: fl
     zeroing its (head, tail) block.  The grid, x0 and the failure time are
     validated as in ``simulate``, z as in ``DetectorConfig``.
     """
-    sensors = _validated_sensors(sensors, sys.graph.n_nodes)
-    if not sensors:
-        raise ValueError("sensor set must be nonempty")
+    sensors = _validated_sensors(sensors, sys.graph.n_nodes, nonempty=True)
     z = _check_int(z, "order budget z", 1)
     times, idx, _, states = _healthy_prefix(sys, x0, t0, t_end, dt, t_fail)
     edges = [e for _, e in sys.graph.edges()]

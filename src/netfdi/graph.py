@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import total_ordering
 from pathlib import Path
 from numbers import Integral, Real
 from typing import Iterable, Sequence
@@ -20,11 +21,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
+@total_ordering
 class _Infinite:
     """Singleton marker for unreachable node pairs.
 
     Compares greater than every integer so code like ``d <= z - 1`` works
-    without special-casing.  There is exactly one instance, ``INFINITE``.
+    without special-casing.  There is exactly one instance, ``INFINITE``;
+    ``==`` is identity, and ``total_ordering`` derives the rest from ``<``.
     """
 
     _instance = None
@@ -39,15 +42,6 @@ class _Infinite:
 
     def __lt__(self, other):
         return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
 
 
 INFINITE = _Infinite()
@@ -90,7 +84,10 @@ def _check_real(value, name: str, low: float | None = None) -> float:
     if type(value) is not float:
         if isinstance(value, bool) or not isinstance(value, Real):   # np.bool_ is no Real
             raise ValueError(f"{name} {value!r} is not a real number")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:   # an integer too large for a float
+            raise ValueError(f"{name} must be finite, got {value}") from None
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     if low is not None and value <= low:
@@ -104,18 +101,32 @@ def _real_array(value, name: str) -> np.ndarray:
         for v in np.array(value, dtype=object).flat:
             if isinstance(v, (bool, np.bool_, str, bytes)):
                 raise ValueError(f"{name} has a non-numeric entry {v!r}")
-    array = np.array(value, dtype=float)
+    try:
+        array = np.array(value, dtype=float)
+    except OverflowError:   # an integer too large for a float
+        raise ValueError(f"{name} has non-finite entries") from None
     if not np.isfinite(array).all():
         raise ValueError(f"{name} has non-finite entries")
     return array
+
+
+def _validated_sensors(sensors, n_nodes: int, nonempty: bool = False) -> tuple[int, ...]:
+    """Sensors as a tuple of ints; each an integer (not a bool) in 1..n_nodes, none repeated."""
+    out = [_check_int(p, "sensor", 1, n_nodes) for p in sensors]
+    if nonempty and not out:
+        raise ValueError("sensor set must be nonempty")
+    if len(set(out)) != len(out):
+        p = next(p for i, p in enumerate(out) if p in out[:i])
+        raise ValueError(f"duplicate node {p}")
+    return tuple(out)
 
 
 class Digraph:
     """Directed graph on nodes 1..n with labeled, weighted edges.
 
     Immutable by convention: mutating operations return a new graph.  This
-    lets derived quantities (adjacency, distances, walk powers) be memoized
-    on the instance.
+    lets derived quantities (distances, walk powers) be memoized on the
+    instance.
     """
 
     __slots__ = ("n_nodes", "_edges", "_memo")
@@ -176,14 +187,11 @@ class Digraph:
         return tuple(self._edges.items())
 
     def adjacency(self) -> np.ndarray:
-        """Weighted adjacency matrix G with G[i-1, j-1] = weight of (j -> i)."""
-        cached = self._memo.get("adjacency")
-        if cached is None:
-            cached = np.zeros((self.n_nodes, self.n_nodes))
-            for e in self._edges.values():
-                cached[e.head - 1, e.tail - 1] = e.weight
-            self._memo["adjacency"] = cached
-        return cached.copy()
+        """Weighted adjacency matrix G with G[i-1, j-1] = weight of (j -> i), a new array."""
+        G = np.zeros((self.n_nodes, self.n_nodes))
+        for e in self._edges.values():
+            G[e.head - 1, e.tail - 1] = e.weight
+        return G
 
     def remove_edge(self, label: int) -> "Digraph":
         """Graph without the given edge; remaining labels are unchanged.

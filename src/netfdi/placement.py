@@ -47,8 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fdi import RelationMatrix, _validated_sensors
-from .graph import _check_int, _is_integer
+from .fdi import RelationMatrix
+from .graph import _check_int, _is_integer, _validated_sensors
 
 #: exhaustive search refuses beyond this many nodes rather than running forever
 MAX_EXACT_NODES = 20

@@ -458,6 +458,24 @@ def test_model_file_with_bool_or_str_entry_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_integer_too_large_for_a_float_in_a_file_is_config_error(tmp_path, capsys):
+    # json reads a 401-digit literal as an int that no float holds
+    graph, model = map(str, write_cycle_inputs(tmp_path))
+    huge = "1" + "0" * 400
+    big_graph = tmp_path / "big_graph.json"
+    big_graph.write_text('{"n": 3, "edges": [{"tail": 1, "head": 2, "w": %s}]}' % huge)
+    assert main(["analyze", str(big_graph), "--sensors", "2",
+                 "--out", str(tmp_path / "table.json")]) == 3
+    assert capsys.readouterr().err == (
+        f"error: graph: cannot parse {big_graph}: edge 1: weight must be finite, got {huge}\n")
+    Path(model).write_text('{"A": [[%s]], "B": [[1.0]], "C": [[1.0]], "Gamma": [[1.0]]}' % huge)
+    assert main(["run", graph, model, "--sensors", "2,3", "--dt", "0.01", "--horizon", "2",
+                 "--out-dir", str(tmp_path / "run")]) == 3
+    assert capsys.readouterr().err == (
+        f"error: model: cannot parse {model}: A has non-finite entries\n")
+    assert not (tmp_path / "table.json").exists() and not (tmp_path / "run").exists()
+
+
 def test_failure_event_with_a_label_below_1_is_config_error(tmp_path, capsys):
     graph, model = map(str, write_cycle_inputs(tmp_path, n=4))
     assert main(["run", graph, model, "--sensors", "1,2", "--dt", "0.01", "--horizon", "2",

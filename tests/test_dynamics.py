@@ -1,5 +1,6 @@
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,15 @@ def test_model_rejects_non_finite_entries():
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match=f"^{name} has non-finite entries"):
                 SubsystemModel(**{**good, name: [[bad]]})
+
+
+@pytest.mark.parametrize("B,C,message", [
+    ([[1.0]], [[1.0, 0.0]], "B must have 2 rows, got (1, 1)"),
+    ([[0.0], [1.0]], [[1.0]], "C must have 2 columns, got (1, 1)"),
+], ids=["B-rows", "C-columns"])
+def test_model_refuses_b_and_c_of_the_wrong_size(B, C, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SubsystemModel([[0.0, 1.0], [0.0, 0.0]], B, C, [[1.0]])
 
 
 @pytest.mark.parametrize("name,value,entry", [
@@ -352,6 +362,11 @@ def test_simulate_rejects_grids_whose_step_count_overflows():
             simulate(sys_net, np.ones(5), 0.0, 1.0, 0.1, [FailureEvent(2, time)])
 
 
+def test_simulate_refuses_a_horizon_shorter_than_one_step():
+    with pytest.raises(ValueError, match="^horizon shorter than one step$"):
+        simulate(example2_system(), np.ones(5), 0.0, 0.4, 1.0)
+
+
 def test_simulate_snaps_failure_to_grid():
     sys_net = example2_system()
     trace = simulate(sys_net, np.ones(5), 0.0, 1.0, 0.1, [FailureEvent(2, 0.52)])
@@ -634,6 +649,13 @@ def test_trace_derivatives_validation():
                       w=ExogenousInput.polynomial(np.array([[[0.5]]])))
     dy = driven.derivatives((1,), 2)
     assert np.allclose(dy[0, 1, 0], -driven.states[:, 0] + 0.5, rtol=1e-12, atol=1e-14)
+
+
+def test_trace_derivatives_refuse_a_repeated_sensor():
+    # the sensor set of a trace's derivatives obeys the rule of every other sensor set
+    trace = simulate(example2_system(), np.ones(5), 0.0, 1.0, 0.1)
+    with pytest.raises(ValueError, match="^duplicate node 2$"):
+        trace.derivatives((2, 3, 2), 1)
 
 
 def test_one_sided_derivative_order_zero_continuous():

@@ -256,6 +256,33 @@ def test_estimate_validation():
         estimate_one_sided_derivative(t, t**2, -1, "left", cfg)
 
 
+def test_estimate_order_zero_is_the_near_sample():
+    cfg = DetectorConfig(z=2, mode="finite-difference")
+    t = np.arange(8) * 0.1
+    y = np.column_stack([t**2, -t])
+    np.testing.assert_array_equal(estimate_one_sided_derivative(t, y, 0, "left", cfg), y[-1])
+    np.testing.assert_array_equal(estimate_one_sided_derivative(t, y, 0, "right", cfg), y[0])
+
+
+@pytest.mark.parametrize("error,message,call", [
+    (ValueError, "derivative order 4 above the order budget z=3",
+     lambda: estimate_one_sided_derivative(np.arange(8) * 0.1, np.arange(8.0), 4, "left",
+                                           DetectorConfig(z=3))),
+    (ValueError, "trace of 11 samples too short for stencil width 7",
+     lambda: detect(example2_trace(dt=1.0), (2, 3),
+                    DetectorConfig(z=4, mode="finite-difference"))),
+    (ValueError, "sensor set must be nonempty",
+     lambda: detect_edge_failures(NetworkSystem(gen_cycle(5), scalar_model()), np.ones(5),
+                                  0.0, 1.0, 0.1, 0.5, (), 4)),
+    (KeyError, "unknown edge label 9", lambda: relation_matrix(gen_cycle(5), 1).row_index(9)),
+], ids=["estimate-order-above-z", "fd-detect-short-trace", "detect_edge_failures-no-sensor",
+        "row_index-unknown-label"])
+def test_refusals_name_their_cause(error, message, call):
+    with pytest.raises(error) as info:
+        call()
+    assert info.value.args[0] == message
+
+
 def test_detector_config_validation():
     cfg = DetectorConfig(z=4)
     assert cfg.stencil_width == 7

@@ -339,6 +339,8 @@ def _real_gate_cases():
     x = np.arange(1.0, 6.0)
     ones = np.ones((5, 1))
     column = [[2.0]] + [[1.0]] * 4
+    t = np.arange(8) * 0.1
+    cfg = DetectorConfig(z=2)
     return [
         ("simulate-t0", "t0", lambda v: simulate(pre, x, v, 1.0, 0.1), 0.0, False),
         ("simulate-t_end", "t_end", lambda v: simulate(pre, x, 0.0, v, 0.1), 1.0, False),
@@ -367,6 +369,10 @@ def _real_gate_cases():
          [[[2.0, 1.0]]] + [[[1.0, 1.0]]] * 4, False),
         ("SubsystemModel", "A", lambda v: SubsystemModel(v, [[1.0]], [[1.0]], [[1.0]]),
          [[-1.0]], False),
+        ("estimate_one_sided_derivative-times", "times",
+         lambda v: estimate_one_sided_derivative(v, t**2, 1, "left", cfg), t.tolist(), False),
+        ("estimate_one_sided_derivative-values", "values",
+         lambda v: estimate_one_sided_derivative(t, v, 1, "left", cfg), (t**2).tolist(), False),
     ]
 
 
@@ -380,8 +386,8 @@ def _with_first_entry(nested, value):
     return [_with_first_entry(nested[0], value)] + nested[1:]
 
 
-@pytest.mark.parametrize("bad", [True, np.True_, "2", np.nan, np.inf],
-                         ids=["bool", "numpy-bool", "str", "nan", "inf"])
+@pytest.mark.parametrize("bad", [True, np.True_, "2", np.nan, np.inf, 10**400],
+                         ids=["bool", "numpy-bool", "str", "nan", "inf", "huge-int"])
 @pytest.mark.parametrize("name,call,good,positive", [case[1:] for case in _REAL_GATE_CASES],
                          ids=[case[0] for case in _REAL_GATE_CASES])
 def test_every_real_argument_passes_one_gate(name, call, good, positive, bad):
@@ -426,6 +432,13 @@ def test_infinite_ordering():
     assert INFINITE >= INFINITE
     assert not INFINITE > INFINITE
     assert INFINITE is type(INFINITE)()
+
+
+def test_infinite_repr_and_reflexive_order():
+    assert repr(INFINITE) == "INFINITE"
+    assert INFINITE <= INFINITE
+    assert not INFINITE <= 10**9
+    assert 10**9 <= INFINITE and np.int64(3) < INFINITE
 
 
 def test_isomorphism_reduced_census_counts():

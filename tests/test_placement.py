@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -280,6 +281,17 @@ def test_brute_force_size_guard():
         brute_force_min_detection(rel)
     with pytest.raises(ValueError):
         brute_force_min_isolation(rel)
+
+
+def test_brute_force_detection_refuses_an_edge_no_sensor_sees():
+    # relation_matrix never builds one (every head sees its edge); a hand-made R can
+    rel = relation_matrix(gen_cycle(4), r=1, z=3)
+    entries = rel.entries.copy()
+    entries[2] = 0
+    blind = dataclasses.replace(rel, entries=entries)
+    message = r"^no detection set exists \(some edge has an all-zero row\)$"
+    with pytest.raises(ValueError, match=message):
+        brute_force_min_detection(blind)
 
 
 # -- incidence, harmonic ------------------------------------------------------------------
