@@ -13,22 +13,11 @@ Exit codes: 0 success, 2 when some detected event could not be uniquely
 isolated (ambiguous or nomatch), 3 on configuration errors, an output path
 that cannot be written included (missing parent directories are made).  All
 randomness flows from the --seed flag; reports are deterministic given
-(config, seed).  The derivatives in derivatives.csv are read out by
-``np.einsum``, which calls no BLAS, so that file does not change with the
-BLAS thread count; nor does trace.csv, stepped by matrix products alone,
-up to a few hundred states (see ``dynamics._expm``).  Every command writes
-each file under a temporary name beside it and renames them all once the
-last is written, in order (report.json last): a failed call leaves no
-artefact, or the earlier whole one.
-
-Every CSV cell is a float at 17 significant digits, `format(v, ".17g")`.
-``run`` writes trace.csv and derivatives.csv in one pass, a fixed number of
-samples at a time, so memory stays bounded whatever the horizon.  Within a
-chunk a column is formatted once however often it appears: t, outputs that
-copy a state, and order-0 derivatives that repeat an output share one text,
-and the bytes are those of formatting every cell on its own.  The samples
-are split across the CPUs the process may use, one forked writer per extra
-range, with the same bytes.
+(config, seed).  Every command writes each file under a temporary name
+beside it and renames them all once the last is written, in order
+(report.json last): a failed call leaves no artefact, or the earlier whole
+one.  Every CSV cell is a float at 17 significant digits,
+`format(v, ".17g")`.
 """
 
 from __future__ import annotations
@@ -50,9 +39,10 @@ import numpy as np
 
 from .dynamics import (FailureEvent, NetworkSystem, SubsystemModel, relative_degree,
                        simulate, simulate_edge_failures)
-from .fdi import (DetectorConfig, default_order_budget, detect, detect_edge_failures,
-                  diagnose, lookup_table, relation_matrix, sweep_summary)
-from .graph import Digraph, _validated_sensors, gen_cycle, gen_random_geometric, gen_star
+from .fdi import (DetectorConfig, RelationMatrix, detect, detect_edge_failures, diagnose,
+                  lookup_table, relation_matrix, sweep_summary)
+from .graph import (Digraph, _check_int, _validated_sensors, gen_cycle, gen_random_geometric,
+                    gen_star)
 from .placement import approximation_report
 
 EXIT_OK = 0
@@ -81,6 +71,15 @@ def _message(exc: Exception) -> str:
     return exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
 
 
+@contextlib.contextmanager
+def _field(name: str):
+    """A library ValueError or KeyError in the block as a config error naming the field."""
+    try:
+        yield
+    except (ValueError, KeyError) as exc:
+        raise ConfigError(f"{name}: {_message(exc)}")
+
+
 def _parse_sensors(spec: str, n_nodes: int) -> tuple[int, ...] | None:
     """Comma list of node ids, or None for 'auto'."""
     if spec.strip().lower() == "auto":
@@ -89,12 +88,8 @@ def _parse_sensors(spec: str, n_nodes: int) -> tuple[int, ...] | None:
         sensors = [int(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"sensors: expected comma-separated integers, got {spec!r}")
-    if not sensors:
-        raise ConfigError("sensors: empty list")
-    try:
-        return _validated_sensors(sensors, n_nodes)
-    except ValueError as exc:
-        raise ConfigError(f"sensors: {exc}")
+    with _field("sensors"):
+        return _validated_sensors(sensors, n_nodes, nonempty=True)
 
 
 def _parse_fail(specs) -> list[FailureEvent]:
@@ -105,25 +100,21 @@ def _parse_fail(specs) -> list[FailureEvent]:
             edge, time = int(edge_text), float(time_text)
         except ValueError:
             raise ConfigError(f"fail: expected EDGE_LABEL@TIME, got {spec!r}")
-        try:
+        with _field("fail"):
             events.append(FailureEvent(edge, time))
-        except ValueError as exc:
-            raise ConfigError(f"fail: {exc}")
     return events
 
 
-def _parse_z(spec: str, g: Digraph, r: int) -> int:
-    if r < 1:
-        raise ConfigError(f"r: must be >= 1, got {r}")
-    if spec.strip().lower() == "auto":
-        return default_order_budget(g, r)
+def _relation(g: Digraph, r: int, z_spec: str) -> RelationMatrix:
+    """relation_matrix(g, r, z) for the --z text: an integer, or 'auto' for the default."""
+    with _field("r"):
+        r = _check_int(r, "relative degree", 1)
     try:
-        z = int(spec)
+        z = None if z_spec.strip().lower() == "auto" else int(z_spec)
     except ValueError:
-        raise ConfigError(f"z: expected integer or 'auto', got {spec!r}")
-    if z < r:
-        raise ConfigError(f"z: budget {z} below relative degree {r}")
-    return z
+        raise ConfigError(f"z: expected integer or 'auto', got {z_spec!r}")
+    with _field("z"):
+        return relation_matrix(g, r, z)
 
 
 @contextlib.contextmanager
@@ -374,19 +365,17 @@ def cmd_gen(args) -> int:
 
 def cmd_analyze(args) -> int:
     g = _load("graph", args.graph, Digraph.load)
-    r = args.r
-    z = _parse_z(args.z, g, r)
+    rel = _relation(g, args.r, args.z)
     sensors = _parse_sensors(args.sensors, g.n_nodes)
     if sensors is None:
         raise ConfigError("sensors: analyze needs an explicit sensor list")
-    rel = relation_matrix(g, r, z)
-    table = lookup_table(g, sensors, r, z)
+    table = lookup_table(g, sensors, rel.r, rel.z)
     with _artefacts("out", args.out) as (out,):
         _write_json(out, {
             "R": rel.entries.tolist(),
             "D": table.table.tolist(),
-            "z": z,
-            "r": r,
+            "z": rel.z,
+            "r": rel.r,
             "sensors": list(sensors),
             "edge_labels": list(rel.edge_labels),
         })
@@ -397,12 +386,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_place(args) -> int:
     g = _load("graph", args.graph, Digraph.load)
-    z = _parse_z(args.z, g, args.r)
-    rel = relation_matrix(g, args.r, z)
-    try:
+    rel = _relation(g, args.r, args.z)
+    with _field("exact"):
         report = approximation_report(rel, exact=args.exact)
-    except ValueError as exc:
-        raise ConfigError(f"exact: {exc}")
     text = _json_text(report.to_dict())
     if args.output:
         with _artefacts("output", args.output) as (output,):
@@ -417,10 +403,8 @@ def cmd_simulate(args) -> int:
     sys_net = NetworkSystem(g, model)
     x0 = _resolve_x0(args.x0, sys_net, args.seed)
     schedule = _parse_fail(args.fail)
-    try:
-        trace = simulate(sys_net, x0, args.t0, args.t_end, args.dt, schedule)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"simulate: {_message(exc)}")
+    with _field("simulate"):
+        trace = simulate(sys_net, x0, 0.0, args.t_end, args.dt, schedule)
     with _artefacts("output", args.output) as (output,):
         _write_csv(trace.times, [(output, *_trace_table(trace))])
     print(f"wrote {len(trace.times)} samples to {args.output}")
@@ -446,12 +430,10 @@ def cmd_run(args) -> int:
     g = _load("graph", args.graph, Digraph.load)
     model = _load("model", args.model, SubsystemModel.load)
     sys_net = NetworkSystem(g, model)
-    r = relative_degree(model)
-    z = _parse_z(args.z, g, r)
+    rel = _relation(g, relative_degree(model), args.z)
     out_dir = Path(args.out_dir)
 
     placement_payload = None
-    rel = relation_matrix(g, r, z)
     sensors = _parse_sensors(args.sensors, g.n_nodes)
     if sensors is None:
         report = approximation_report(rel)
@@ -466,32 +448,30 @@ def cmd_run(args) -> int:
 
     x0 = _resolve_x0(args.x0, sys_net, args.seed)
     schedule = _parse_fail(args.fail)
-    table = lookup_table(g, sensors, r, z)
-    cfg = DetectorConfig(z=z, mode=args.mode)
+    table = lookup_table(g, sensors, rel.r, rel.z)
+    cfg = DetectorConfig(z=rel.z, mode=args.mode)
 
     sweeping = args.sweep_failures == "all-edges"
     if sweeping:
         # every edge fails in turn; a --fail gives only the time, and must name an edge
         if len(schedule) > 1:
             raise ConfigError("fail: a sweep takes at most one --fail, for its failure time")
-        if schedule and schedule[0].edge not in g.edge_labels:
-            raise ConfigError(f"fail: unknown edge label {schedule[0].edge}")
-        mid = args.t0 + (args.horizon - args.t0) / 2
-        t_fail = schedule[0].time if schedule else mid
+        if schedule:
+            with _field("fail"):
+                g.edge(schedule[0].edge)
+        t_fail = schedule[0].time if schedule else args.horizon / 2
     # one signature list per scenario: the run itself, or each swept edge
-    try:
+    with _field("sweep" if sweeping else "run"):
         if not sweeping:
-            trace = simulate(sys_net, x0, args.t0, args.horizon, args.dt, schedule)
+            trace = simulate(sys_net, x0, 0.0, args.horizon, args.dt, schedule)
             detected = [detect(trace, sensors, cfg)]
         elif cfg.mode == "analytic":
             # the analytic verdicts need only the state at the failure
-            detected = detect_edge_failures(sys_net, x0, args.t0, args.horizon,
-                                            args.dt, t_fail, sensors, z)
+            detected = detect_edge_failures(sys_net, x0, 0.0, args.horizon,
+                                            args.dt, t_fail, sensors, rel.z)
         else:
             detected = [detect(trace, sensors, cfg) for trace in simulate_edge_failures(
-                sys_net, x0, args.t0, args.horizon, args.dt, t_fail)]
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"{'sweep' if sweeping else 'run'}: {_message(exc)}")
+                sys_net, x0, 0.0, args.horizon, args.dt, t_fail)]
 
     diagnosed = diagnose(detected, table)
     if sweeping:
@@ -505,7 +485,8 @@ def cmd_run(args) -> int:
         [events] = diagnosed
         payload = {"events": [ev.to_dict() for ev in events]}
         names, done = ["trace.csv", "derivatives.csv", "report.json"], f"{len(events)} event(s)"
-    payload.update(tables={"R": rel.entries.tolist(), "D": table.table.tolist(), "z": z, "r": r},
+    payload.update(tables={"R": rel.entries.tolist(), "D": table.table.tolist(),
+                           "z": rel.z, "r": rel.r},
                    placement=placement_payload, sensors=list(sensors))
 
     with _artefacts("out_dir", *(out_dir / name for name in names)) as (*csvs, report):
@@ -514,7 +495,7 @@ def cmd_run(args) -> int:
             # reappear as order-0 derivatives, are formatted once
             trace_csv, derivatives_csv = csvs
             _write_csv(trace.times, [(trace_csv, *_trace_table(trace)),
-                                     (derivatives_csv, *_derivatives_table(trace, sensors, z))])
+                                     (derivatives_csv, *_derivatives_table(trace, sensors, cfg.z))])
         _write_json(report, payload)
     print(f"{done}; report in {out_dir}")
     return EXIT_OK if all(ev.is_unique for evs in diagnosed for ev in evs) else EXIT_UNRESOLVED
@@ -650,7 +631,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p_sim.add_argument("graph")
     p_sim.add_argument("model")
     p_sim.add_argument("--x0", default=None)
-    p_sim.add_argument("--t0", type=float, default=0.0)
     p_sim.add_argument("--t-end", type=float, required=True)
     p_sim.add_argument("--dt", type=float, required=True)
     p_sim.add_argument("--fail", action="append", default=[])
@@ -664,7 +644,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p_run.add_argument("--sensors", default="auto")
     p_run.add_argument("--z", default="auto")
     p_run.add_argument("--dt", type=float, default=1e-3)
-    p_run.add_argument("--t0", type=float, default=0.0)
     p_run.add_argument("--horizon", type=float, default=10.0)
     p_run.add_argument("--fail", action=_Repeated, default=[])
     p_run.add_argument("--mode", choices=["analytic", "finite-difference"],

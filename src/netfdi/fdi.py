@@ -19,7 +19,7 @@ from math import comb, factorial
 import numpy as np
 
 from .dynamics import NetworkSystem, SimulationTrace, _healthy_prefix
-from .graph import (Digraph, _check_int, _real_array, _validated_sensors, distances,
+from .graph import (Digraph, _check_int, _real_array, _shown, _validated_sensors, distances,
                     finite_diameter)
 
 
@@ -34,7 +34,7 @@ def _label_index(edge_labels: tuple[int, ...], label: int) -> int:
     try:
         return edge_labels.index(label)
     except ValueError:
-        raise KeyError(f"unknown edge label {label}") from None
+        raise KeyError(f"unknown edge label {_shown(label)}") from None
 
 
 @dataclass(frozen=True)

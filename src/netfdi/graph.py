@@ -56,27 +56,31 @@ class Edge:
     weight: float = 1.0
 
 
-def _is_integer(value) -> bool:
-    """Whether value is an integer; bool is not one here, though Python counts it."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
+def _shown(value) -> str:
+    """str(value), or the bit length of an integer past Python's digit limit for str()."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"{'-' if value < 0 else ''}<{int(value).bit_length()}-bit integer>"
 
 
 def _check_int(value, name: str, low: int, high: int | None = None) -> int:
     """value as a plain int in low..high (no upper bound when high is None).
 
-    ValueError naming the argument for a non-integer (a bool included) or
-    a value out of range.  ``type(value) is int`` is tested first: this
-    sits on the per-call path of the jump checks, and the Integral check
-    goes through the ABC machinery and costs several times more.
+    ValueError naming the argument for a non-integer (a bool included,
+    though Python counts it one) or a value out of range.  ``type(value)
+    is int`` is tested first: this sits on the per-call path of the jump
+    checks, and the Integral check goes through the ABC machinery and
+    costs several times more.
     """
     if type(value) is not int:
-        if not _is_integer(value):
+        if isinstance(value, bool) or not isinstance(value, Integral):
             raise ValueError(f"{name} {value!r} is not an integer")
         value = int(value)
     if low <= value and (high is None or value <= high):
         return value
-    raise ValueError(f"{name} must be >= {low}, got {value}" if high is None
-                     else f"{name} {value} outside {low}..{high}")
+    raise ValueError(f"{name} must be >= {low}, got {_shown(value)}" if high is None
+                     else f"{name} {_shown(value)} outside {low}..{high}")
 
 
 def _check_real(value, name: str, low: float | None = None) -> float:
@@ -87,7 +91,7 @@ def _check_real(value, name: str, low: float | None = None) -> float:
         try:
             value = float(value)
         except OverflowError:   # an integer too large for a float
-            raise ValueError(f"{name} must be finite, got {value}") from None
+            raise ValueError(f"{name} must be finite, got {_shown(value)}") from None
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     if low is not None and value <= low:
@@ -180,7 +184,7 @@ class Digraph:
         try:
             return self._edges[_check_int(label, "edge label", 1)]
         except KeyError:
-            raise KeyError(f"unknown edge label {label}") from None
+            raise KeyError(f"unknown edge label {_shown(label)}") from None
 
     def edges(self) -> tuple[tuple[int, Edge], ...]:
         """All (label, edge) pairs in label order."""

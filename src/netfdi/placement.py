@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fdi import RelationMatrix
-from .graph import _check_int, _is_integer, _validated_sensors
+from .graph import _check_int, _validated_sensors
 
 #: exhaustive search refuses beyond this many nodes rather than running forever
 MAX_EXACT_NODES = 20
@@ -232,8 +232,6 @@ def harmonic(d: int) -> float:
     stretch of terms summed pairwise, so the big products stay balanced);
     p / q rounds the exact quotient correctly, as float(Fraction) does.
     """
-    if not _is_integer(d):
-        raise TypeError(f"harmonic sum needs an integer d, got {d!r}")
     d = _check_int(d, "harmonic sum d", 1)
 
     def stretch(lo: int, hi: int) -> tuple[int, int]:

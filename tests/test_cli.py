@@ -953,12 +953,38 @@ def test_usage_error_maps_to_config_exit():
     assert main(["reproduce", "bogus"]) == 3
 
 
+def test_runs_start_at_time_zero(tmp_path, capsys):
+    # there is no --t0, on the command line or in a config
+    graph, model = map(str, write_cycle_inputs(tmp_path))
+    out = tmp_path / "out"
+    assert main(["run", graph, model, "--sensors", "2", "--t0", "1",
+                 "--out-dir", str(out)]) == 3
+    assert main(["simulate", graph, model, "--t-end", "1", "--dt", "0.1", "--t0", "1",
+                 "-o", str(out / "sim.csv")]) == 3
+    capsys.readouterr()
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"graph": graph, "model": model, "t0": 1.0}))
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err == "error: config: unknown field 't0'\n"
+    assert not out.exists()
+
+
+def test_help_shows_usage_only(capsys):
+    assert main(["--help"]) == 0
+    text = capsys.readouterr().out
+    for subcommand in ("gen", "analyze", "place", "simulate", "run", "reproduce"):
+        assert f"\n{subcommand} " in text
+    assert "Exit codes: 0 success, 2 when" in text
+    assert "fork" not in text and "BLAS" not in text
+
+
 @pytest.mark.parametrize("argv, message", [
-    ("run {graph} {model} --sensors ,", "sensors: empty list"),
+    ("run {graph} {model} --sensors ,", "sensors: sensor set must be nonempty"),
     ("run {graph} {model} --sensors 2 --fail 2at1", "fail: expected EDGE_LABEL@TIME, got '2at1'"),
-    ("run {graph} {model2} --sensors 2 --z 1", "z: budget 1 below relative degree 2"),
-    ("analyze {graph} --r 0 --sensors 2 --out {out}/t.json", "r: must be >= 1, got 0"),
-    ("place {graph} --r 0", "r: must be >= 1, got 0"),
+    ("run {graph} {model2} --sensors 2 --z 1", "z: order budget z=1 below relative degree r=2"),
+    ("analyze {graph} --r 0 --sensors 2 --out {out}/t.json",
+     "r: relative degree must be >= 1, got 0"),
+    ("place {graph} --r 0", "r: relative degree must be >= 1, got 0"),
     ("analyze {graph} --sensors auto --out {out}/t.json",
      "sensors: analyze needs an explicit sensor list"),
     ("place {star} --exact",
@@ -967,8 +993,9 @@ def test_usage_error_maps_to_config_exit():
      "x0: expected comma-separated reals, got '1,a,3,4'"),
     ("run {graph} {model} --sensors 2 --x0 1,2", "x0: expected 4 entries, got 2"),
     ("run --sensors 2", "graph/model: required (positionally or via --config)"),
+    ("run {graph} {model} --sensors 2 --z 0", "z: order budget z must be >= 1, got 0"),
 ], ids=["run-sensors", "run-fail", "run-z", "analyze-r", "place-r", "analyze-sensors",
-        "place-exact", "run-x0-text", "run-x0-size", "run-graph"])
+        "place-exact", "run-x0-text", "run-x0-size", "run-graph", "run-z-zero"])
 def test_config_errors_name_their_field(tmp_path, capsys, argv, message):
     graph, model = write_cycle_inputs(tmp_path, n=4)
     model2 = tmp_path / "model2.json"

@@ -13,6 +13,7 @@ from netfdi.fdi import (DetectorConfig, default_order_budget, detect, detect_edg
 from netfdi.graph import (INFINITE, Digraph, Edge, diameter, distances, finite_diameter,
                           gen_cycle, gen_random_geometric, gen_star, remove_edge,
                           walk_matrix)
+from netfdi.placement import harmonic
 
 from corpusgen import connected_digraph_edge_lists, random_connected_digraph
 from netfdi.cli import RGG_NODES, RGG_RADIUS, RGG_REGION, RGG_SEED
@@ -308,6 +309,7 @@ def _gate_cases():
          lambda v: detect_edge_failures(pre, x, 0.0, 1.0, 0.1, 0.5, (v, 3), 4)),
         ("estimate_one_sided_derivative", "derivative order",
          lambda v: estimate_one_sided_derivative(t, t**2, v, "left", cfg)),
+        ("harmonic", "harmonic sum d", harmonic),
     ]
 
 
@@ -411,6 +413,26 @@ def test_every_real_argument_passes_one_gate(name, call, good, positive, bad):
         for low in (0.0, np.int64(-1)):
             with pytest.raises(ValueError, match=f"^{re.escape(name)} must be > 0, got "):
                 call(low)
+
+
+def test_huge_integers_keep_the_argument_name():
+    # an integer past str()'s digit limit is shown by its bit length, so the
+    # message still opens with the argument's name
+    g = gen_cycle(5)
+    pre = NetworkSystem(g, SubsystemModel([[-1.0]], [[1.0]], [[1.0]], [[1.0]]))
+    x = np.arange(1.0, 6.0)
+    huge = 10**5000
+    shown = f"<{huge.bit_length()}-bit integer>"
+    for call, want in [
+            (lambda: simulate(pre, x, 0.0, huge, 0.1), f"t_end must be finite, got {shown}"),
+            (lambda: jump_oracle(pre, pre.remove_edge(1), x, huge, 1),
+             f"sensor {shown} outside 1..5"),
+            (lambda: relation_matrix(g, 1, -huge), f"order budget z must be >= 1, got -{shown}")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            call()
+    with pytest.raises(KeyError) as excinfo:
+        g.edge(huge)
+    assert excinfo.value.args == (f"unknown edge label {shown}",)
 
 
 def test_remove_edge_does_not_revalidate(monkeypatch):

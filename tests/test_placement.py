@@ -322,7 +322,7 @@ def test_harmonic_values():
 
 def test_harmonic_refuses_non_integers():
     for d in (2.5, 3.0, True):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             harmonic(d)
     assert harmonic(np.int64(4)) == 25.0 / 12.0
 
