@@ -24,12 +24,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
 import signal
 import sys
 import tempfile
+import threading
 import warnings
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
@@ -92,7 +94,8 @@ def _parse_sensors(spec: str, n_nodes: int) -> tuple[int, ...] | None:
         return _validated_sensors(sensors, n_nodes, nonempty=True)
 
 
-def _parse_fail(specs) -> list[FailureEvent]:
+def _parse_fail(specs, g: Digraph, sweep: bool = False) -> list[FailureEvent]:
+    """The --fail events, each on an edge of g; a sweep takes at most one, for its time."""
     events = []
     for spec in specs:
         try:
@@ -102,6 +105,11 @@ def _parse_fail(specs) -> list[FailureEvent]:
             raise ConfigError(f"fail: expected EDGE_LABEL@TIME, got {spec!r}")
         with _field("fail"):
             events.append(FailureEvent(edge, time))
+    if sweep and len(events) > 1:
+        raise ConfigError("fail: a sweep takes at most one --fail, for its failure time")
+    with _field("fail"):
+        for event in events:
+            g.edge(event.edge)
     return events
 
 
@@ -402,7 +410,7 @@ def cmd_simulate(args) -> int:
     model = _load("model", args.model, SubsystemModel.load)
     sys_net = NetworkSystem(g, model)
     x0 = _resolve_x0(args.x0, sys_net, args.seed)
-    schedule = _parse_fail(args.fail)
+    schedule = _parse_fail(args.fail, g)
     with _field("simulate"):
         trace = simulate(sys_net, x0, 0.0, args.t_end, args.dt, schedule)
     with _artefacts("output", args.output) as (output,):
@@ -447,18 +455,12 @@ def cmd_run(args) -> int:
                   "auto sensors degrade to detection-only", file=sys.stderr)
 
     x0 = _resolve_x0(args.x0, sys_net, args.seed)
-    schedule = _parse_fail(args.fail)
+    sweeping = args.sweep_failures == "all-edges"
+    schedule = _parse_fail(args.fail, g, sweeping)
     table = lookup_table(g, sensors, rel.r, rel.z)
     cfg = DetectorConfig(z=rel.z, mode=args.mode)
-
-    sweeping = args.sweep_failures == "all-edges"
     if sweeping:
-        # every edge fails in turn; a --fail gives only the time, and must name an edge
-        if len(schedule) > 1:
-            raise ConfigError("fail: a sweep takes at most one --fail, for its failure time")
-        if schedule:
-            with _field("fail"):
-                g.edge(schedule[0].edge)
+        # every edge fails in turn; a --fail gives only the time
         t_fail = schedule[0].time if schedule else args.horizon / 2
     # one signature list per scenario: the run itself, or each swept edge
     with _field("sweep" if sweeping else "run"):
@@ -596,8 +598,13 @@ def _config_defaults(p_run: argparse.ArgumentParser, path: str) -> dict:
     return defaults
 
 
+@functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
-    """The netfdi parser and its run subparser, the one reader of run settings."""
+    """The netfdi parser and its run subparser, the one reader of run settings.
+
+    Built on the first ``main`` call and shared by every later one, so a
+    parse leaves each default as built (see ``main``).
+    """
     parser = argparse.ArgumentParser(prog="netfdi", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -662,14 +669,26 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     return parser, p_run
 
 
+#: held by each parse of the shared parser, which a --config alters for one parse
+_PARSE_LOCK = threading.Lock()
+
+
 def main(argv=None) -> int:
     parser, p_run = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            # config values become run defaults, so explicit arguments still win
-            p_run.set_defaults(**_config_defaults(p_run, args.config))
+        with _PARSE_LOCK:
             args = parser.parse_args(argv)
+            if getattr(args, "config", None):
+                # config values become run defaults for this parse only, so explicit
+                # arguments still win and nothing carries over to the next call
+                config = _config_defaults(p_run, args.config)
+                # the built default objects come back: _Repeated tests its default by identity
+                built = {dest: p_run.get_default(dest) for dest in config}
+                p_run.set_defaults(**config)
+                try:
+                    args = parser.parse_args(argv)
+                finally:
+                    p_run.set_defaults(**built)
         return args.func(args)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; those are config errors here

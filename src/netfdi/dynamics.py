@@ -547,9 +547,13 @@ def simulate_edge_failures(sys: NetworkSystem, x0, t0: float, t_end: float, dt: 
 def _state_key(x_tf, n_states: int) -> tuple[np.ndarray, bytes]:
     """(x, key): x(t_f) as a flat float vector and its bytes, the key of the jump memos.
 
-    ValueError unless x has n_states = N d entries.
+    A 1-D float64 ndarray is x itself, not a copy: the memos copy what they
+    keep.  ValueError unless x has n_states = N d entries.
     """
-    x = np.asarray(x_tf, dtype=float).reshape(-1)
+    if type(x_tf) is np.ndarray and x_tf.ndim == 1 and x_tf.dtype == np.float64:
+        x = x_tf
+    else:
+        x = np.asarray(x_tf, dtype=float).reshape(-1)
     if len(x) != n_states:
         raise ValueError(f"x_tf must have {n_states} entries (N d), got {len(x)}")
     return x, x.tobytes()
@@ -651,11 +655,11 @@ def theoretical_jump(g: Digraph, model: SubsystemModel, edge: int, p: int,
     p = _check_int(p, "sensor", 1, g.n_nodes)
     x, key = _state_key(x_tf, g.n_nodes * model.d)
     e = g.edge(edge)
-    dist = int(distances(g)._hops[e.head - 1, p - 1])
+    dist = distances(g)._hops.item(e.head - 1, p - 1)
     if dist < 0:
-        return JumpPrediction(observable=False, order=None, value=None)
+        return JumpPrediction(False, None, None)
     order = model._r * (dist + 1)
-    walk = _walk_power(g, dist)[p - 1, e.head - 1]
+    walk = _walk_power(g, dist).item(p - 1, e.head - 1)
     memo_key, terms = model._tail_terms
     if memo_key != key:
         terms = {}
@@ -666,7 +670,7 @@ def theoretical_jump(g: Digraph, model: SubsystemModel, edge: int, p: int,
         x_j = x[(e.tail - 1) * d : e.tail * d]
         term = terms[e.tail, dist] = _q_power(model, dist) @ (model.C @ x_j)
     value = -e.weight * walk * term
-    return JumpPrediction(observable=True, order=order, value=value)
+    return JumpPrediction(True, order, value)
 
 
 def fault_replicant_check(sys: NetworkSystem, edge: int, x0, t_f: float,

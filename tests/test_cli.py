@@ -1,3 +1,4 @@
+import argparse
 import ast
 import errno
 import json
@@ -297,6 +298,89 @@ def test_run_config_rejects_unknown_field(tmp_path, capsys):
     assert "config: file not found" in capsys.readouterr().err
 
 
+def _run_defaults() -> dict:
+    """Each run argument's default in the shared parser, by dest."""
+    _, p_run = cli._build_parser()
+    return {a.dest: p_run.get_default(a.dest) for a in p_run._actions}
+
+
+def test_parser_is_built_once_per_process(tmp_path):
+    graph, model = write_cycle_inputs(tmp_path)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"graph": str(graph), "model": str(model), "sensors": "2,3",
+                               "z": 4, "dt": 0.01, "horizon": 2}))
+    cli._build_parser.cache_clear()
+    for argv in (["place", str(graph)],
+                 ["run", "--config", str(cfg), "--out-dir", str(tmp_path / "cfg")],
+                 ["run", str(graph), str(model), "--sensors", "2", "--dt", "0.01",
+                  "--horizon", "2", "--out-dir", str(tmp_path / "run")],
+                 ["reproduce", "cycle5", "--out-dir", str(tmp_path / "cycle5")]):
+        assert main(argv) == 0, argv
+    # reproduce cycle5 parses twice: its own argv, then the run it hands to main
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
+
+
+def test_config_sets_defaults_for_one_parse_only(tmp_path):
+    graph, model = write_cycle_inputs(tmp_path)
+    built = _run_defaults()
+    plain = ["run", str(graph), str(model), "--sensors", "2,3", "--z", "4",
+             "--horizon", "4", "--x0", "1,2,3,4,5"]
+    assert main(plain + ["--out-dir", str(tmp_path / "alone")]) == 0
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "graph": str(graph), "model": str(model), "dt": 0.02, "mode": "finite-difference",
+        "sensors": [1, 4], "fail": ["2@1", "4@3"], "out_dir": str(tmp_path / "cfg")}))
+    assert main(["run", "--config", str(cfg)]) in (0, 2)
+    assert _run_defaults() == built
+    assert main(plain + ["--out-dir", str(tmp_path / "after")]) == 0
+    for name in ("report.json", "trace.csv", "derivatives.csv"):
+        assert (tmp_path / "after" / name).read_bytes() == \
+            (tmp_path / "alone" / name).read_bytes(), name
+
+
+def test_failed_config_call_leaves_the_built_defaults(tmp_path, capsys, monkeypatch):
+    graph, model = write_cycle_inputs(tmp_path)
+    built = _run_defaults()
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"graph": str(graph), "model": str(tmp_path / "missing.json"),
+                               "sensors": "2,3", "dt": 0.01, "fail": ["2@1"], "seed": 4}))
+    assert main(["run", "--config", str(cfg)]) == 3
+    assert "model: file not found" in capsys.readouterr().err
+    assert _run_defaults() == built
+    # a parse stopped while the config's defaults are set still restores them
+    parser, p_run = cli._build_parser()
+    seen = []
+
+    def parse_args(argv):
+        seen.append(p_run.get_default("seed"))
+        if len(seen) == 2:
+            raise KeyboardInterrupt
+        return argparse.ArgumentParser.parse_args(parser, argv)
+
+    monkeypatch.setattr(parser, "parse_args", parse_args)
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", "--config", str(cfg)])
+    assert seen == [0, 4] and not cli._PARSE_LOCK.locked()
+    after = _run_defaults()
+    assert after == built
+    # the very objects come back, so _Repeated still knows its default list
+    assert all(after[dest] is built[dest] for dest in built)
+
+
+def test_explicit_fail_replaces_the_config_list_on_every_call(tmp_path):
+    graph, model = write_cycle_inputs(tmp_path)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"graph": str(graph), "model": str(model), "sensors": "2,3",
+                               "z": 4, "dt": 0.01, "horizon": 6, "fail": ["2@5"],
+                               "x0": [1, 2, 3, 4, 5]}))
+    for tag in ("first", "second"):
+        out = tmp_path / tag
+        assert main(["run", "--config", str(cfg), "--fail", "3@4", "--out-dir", str(out)]) == 0
+        events = json.loads((out / "report.json").read_text())["events"]
+        assert [(ev["t"], ev["edges"]) for ev in events] == [(pytest.approx(4.0), [3])], tag
+
+
 def test_non_finite_inputs_are_config_errors(tmp_path, capsys):
     graph, model = write_cycle_inputs(tmp_path)
     bad_model = tmp_path / "nan_model.json"
@@ -439,10 +523,10 @@ def test_unknown_failed_edge_is_named_without_quotes(tmp_path, capsys):
     graph, model = map(str, write_cycle_inputs(tmp_path, n=4))
     assert main(["run", graph, model, "--sensors", "1,2", "--dt", "0.01", "--horizon", "2",
                  "--fail", "9@1", "--out-dir", str(tmp_path / "run")]) == 3
-    assert capsys.readouterr().err == "error: run: unknown edge label 9\n"
+    assert capsys.readouterr().err == "error: fail: unknown edge label 9\n"
     assert main(["simulate", graph, model, "--t-end", "2", "--dt", "0.01",
                  "--fail", "7@1", "-o", str(tmp_path / "trace.csv")]) == 3
-    assert capsys.readouterr().err == "error: simulate: unknown edge label 7\n"
+    assert capsys.readouterr().err == "error: fail: unknown edge label 7\n"
 
 
 def test_model_file_with_bool_or_str_entry_is_config_error(tmp_path, capsys):
