@@ -31,7 +31,6 @@ import os
 import signal
 import sys
 import tempfile
-import threading
 import warnings
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
@@ -57,11 +56,13 @@ class ConfigError(Exception):
 
 
 def _load(field: str, path, read):
-    """read(path), with a missing or malformed file as a config error naming the field."""
+    """read(path), with a file it cannot find, read or parse as a config error naming the field."""
     try:
         return read(path)
     except FileNotFoundError:
         raise ConfigError(f"{field}: file not found: {path}")
+    except OSError as exc:   # a directory, a file without read permission
+        raise ConfigError(f"{field}: cannot read {path}: {exc.strerror or exc}")
     except KeyError as exc:
         raise ConfigError(f"{field}: cannot parse {path}: missing field {_message(exc)}")
     except (TypeError, ValueError) as exc:
@@ -564,18 +565,17 @@ def _seed(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
 
 
-class _Repeated(argparse.Action):
-    """A repeatable flag whose first explicit use replaces the default list."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        items = getattr(namespace, self.dest)
-        setattr(namespace, self.dest, ([] if items is self.default else items) + [values])
+#: the run settings that neither the command line nor a config gives
+RUN_DEFAULTS = {"graph": None, "model": None, "sensors": "auto", "z": "auto", "dt": 1e-3,
+                "horizon": 10.0, "fail": (), "mode": "analytic", "x0": None, "seed": 0,
+                "out_dir": "netfdi_out", "sweep_failures": None}
 
 
 def _config_defaults(p_run: argparse.ArgumentParser, path: str) -> dict:
-    """Run defaults from a JSON config, each field read exactly as its argument is.
+    """Run settings from a JSON config, each field read exactly as its argument is.
 
-    A JSON array stands for a comma list, or for the repeats of a repeatable flag.
+    A JSON array stands for a comma list, or for the repeats of a repeatable
+    flag.  ``main`` lays them over ``RUN_DEFAULTS`` and under the command line.
     """
     data = _load("config", path, lambda p: json.loads(Path(p).read_text()))
     if not isinstance(data, dict):
@@ -588,7 +588,7 @@ def _config_defaults(p_run: argparse.ArgumentParser, path: str) -> dict:
             raise ConfigError(f"config: unknown field {key!r}")
         tokens = [v if isinstance(v, str) else json.dumps(v)
                   for v in (value if isinstance(value, list) else [value])]
-        repeated = isinstance(action, _Repeated)
+        repeated = isinstance(action, argparse._AppendAction)
         try:
             values = [p_run._get_values(action, [tok])
                       for tok in (tokens if repeated else [",".join(tokens)])]
@@ -602,8 +602,10 @@ def _config_defaults(p_run: argparse.ArgumentParser, path: str) -> dict:
 def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     """The netfdi parser and its run subparser, the one reader of run settings.
 
-    Built on the first ``main`` call and shared by every later one, so a
-    parse leaves each default as built (see ``main``).
+    Built on the first ``main`` call and shared by every later one; nothing
+    writes to it after this returns.  The run subparser stores only the
+    arguments given, so ``main`` can tell them from a config's settings and
+    from ``RUN_DEFAULTS``.
     """
     parser = argparse.ArgumentParser(prog="netfdi", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -645,21 +647,21 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p_sim.add_argument("-o", "--output", required=True)
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_run = sub.add_parser("run", help="full detect/isolate pipeline")
+    p_run = sub.add_parser("run", help="full detect/isolate pipeline",
+                           argument_default=argparse.SUPPRESS)
     p_run.add_argument("graph", nargs="?")
     p_run.add_argument("model", nargs="?")
-    p_run.add_argument("--sensors", default="auto")
-    p_run.add_argument("--z", default="auto")
-    p_run.add_argument("--dt", type=float, default=1e-3)
-    p_run.add_argument("--horizon", type=float, default=10.0)
-    p_run.add_argument("--fail", action=_Repeated, default=[])
-    p_run.add_argument("--mode", choices=["analytic", "finite-difference"],
-                       default="analytic")
-    p_run.add_argument("--x0", default=None)
-    p_run.add_argument("--seed", type=_seed, default=0)
-    p_run.add_argument("--out-dir", default="netfdi_out")
-    p_run.add_argument("--sweep-failures", choices=["all-edges"], default=None)
-    p_run.add_argument("--config", default=None)
+    p_run.add_argument("--sensors")
+    p_run.add_argument("--z")
+    p_run.add_argument("--dt", type=float)
+    p_run.add_argument("--horizon", type=float)
+    p_run.add_argument("--fail", action="append")
+    p_run.add_argument("--mode", choices=["analytic", "finite-difference"])
+    p_run.add_argument("--x0")
+    p_run.add_argument("--seed", type=_seed)
+    p_run.add_argument("--out-dir")
+    p_run.add_argument("--sweep-failures", choices=["all-edges"])
+    p_run.add_argument("--config")
     p_run.set_defaults(func=cmd_run)
 
     p_rep = sub.add_parser("reproduce", help="rebuild canned scenarios")
@@ -669,26 +671,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     return parser, p_run
 
 
-#: held by each parse of the shared parser, which a --config alters for one parse
-_PARSE_LOCK = threading.Lock()
-
-
 def main(argv=None) -> int:
     parser, p_run = _build_parser()
     try:
-        with _PARSE_LOCK:
-            args = parser.parse_args(argv)
-            if getattr(args, "config", None):
-                # config values become run defaults for this parse only, so explicit
-                # arguments still win and nothing carries over to the next call
-                config = _config_defaults(p_run, args.config)
-                # the built default objects come back: _Repeated tests its default by identity
-                built = {dest: p_run.get_default(dest) for dest in config}
-                p_run.set_defaults(**config)
-                try:
-                    args = parser.parse_args(argv)
-                finally:
-                    p_run.set_defaults(**built)
+        args = parser.parse_args(argv)
+        if args.command == "run":
+            # the command line beats the config, which beats the built-in defaults
+            config = _config_defaults(p_run, args.config) if getattr(args, "config", None) else {}
+            args = argparse.Namespace(**{**RUN_DEFAULTS, **config, **vars(args)})
         return args.func(args)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; those are config errors here

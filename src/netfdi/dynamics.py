@@ -547,13 +547,14 @@ def simulate_edge_failures(sys: NetworkSystem, x0, t0: float, t_end: float, dt: 
 def _state_key(x_tf, n_states: int) -> tuple[np.ndarray, bytes]:
     """(x, key): x(t_f) as a flat float vector and its bytes, the key of the jump memos.
 
-    A 1-D float64 ndarray is x itself, not a copy: the memos copy what they
-    keep.  ValueError unless x has n_states = N d entries.
+    A 1-D float64 ndarray is x itself, not a copy, and is not checked for
+    NaN or inf: the memos copy what they keep.  Anything else passes
+    ``_real_array`` as "x_tf".  ValueError unless x has n_states = N d entries.
     """
     if type(x_tf) is np.ndarray and x_tf.ndim == 1 and x_tf.dtype == np.float64:
         x = x_tf
     else:
-        x = np.asarray(x_tf, dtype=float).reshape(-1)
+        x = _real_array(x_tf, "x_tf").reshape(-1)
     if len(x) != n_states:
         raise ValueError(f"x_tf must have {n_states} entries (N d), got {len(x)}")
     return x, x.tobytes()

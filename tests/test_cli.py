@@ -1,4 +1,3 @@
-import argparse
 import ast
 import errno
 import json
@@ -298,12 +297,6 @@ def test_run_config_rejects_unknown_field(tmp_path, capsys):
     assert "config: file not found" in capsys.readouterr().err
 
 
-def _run_defaults() -> dict:
-    """Each run argument's default in the shared parser, by dest."""
-    _, p_run = cli._build_parser()
-    return {a.dest: p_run.get_default(a.dest) for a in p_run._actions}
-
-
 def test_parser_is_built_once_per_process(tmp_path):
     graph, model = write_cycle_inputs(tmp_path)
     cfg = tmp_path / "run.json"
@@ -323,7 +316,6 @@ def test_parser_is_built_once_per_process(tmp_path):
 
 def test_config_sets_defaults_for_one_parse_only(tmp_path):
     graph, model = write_cycle_inputs(tmp_path)
-    built = _run_defaults()
     plain = ["run", str(graph), str(model), "--sensors", "2,3", "--z", "4",
              "--horizon", "4", "--x0", "1,2,3,4,5"]
     assert main(plain + ["--out-dir", str(tmp_path / "alone")]) == 0
@@ -332,40 +324,57 @@ def test_config_sets_defaults_for_one_parse_only(tmp_path):
         "graph": str(graph), "model": str(model), "dt": 0.02, "mode": "finite-difference",
         "sensors": [1, 4], "fail": ["2@1", "4@3"], "out_dir": str(tmp_path / "cfg")}))
     assert main(["run", "--config", str(cfg)]) in (0, 2)
-    assert _run_defaults() == built
     assert main(plain + ["--out-dir", str(tmp_path / "after")]) == 0
     for name in ("report.json", "trace.csv", "derivatives.csv"):
         assert (tmp_path / "after" / name).read_bytes() == \
             (tmp_path / "alone" / name).read_bytes(), name
 
 
-def test_failed_config_call_leaves_the_built_defaults(tmp_path, capsys, monkeypatch):
+def test_failed_config_call_leaves_the_built_defaults(tmp_path, capsys):
     graph, model = write_cycle_inputs(tmp_path)
-    built = _run_defaults()
+    plain = ["run", str(graph), str(model), "--sensors", "2", "--z", "4", "--horizon", "2"]
+    assert main(plain + ["--out-dir", str(tmp_path / "alone")]) == 0
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"graph": str(graph), "model": str(tmp_path / "missing.json"),
                                "sensors": "2,3", "dt": 0.01, "fail": ["2@1"], "seed": 4}))
     assert main(["run", "--config", str(cfg)]) == 3
     assert "model: file not found" in capsys.readouterr().err
-    assert _run_defaults() == built
-    # a parse stopped while the config's defaults are set still restores them
-    parser, p_run = cli._build_parser()
-    seen = []
+    assert main(plain + ["--out-dir", str(tmp_path / "after")]) == 0
+    for name in ("report.json", "trace.csv", "derivatives.csv"):
+        assert (tmp_path / "after" / name).read_bytes() == \
+            (tmp_path / "alone" / name).read_bytes(), name
 
-    def parse_args(argv):
-        seen.append(p_run.get_default("seed"))
-        if len(seen) == 2:
-            raise KeyboardInterrupt
-        return argparse.ArgumentParser.parse_args(parser, argv)
 
-    monkeypatch.setattr(parser, "parse_args", parse_args)
-    with pytest.raises(KeyboardInterrupt):
-        main(["run", "--config", str(cfg)])
-    assert seen == [0, 4] and not cli._PARSE_LOCK.locked()
-    after = _run_defaults()
-    assert after == built
-    # the very objects come back, so _Repeated still knows its default list
-    assert all(after[dest] is built[dest] for dest in built)
+def test_explicit_built_in_default_beats_the_config(tmp_path):
+    # an argument given on the command line wins even when it equals the built-in default
+    graph, model = write_cycle_inputs(tmp_path)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"graph": str(graph), "model": str(model), "sensors": "2,3",
+                               "z": 4, "fail": ["2@5"], "seed": 4, "dt": 0.01,
+                               "mode": "finite-difference"}))
+    assert main(["run", "--config", str(cfg), "--seed", "0", "--dt", "0.001",
+                 "--mode", "analytic", "--out-dir", str(tmp_path / "cfg")]) == 0
+    assert main(["run", str(graph), str(model), "--sensors", "2,3", "--z", "4",
+                 "--fail", "2@5", "--out-dir", str(tmp_path / "flags")]) == 0
+    assert len((tmp_path / "cfg" / "trace.csv").read_text().splitlines()) == 10002
+    for name in ("report.json", "trace.csv", "derivatives.csv"):
+        assert (tmp_path / "cfg" / name).read_bytes() == \
+            (tmp_path / "flags" / name).read_bytes(), name
+
+
+def test_a_directory_as_input_file_is_a_config_error(tmp_path, capsys):
+    graph, model = write_cycle_inputs(tmp_path)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    out = tmp_path / "out"
+    for argv, field in (
+            (["analyze", str(folder), "--sensors", "1", "--out", str(out / "t.json")], "graph"),
+            (["run", str(graph), str(folder), "--sensors", "2", "--out-dir", str(out)],
+             "model"),
+            (["run", "--config", str(folder), "--out-dir", str(out)], "config")):
+        assert main(argv) == 3, argv
+        assert capsys.readouterr().err == f"error: {field}: cannot read {folder}: Is a directory\n"
+    assert not out.exists()
 
 
 def test_explicit_fail_replaces_the_config_list_on_every_call(tmp_path):

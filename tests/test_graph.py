@@ -375,6 +375,13 @@ def _real_gate_cases():
          lambda v: estimate_one_sided_derivative(v, t**2, 1, "left", cfg), t.tolist(), False),
         ("estimate_one_sided_derivative-values", "values",
          lambda v: estimate_one_sided_derivative(t, v, 1, "left", cfg), (t**2).tolist(), False),
+        ("theoretical_jump", "x_tf", lambda v: theoretical_jump(g, model, 1, 2, v),
+         x.tolist(), False),
+        ("jump_oracle", "x_tf", lambda v: jump_oracle(pre, pre.remove_edge(1), v, 2, 1),
+         x.tolist(), False),
+        ("one_sided_derivative", "x_tf",
+         lambda v: one_sided_derivative(pre, pre.remove_edge(1), v, 2, 1, "right"),
+         x.tolist(), False),
     ]
 
 
