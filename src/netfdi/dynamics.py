@@ -16,15 +16,15 @@ check the other:
                          -g_ij [G^dist]_pi (M_r Gamma)^(dist+1) C x_j(t_f),
                          where M_r is the first nonzero Markov parameter.
 
-Prediction reads memoised structure: each ``SubsystemModel`` keeps the powers
-(M_r Gamma)^(dist+1) it has been asked for in ``_q_powers`` and, for the
-last x(t_f) it was asked about, the tail terms (M_r Gamma)^(dist+1) C x_j in
-``_tail_terms``; each ``Digraph`` keeps its hop array and walk powers in
-``_memo``.  The oracle side memoises too: each ``NetworkSystem`` keeps the
-orbit x, A x, A^2 x, ... of the last x(t_f) in ``_orbit``, so the
-pre-failure orbit is shared by every edge and sensor and a post-failure one
-by every sensor of its edge.  Both memos hold one x(t_f) at a time, keyed
-by its bytes, and every value is computed as it would be without them.
+Both routes read orbits that grow by one product per order.  For the last
+x(t_f) it was asked about, each ``SubsystemModel`` keeps per tail j the
+orbit C x_j, (M_r Gamma) C x_j, (M_r Gamma)^2 C x_j, ... in ``_tail_orbits``,
+and each ``NetworkSystem`` keeps the orbit x, A x, A^2 x, ... in ``_orbit``,
+so the pre-failure orbit is shared by every edge and sensor and a
+post-failure one by every sensor of its edge; each ``Digraph`` keeps its hop
+array and walk powers in ``_memo``.  Both orbit memos hold one x(t_f) at a
+time, keyed by its bytes, and every value is computed as it would be
+without them.
 ``NetworkSystem.closed_loop`` is read-only, so an in-place edit raises
 instead of leaving a stale orbit.  A failure changes one block of the
 closed loop, so ``NetworkSystem.remove_edge``, the one place a link fails,
@@ -70,8 +70,7 @@ class SubsystemModel:
     which it computes once and keeps in ``_r`` for the jump prediction.
     """
 
-    __slots__ = ("A", "B", "C", "Gamma", "_r", "_mr_gamma", "_q_powers", "_tail_terms",
-                 "_failed_block")
+    __slots__ = ("A", "B", "C", "Gamma", "_r", "_mr_gamma", "_tail_orbits", "_failed_block")
 
     def __init__(self, A, B, C, Gamma):
         for name, value in zip(("A", "B", "C", "Gamma"), (A, B, C, Gamma)):
@@ -90,9 +89,8 @@ class SubsystemModel:
                 f"got {self.Gamma.shape}")
         self._r = relative_degree(self)
         self._mr_gamma = markov_parameter(self, self._r) @ self.Gamma
-        self._q_powers = {}
-        # (bytes of x(t_f), {(tail, dist): (M_r Gamma)^(dist+1) C x_tail}) for the last x asked
-        self._tail_terms = (None, {})
+        # (bytes of x(t_f), {tail: [C x_tail, M_r Gamma C x_tail, ...]}) for the last x asked
+        self._tail_orbits = (None, {})
         # a failed edge's closed-loop block, as a rebuild writes it: 0 A + 0 B Gamma C
         self._failed_block = 0.0 * self.A + 0.0 * (self.B @ self.Gamma @ self.C)
 
@@ -148,16 +146,10 @@ def q_matrix(model: SubsystemModel, dist: int) -> np.ndarray:
 
     Equals the large-s limit of s^(r (dist+1)) [H(s) Gamma]^(dist+1); may be
     the zero matrix when M_r Gamma is nilpotent even though M_r is not.
+    The result is a fresh array (``matrix_power`` returns its argument
+    itself for the exponent 1).
     """
-    return _q_power(model, _check_int(dist, "dist", 0)).copy()
-
-
-def _q_power(model: SubsystemModel, dist: int) -> np.ndarray:
-    """Memoised (M_r Gamma)^(dist+1) of the model; shared, never to be mutated."""
-    power = model._q_powers.get(dist)
-    if power is None:
-        power = model._q_powers[dist] = np.linalg.matrix_power(model._mr_gamma, dist + 1)
-    return power
+    return np.linalg.matrix_power(model._mr_gamma, _check_int(dist, "dist", 0) + 1).copy()
 
 
 def closed_loop(g: Digraph, model: SubsystemModel) -> np.ndarray:
@@ -648,10 +640,10 @@ def theoretical_jump(g: Digraph, model: SubsystemModel, edge: int, p: int,
     unobservable prediction is returned.  ValueError unless x(t_f) has N d
     entries.
 
-    The tail term (M_r Gamma)^(dist+1) C x_j is memoised per model for the
-    last x(t_f) asked (``SubsystemModel._tail_terms``), so it is computed
-    once per (tail, dist); the value is a fresh array, bit for bit that of
-    the unmemoised formula.
+    The tail term (M_r Gamma)^(dist+1) C x_j is entry dist + 1 of the tail's
+    orbit C x_j, (M_r Gamma) C x_j, ... for the last x(t_f) asked
+    (``SubsystemModel._tail_orbits``), grown by one product per order; the
+    value is a fresh array, bit for bit that of dist + 1 plain products.
     """
     p = _check_int(p, "sensor", 1, g.n_nodes)
     x, key = _state_key(x_tf, g.n_nodes * model.d)
@@ -661,17 +653,17 @@ def theoretical_jump(g: Digraph, model: SubsystemModel, edge: int, p: int,
         return JumpPrediction(False, None, None)
     order = model._r * (dist + 1)
     walk = _walk_power(g, dist).item(p - 1, e.head - 1)
-    memo_key, terms = model._tail_terms
+    memo_key, orbits = model._tail_orbits
     if memo_key != key:
-        terms = {}
-        model._tail_terms = (key, terms)
-    term = terms.get((e.tail, dist))
-    if term is None:
+        orbits = {}
+        model._tail_orbits = (key, orbits)
+    orbit = orbits.get(e.tail)
+    if orbit is None:
         d = model.d
-        x_j = x[(e.tail - 1) * d : e.tail * d]
-        term = terms[e.tail, dist] = _q_power(model, dist) @ (model.C @ x_j)
-    value = -e.weight * walk * term
-    return JumpPrediction(True, order, value)
+        orbit = orbits[e.tail] = [model.C @ x[(e.tail - 1) * d : e.tail * d]]
+    while len(orbit) <= dist + 1:
+        orbit.append(model._mr_gamma @ orbit[-1])
+    return JumpPrediction(True, order, -e.weight * walk * orbit[dist + 1])
 
 
 def fault_replicant_check(sys: NetworkSystem, edge: int, x0, t_f: float,

@@ -182,7 +182,7 @@ def damp_coupling(g: Digraph, model: SubsystemModel, target: float = 0.5) -> Sub
     return SubsystemModel(model.A, model.B, model.C, model.Gamma * (target / strength))
 
 
-# -- output noise --------------------------------------------------------------
+# -- output noise and sensor faults ---------------------------------------------
 
 
 def noisy_outputs(trace: SimulationTrace, sigma: float, seed: int) -> SimulationTrace:
@@ -193,3 +193,18 @@ def noisy_outputs(trace: SimulationTrace, sigma: float, seed: int) -> Simulation
     noise = np.random.default_rng(seed).normal(0.0, sigma * np.abs(trace.outputs).max(),
                                                trace.outputs.shape)
     return dataclasses.replace(trace, outputs=trace.outputs + noise)
+
+
+def sensor_drift(trace: SimulationTrace, p: int, t: float, q: int, s: float) -> SimulationTrace:
+    """The trace with s * max|y| * (time - t)^q added to sensor p's outputs from time t on.
+
+    A fault of sensor p, not of the network: a step for q = 0, a ramp for
+    q = 1.  The drift is deterministic, so no seed is needed.  Only
+    ``outputs`` change, which is all the finite-difference detector reads.
+    """
+    elapsed = trace.times - t
+    drift = np.where(elapsed >= 0.0, s * np.abs(trace.outputs).max() * elapsed ** q, 0.0)
+    o = trace.output_dim
+    outputs = trace.outputs.copy()
+    outputs[:, (p - 1) * o : p * o] += drift[:, None]
+    return dataclasses.replace(trace, outputs=outputs)

@@ -150,9 +150,10 @@ def reference_jump(g, model, edge: int, p: int, x_tf):
 
     The formula of ``theoretical_jump`` with nothing memoised: Floyd-Warshall
     hops, a fresh walk power G^dist by repeated products, the relative
-    degree from the first Markov parameter above 1e-12 and a fresh
-    matrix_power of M_r Gamma.  Every product is taken in the library's
-    order, so the value must agree with it bit for bit.
+    degree from the first Markov parameter above 1e-12 and the tail term
+    grown from C x_j by dist + 1 fresh products with M_r Gamma.  Every
+    product is taken in the library's order, so the value must agree with
+    it bit for bit.
     """
     e = g.edge(edge)
     adj = g.adjacency()
@@ -168,8 +169,10 @@ def reference_jump(g, model, edge: int, p: int, x_tf):
         walk = walk @ adj
     d = model.A.shape[0]
     x_j = np.asarray(x_tf, dtype=float).reshape(-1)[(e.tail - 1) * d : e.tail * d]
-    value = (-e.weight * walk[p - 1, e.head - 1]
-             * (np.linalg.matrix_power(mr_gamma, dist + 1) @ (model.C @ x_j)))
+    term = model.C @ x_j
+    for _ in range(dist + 1):
+        term = mr_gamma @ term
+    value = -e.weight * walk[p - 1, e.head - 1] * term
     return True, r * (dist + 1), value
 
 

@@ -902,29 +902,31 @@ def test_predictions_survive_mutating_returned_arrays():
     assert [read.tobytes() for read in matrix_reads()] == reads_before
 
 
-def test_matrix_power_runs_once_per_model_and_dist(monkeypatch):
+def test_tail_orbits_grow_by_products_to_the_largest_order(monkeypatch):
     rng = np.random.default_rng(12)
     g = random_connected_digraph(7, rng)
     model = damp_coupling(g, chain_model(2, rng))
     x = rng.normal(0.0, 1.0, g.n_nodes * model.d)
-    calls = []
-    real = np.linalg.matrix_power
 
-    def counting(a, n):
-        calls.append(n)
-        return real(a, n)
+    def refused(a, n):
+        raise AssertionError("theoretical_jump took a matrix power")
 
-    monkeypatch.setattr(np.linalg, "matrix_power", counting)
+    monkeypatch.setattr(np.linalg, "matrix_power", refused)
     hops = distances(g)
-    exponents = sorted({hops[e.head, p] + 1 for _, e in g.edges()
-                        for p in range(1, g.n_nodes + 1) if hops[e.head, p] is not INFINITE})
+    largest = {}
     predictions = 0
     for _ in range(2):
-        for label in g.edge_labels:
+        for label, e in g.edges():
             for p in range(1, g.n_nodes + 1):
                 predictions += theoretical_jump(g, model, label, p, x).observable
-    assert predictions > 2 * len(exponents)
-    assert sorted(calls) == exponents
+                if hops[e.head, p] is not INFINITE:
+                    largest[e.tail] = max(largest.get(e.tail, 0), hops[e.head, p] + 1)
+    assert predictions > 2 * g.n_edges
+    key, orbits = model._tail_orbits
+    assert key == x.tobytes()
+    assert {tail: len(orbit) - 1 for tail, orbit in orbits.items()} == largest
+    monkeypatch.undo()
+    assert not np.shares_memory(q_matrix(model, 0), model._mr_gamma)
 
 
 def jump_call_orders(g, k_max, rng):
@@ -1019,11 +1021,13 @@ def test_jump_memos_follow_x_and_hold_one_state():
         assert key == x2.tobytes() and matrix is sys_net.closed_loop
         assert [v.tobytes() for v in orbit] == [
             reference_power(sys_net.closed_loop, x2, k).tobytes() for k in range(max(ks) + 1)]
-    key, terms = model._tail_terms
-    assert key == x2.tobytes() and terms
-    for (tail, dist), term in terms.items():
-        want = q_matrix(model, dist) @ (model.C @ x2[(tail - 1) * d : tail * d])
-        assert term.tobytes() == want.tobytes()
+    key, orbits = model._tail_orbits
+    assert key == x2.tobytes() and orbits
+    for tail, orbit in orbits.items():
+        want = model.C @ x2[(tail - 1) * d : tail * d]
+        for term in orbit:
+            assert term.tobytes() == want.tobytes()
+            want = model._mr_gamma @ want
 
     # a system given another closed loop rebuilds its orbit from it
     label, e = next(iter(g.edges()))

@@ -15,7 +15,7 @@ from netfdi.graph import Digraph, Edge, gen_cycle, gen_random_geometric, gen_sta
 from netfdi.placement import resolution_deficit
 
 from corpusgen import (chain_model, damp_coupling, noisy_outputs, random_connected_digraph,
-                       random_stable_model)
+                       random_stable_model, sensor_drift)
 from oracles import finite_difference_reference, floyd_warshall_hops
 
 CYCLE5_R = np.array([
@@ -619,6 +619,25 @@ def test_finite_difference_cycle5_under_output_noise(sigma, seed):
     assert 2 in events[0].edges
 
 
+_DRIFT_XFAIL = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 11: a sensor-3 step or ramp reads as a unique link failure")
+
+
+# at sensor 3, a step of any size and a ramp of s >= 1e-3 read as `unique [3]`
+@pytest.mark.parametrize("p, q, s", [
+    pytest.param(p, q, s, marks=_DRIFT_XFAIL if p == 3 and (q == 0 or q == 1 and s > 1e-6) else ())
+    for p in (3, 2) for q in (0, 1, 2) for s in (1e-6, 1e-3, 1e-1)])
+def test_finite_difference_cycle5_sensor_drift_names_no_edge(p, q, s):
+    # reproduce cycle5 with no link failure, sensor p drifting by s * max|y| * (t - 5)^q
+    sys_net = NetworkSystem(gen_cycle(5), scalar_model())
+    trace = simulate(sys_net, [1, 2, 3, 4, 5], 0.0, 10.0, 1e-3)
+    detected = detect(sensor_drift(trace, p, 5.0, q, s), (2, 3),
+                      DetectorConfig(z=4, mode="finite-difference"))
+    [events] = diagnose([detected], cycle_table())
+    assert all(event.verdict != "unique" for event in events)
+
+
 # -- first-jump kernel and weak coupling ------------------------------------------------
 
 
@@ -681,6 +700,20 @@ def test_analytic_detection_matches_table_on_rgg50_weak_coupling():
     model = _weak_coupling_models(0.01)["companion"]
     x0 = np.random.default_rng(1).normal(0.0, 1.0, 2 * g.n_nodes)
     _assert_signatures_equal_table(g, model, x0, tuple(range(1, 51)))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 9: relative_degree's absolute zero is not the kernel's")
+def test_analytic_detection_matches_table_with_tiny_first_markov_parameter():
+    # CB = 5e-13 is zero to relative_degree (r = 2, so the table says order 2)
+    # but not to the kernel's bound, which reads order 1: a nomatch
+    g = Digraph(2, [(1, 2)])
+    model = SubsystemModel([[-1.0, 1.0], [0.0, -2.0]], [[5e-13], [1.0]], [[1.0, 0.0]], [[1.0]])
+    table = lookup_table(g, (2,), relative_degree(model), 4)
+    trace = simulate(NetworkSystem(g, model), [1.0, 0.5, -0.3, 0.8], 0.0, 2.0, 1e-3,
+                     [FailureEvent(1, 1.0)])
+    [events] = diagnose([detect(trace, (2,), DetectorConfig(z=4))], table)
+    assert [event.signature for event in events] == [tuple(table.column(1))]
 
 
 def _kernel_columns(sys_net, x, sensors, z, labels):

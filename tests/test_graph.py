@@ -212,6 +212,12 @@ def test_json_roundtrip(tmp_path):
     assert loaded.edge_labels == g.edge_labels
 
 
+def test_digraph_repr_and_equality_with_other_types():
+    g = gen_cycle(5)
+    assert repr(g) == "Digraph(n_nodes=5, n_edges=5)"
+    assert (g == 5) is False and g != "cycle5"
+
+
 def test_digraph_validation():
     with pytest.raises(ValueError):
         Digraph(3, [Edge(1, 1)])
