@@ -88,14 +88,22 @@ def relation_matrix(g: Digraph, r: int, z: int | None = None) -> RelationMatrix:
     A row of R depends on its edge's head only, so R is the N x N table of
     orders r*(hops+1) keyed by head, [i-1, p-1], read at the heads.  Entries
     are 0 where p is unreachable from i (hops -1 gives r*0) or the order
-    exceeds z.
+    exceeds z.  The table is int64: an r and z that keep an order past its
+    range are a ValueError, not a table wrapped around.
     """
     r = _check_int(r, "relative degree", 1)
     z = default_order_budget(g, r) if z is None else _check_int(z, "order budget z", 1)
     if z < r:
         raise ValueError(f"order budget z={z} below relative degree r={r}")
-    orders = r * (distances(g)._hops + 1)
-    orders[orders > z] = 0
+    dist = distances(g)
+    # hops below `cut` keep their order; hop counts run 0..finite_max without
+    # a gap, so r * cut is the largest order kept
+    cut = min(z // r, dist.finite_max() + 1)
+    if r * cut > np.iinfo(np.int64).max:
+        raise ValueError(f"orders up to {_shown(r * cut)} of relative degree r={_shown(r)} "
+                         f"and order budget z={_shown(z)} do not fit an int64 table")
+    hops = dist._hops
+    orders = np.where(hops < cut, hops + 1, 0) * r
     entries = orders[[e.head - 1 for _, e in g.edges()]]
     return RelationMatrix(entries=entries, edge_labels=g.edge_labels, r=r, z=z)
 

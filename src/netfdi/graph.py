@@ -1,5 +1,12 @@
 """Weighted digraph container, hop distances, walk counting and generators.
 
+Hop distances have two kernels with the same result: one breadth-first
+search per source in plain Python for small or sparse graphs (fewer than 32
+nodes, or at most two arcs per node), and one search from all sources at
+once over uint64 bitsets for the rest, whose numpy calls per level cost too
+much on small graphs and on long paths but cover the many sources of a
+dense graph at once (see ``distances``).
+
 Conventions follow the information-flow orientation used throughout the
 package: an edge (tail, head) means the head node consumes the tail node's
 output, and the adjacency matrix stores the weight of edge (j -> i) at
@@ -270,11 +277,29 @@ class DistanceMatrix:
 def distances(g: Digraph) -> DistanceMatrix:
     """Hop distances by breadth-first search over the nonzero pattern.
 
-    Edge weights do not enter: only which arcs exist matters.
+    Edge weights do not enter: only which arcs exist matters.  Two kernels
+    give the same int64 array.  ``_bitset_hops`` walks all sources at once
+    in a few numpy calls per level; it runs on graphs of at least 32 nodes
+    and more than 2n arcs, where it is several times faster (rgg50 0.55 ->
+    0.18 ms, an RGG of 1000 nodes and 15381 arcs 423 -> 24 ms).
+    ``_per_source_hops`` walks one source at a time in Python; it runs on
+    the rest, because its cost has no fixed part per level: it is faster on
+    small graphs (11 against 94 us per graph of 2 to 8 nodes, 27 against
+    77 us per tree of 16 to 20), and on a path, whose n - 1 levels the
+    bitset walk pays one by one (1000 nodes: 112 against 148 ms).
     """
     cached = g._memo.get("distances")
     if cached is not None:
         return cached
+    kernel = (_bitset_hops if g.n_nodes >= 32 and g.n_edges > 2 * g.n_nodes
+              else _per_source_hops)
+    result = DistanceMatrix(kernel(g))
+    g._memo["distances"] = result
+    return result
+
+
+def _per_source_hops(g: Digraph) -> np.ndarray:
+    """[q-1, p-1] = dist(q, p), -1 when unreachable: one breadth-first search per source q."""
     n = g.n_nodes
     succ: list[list[int]] = [[] for _ in range(n)]
     for e in g._edges.values():
@@ -294,9 +319,62 @@ def distances(g: Digraph) -> DistanceMatrix:
                         reached.append(v)
             frontier = reached
         rows.append(row)
-    result = DistanceMatrix(np.array(rows, dtype=np.int64))
-    g._memo["distances"] = result
-    return result
+    return np.array(rows, dtype=np.int64)
+
+
+def _bitset_hops(g: Digraph) -> np.ndarray:
+    """As ``_per_source_hops``, by one breadth-first search from all sources at once.
+
+    Node q holds the set of nodes it reaches as bits of ceil(n/64) uint64
+    words, so the walk runs along the arcs backwards: level h gathers the
+    frontier rows at the arc heads, ORs them per tail (``reduceat`` over
+    the arcs sorted by tail) and keeps the bits not seen before, the pairs
+    h hops apart.  Rather than keep one bitmap per level, level h ORs its
+    pairs into plane b for each set bit b of h + 1, so the array is read
+    back from floor(log2(L + 1)) + 1 unpacked planes for L levels, and an
+    unreachable pair, in no plane, reads 0 - 1.
+    """
+    n = g.n_nodes
+    tails = np.fromiter((e.tail - 1 for e in g._edges.values()), np.intp, g.n_edges)
+    heads = np.fromiter((e.head - 1 for e in g._edges.values()), np.intp, g.n_edges)
+    # a node without out-arcs gets one to row n of the frontier, which stays
+    # empty, so that every node owns a segment and each level is whole-array
+    lonely = np.flatnonzero(np.bincount(tails, minlength=n) == 0)
+    tails = np.concatenate((tails, lonely))
+    order = np.argsort(tails)
+    heads = np.concatenate((heads, np.full(lonely.size, n)))[order]
+    starts = np.searchsorted(tails[order], np.arange(n))
+    words = -(-n // 64)
+    node = np.arange(n, dtype=np.uint64)
+    seen = np.zeros((n, words), np.uint64)
+    seen[node, node >> 6] = np.uint64(1) << (node & 63)
+    frontier = np.vstack((seen, np.zeros((1, words), np.uint64)))
+    planes, level = [seen.copy()], 1
+    while True:
+        level += 1   # hop count + 1 of the pairs this pass reaches
+        reached = np.bitwise_or.reduceat(np.take(frontier, heads, axis=0), starts, axis=0)
+        reached &= ~seen
+        if not reached.any():
+            break
+        seen |= reached
+        frontier[:n] = reached
+        for b in range(level.bit_length()):
+            if level >> b & 1:
+                if b == len(planes):
+                    planes.append(np.zeros_like(seen))
+                planes[b] |= reached
+    # hop + 1 per pair, bit b from plane b, highest plane first
+    acc = _unpacked(planes[-1], n).astype(np.min_scalar_type((1 << len(planes)) - 1))
+    for plane in reversed(planes[:-1]):
+        acc <<= 1
+        acc |= _unpacked(plane, n)
+    return np.subtract(acc, 1, dtype=np.int64)
+
+
+def _unpacked(bits: np.ndarray, n: int) -> np.ndarray:
+    """uint8 0/1 [q, p] of an (n, words) uint64 bitset; bit p % 64 of word p // 64 is column p."""
+    as_bytes = np.ascontiguousarray(bits, dtype="<u8").view(np.uint8)
+    return np.unpackbits(as_bytes, axis=1, count=n, bitorder="little")
 
 
 def diameter(g: Digraph):

@@ -1,5 +1,6 @@
 import ast
 import errno
+import hashlib
 import json
 import os
 import stat
@@ -82,6 +83,20 @@ def test_analyze_golden_tables(tmp_path):
     assert data["R"] == CYCLE5_R
     assert data["D"] == CYCLE5_D_23
     assert data["z"] == 4 and data["r"] == 1
+
+
+@pytest.mark.parametrize("r, z", [
+    ("4611686018427387904", "auto"),
+    ("1000000000000000000000000000000", "10000000000000000000000000000000")])
+def test_analyze_refuses_orders_past_int64(tmp_path, capsys, r, z):
+    graph, _ = write_cycle_inputs(tmp_path)
+    out = tmp_path / "a.json"
+    assert main(["analyze", str(graph), "--r", r, "--z", z, "--sensors", "1,2",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: z: orders up to ") and f"relative degree r={r}" in err
+    assert "do not fit an int64 table" in err
+    assert not out.exists()
 
 
 def test_analyze_bad_sensor_field(tmp_path, capsys):
@@ -1136,6 +1151,13 @@ def test_reproduce_rgg_deterministic(tmp_path):
     assert main(["reproduce", "rgg", "--out-dir", str(first)]) == 0
     assert main(["reproduce", "rgg", "--out-dir", str(second)]) == 0
     assert (first / "report.json").read_bytes() == (second / "report.json").read_bytes()
+    # the bytes written before the bitset hop kernel, which rgg50 (50 nodes,
+    # 193 edges) now takes
+    digests = {name: hashlib.sha256((first / name).read_bytes()).hexdigest()
+               for name in ("report.json", "graph.json")}
+    assert digests == {
+        "report.json": "f7cb87e817b9f95f8f3a66e4b21a4bda0e75d1f9855ba2a96f045d570863e91a",
+        "graph.json": "514fa9170d43fc2a089c18747748d17a3e613e56dab704137cf547c8731e0ec6"}
     report = json.loads((first / "report.json").read_text())
     assert report["f_D_trace"][-1] == 0
 

@@ -80,6 +80,26 @@ def test_relation_matrix_validation():
         relation_matrix(gen_cycle(5), r=2, z=1)
 
 
+@pytest.mark.parametrize("r, z", [(2**62, None), (10**30, 10**31)])
+def test_relation_matrix_refuses_orders_past_int64(r, z):
+    with pytest.raises(ValueError, match=rf"^orders up to \d+ of relative degree r={r} "
+                                         rf"and order budget z=\d+ do not fit an int64 table$"):
+        relation_matrix(gen_cycle(5), r, z)
+
+
+@pytest.mark.parametrize("r, z", [(2**62 - 1, 2**63 - 1), ((2**63 - 1) // 5, None),
+                                  (1, 10**40), (3, 2**63 - 1)])
+def test_relation_matrix_is_exact_up_to_int64(r, z):
+    g = gen_cycle(5)
+    rel = relation_matrix(g, r, z)
+    hops = floyd_warshall_hops(g.adjacency())
+    z = rel.z
+    expected = [[r * (int(hops[e.head - 1, p]) + 1) if r * (int(hops[e.head - 1, p]) + 1) <= z
+                 else 0 for p in range(5)] for _, e in g.edges()]
+    assert rel.entries.dtype == np.int64
+    assert rel.entries.tolist() == expected
+
+
 def test_relation_matrix_ignores_weights():
     rng = np.random.default_rng(8)
     g = random_connected_digraph(6, rng, weighted=True)

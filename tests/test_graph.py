@@ -1,4 +1,6 @@
+import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +12,10 @@ from netfdi.dynamics import (ExogenousInput, FailureEvent, NetworkSystem, Subsys
 from netfdi.fdi import (DetectorConfig, default_order_budget, detect, detect_edge_failures,
                         detectable, estimate_one_sided_derivative, lookup_table,
                         relation_matrix)
-from netfdi.graph import (INFINITE, Digraph, Edge, diameter, distances, finite_diameter,
-                          gen_cycle, gen_random_geometric, gen_star, remove_edge,
-                          walk_matrix)
+import netfdi.graph as graph_module
+from netfdi.graph import (INFINITE, Digraph, Edge, _bitset_hops, _per_source_hops, diameter,
+                          distances, finite_diameter, gen_cycle, gen_random_geometric,
+                          gen_star, remove_edge, walk_matrix)
 from netfdi.placement import harmonic
 
 from corpusgen import connected_digraph_edge_lists, random_connected_digraph
@@ -129,6 +132,69 @@ def test_distances_match_floyd_warshall():
                     assert d[q, p] is INFINITE
                 else:
                     assert d[q, p] == int(expected)
+
+
+def _hop_kernel_cases() -> list[Digraph]:
+    """Graphs either side of the kernel switch (32 nodes, more than 2n arcs) and the word edges.
+
+    Nodes 1..3 get no in-arcs and nodes n-2..n no out-arcs, so some pairs are
+    unreachable; the last two graphs have no arcs at all, and 2n arcs, which
+    fails the edge-count test only.
+    """
+    rng = np.random.default_rng(35)
+    graphs = []
+    for n in (31, 32, 33, 63, 64, 65, 127, 128, 129):
+        arcs = [(t, h) for t in range(1, n - 2) for h in range(4, n + 1) if t != h]
+        picked = np.sort(rng.choice(len(arcs), size=3 * n, replace=False))
+        graphs.append(Digraph(n, [arcs[k] for k in picked]))
+    ring = [(q, q % 40 + 1) for q in range(1, 41)]
+    return graphs + [Digraph(64), Digraph(40, ring + [(h, t) for t, h in ring])]
+
+
+@pytest.mark.parametrize("g", _hop_kernel_cases(), ids=repr)
+def test_both_hop_kernels_match_floyd_warshall(g):
+    fw = floyd_warshall_hops(g.adjacency())
+    expected = np.where(np.isinf(fw), -1, fw).astype(np.int64)
+    for kernel in (_per_source_hops, _bitset_hops):
+        hops = kernel(g)
+        assert hops.dtype == np.int64 and hops.flags.c_contiguous
+        assert np.array_equal(hops, expected), kernel.__name__
+
+
+def test_distances_takes_the_bitset_kernel_from_32_nodes_and_more_than_2n_arcs(monkeypatch):
+    ran = []
+    for name in ("_per_source_hops", "_bitset_hops"):
+        kernel = getattr(graph_module, name)
+        monkeypatch.setattr(graph_module, name,
+                            lambda g, kernel=kernel: ran.append(kernel.__name__) or kernel(g))
+
+    def arcs(n, m):   # m arcs of the complete digraph on n nodes, in pair order
+        return [(t, h) for t in range(1, n + 1) for h in range(1, n + 1) if t != h][:m]
+    cases = [(Digraph(31, arcs(31, 93)), "_per_source_hops"),
+             (Digraph(32, arcs(32, 64)), "_per_source_hops"),
+             (Digraph(32, arcs(32, 65)), "_bitset_hops"),
+             (gen_random_geometric(RGG_NODES, RGG_REGION, RGG_RADIUS, RGG_SEED), "_bitset_hops"),
+             (gen_cycle(100), "_per_source_hops"),
+             (gen_star(100), "_per_source_hops")]
+    for g, expected in cases:
+        distances(g)
+        distances(g)   # memoised: no second run
+        assert ran == [expected], repr(g)
+        ran.clear()
+
+
+def test_bitset_hops_at_1000_nodes_equal_per_source_within_twice_the_array():
+    n = 1000
+    g = gen_random_geometric(n, 1.0, 2.2 * math.sqrt(math.log(n) / (math.pi * n)), 7)
+    assert g.n_edges == 15381
+    tracemalloc.start()
+    try:
+        hops = distances(g)._hops
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hops.nbytes == 8_000_000 and peak <= 2 * hops.nbytes, peak
+    assert np.array_equal(hops, _per_source_hops(g))
 
 
 def test_gen_cycle_edge_label_convention():
