@@ -1,11 +1,10 @@
 """Weighted digraph container, hop distances, walk counting and generators.
 
 Hop distances have two kernels with the same result: one breadth-first
-search per source in plain Python for small or sparse graphs (fewer than 32
-nodes, or at most two arcs per node), and one search from all sources at
-once over uint64 bitsets for the rest, whose numpy calls per level cost too
-much on small graphs and on long paths but cover the many sources of a
-dense graph at once (see ``distances``).
+search per source in plain Python for graphs of fewer than 32 nodes, and one
+search from all sources at once over uint64 bitsets from 32 nodes on, whose
+fixed numpy cost per level outweighs the sources it covers at once only on
+small graphs (see ``distances``).
 
 Conventions follow the information-flow orientation used throughout the
 package: an edge (tail, head) means the head node consumes the tail node's
@@ -279,20 +278,17 @@ def distances(g: Digraph) -> DistanceMatrix:
 
     Edge weights do not enter: only which arcs exist matters.  Two kernels
     give the same int64 array.  ``_bitset_hops`` walks all sources at once
-    in a few numpy calls per level; it runs on graphs of at least 32 nodes
-    and more than 2n arcs, where it is several times faster (rgg50 0.55 ->
-    0.18 ms, an RGG of 1000 nodes and 15381 arcs 423 -> 24 ms).
-    ``_per_source_hops`` walks one source at a time in Python; it runs on
-    the rest, because its cost has no fixed part per level: it is faster on
-    small graphs (11 against 94 us per graph of 2 to 8 nodes, 27 against
-    77 us per tree of 16 to 20), and on a path, whose n - 1 levels the
-    bitset walk pays one by one (1000 nodes: 112 against 148 ms).
+    in a few numpy calls per level; it runs on graphs of at least 32 nodes,
+    where it is several times faster (rgg50 0.55 -> 0.18 ms, an RGG of 1000
+    nodes and 15381 arcs 423 -> 24 ms).  ``_per_source_hops`` walks one
+    source at a time in Python; it runs on smaller graphs, because its cost
+    has no fixed part per level: 11 against 94 us per graph of 2 to 8 nodes,
+    27 against 77 us per tree of 16 to 20.
     """
     cached = g._memo.get("distances")
     if cached is not None:
         return cached
-    kernel = (_bitset_hops if g.n_nodes >= 32 and g.n_edges > 2 * g.n_nodes
-              else _per_source_hops)
+    kernel = _bitset_hops if g.n_nodes >= 32 else _per_source_hops
     result = DistanceMatrix(kernel(g))
     g._memo["distances"] = result
     return result

@@ -861,6 +861,9 @@ for name, g in graphs.items():
                  ",".join(map(str, range(1, 11))), "--z", "9", "--dt", "1e-3",
                  "--horizon", "2", "--x0=" + ",".join(map(repr, x0.tolist())),
                  "--sweep-failures", "all-edges", "--out-dir", str(out / name)]) in (0, 2)
+assert main(["run", str(out / "rgg50.json"), str(model), "--sensors", "auto", "--fail", "7@1",
+             "--out-dir", str(out / "rgg50_fail")]) == 2
+assert main(["reproduce", "cycle5", "--out-dir", str(out / "cycle5")]) == 0
 """
 
 
@@ -868,8 +871,9 @@ def test_analytic_sweep_report_independent_of_blas_threads(tmp_path):
     # the state the first-jump kernel starts from is stepped by BLAS products
     # (the kernel itself calls none): 100 states on rgg50, and 400 on the
     # 200-node graph, past the order (384) up to which an OpenBLAS product
-    # keeps its bytes under 1 and 2 threads
-    reports = []
+    # keeps its bytes under 1 and 2 threads.  A single-failure run on rgg50
+    # and reproduce cycle5 must keep every file they write as well.
+    outputs = []
     for threads in ("1", "2"):
         directory = tmp_path / f"threads_{threads}"
         directory.mkdir()
@@ -877,9 +881,11 @@ def test_analytic_sweep_report_independent_of_blas_threads(tmp_path):
         proc = subprocess.run([sys.executable, "-c", _SWEEP_REPORTS_CHILD, str(directory)],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        reports.append([(directory / name / "report.json").read_bytes()
-                        for name in ("rgg50", "rgg200")])
-    assert reports[0] == reports[1]
+        outputs.append({str(path.relative_to(directory)): path.read_bytes()
+                        for path in directory.rglob("*") if path.is_file()})
+    assert {"rgg50/report.json", "rgg200/report.json", "rgg50_fail/trace.csv",
+            "cycle5/derivatives.csv"} <= outputs[0].keys()
+    assert outputs[0] == outputs[1]
 
 
 def test_missing_graph_file_is_config_error(tmp_path, capsys):

@@ -135,11 +135,11 @@ def test_distances_match_floyd_warshall():
 
 
 def _hop_kernel_cases() -> list[Digraph]:
-    """Graphs either side of the kernel switch (32 nodes, more than 2n arcs) and the word edges.
+    """Graphs either side of the kernel switch (32 nodes) and the 64-bit word edges.
 
     Nodes 1..3 get no in-arcs and nodes n-2..n no out-arcs, so some pairs are
-    unreachable; the last two graphs have no arcs at all, and 2n arcs, which
-    fails the edge-count test only.
+    unreachable.  Then a graph with no arcs, a two-way ring, and a one-way
+    path of 300 nodes, whose 300 levels need a ninth bit plane.
     """
     rng = np.random.default_rng(35)
     graphs = []
@@ -148,7 +148,8 @@ def _hop_kernel_cases() -> list[Digraph]:
         picked = np.sort(rng.choice(len(arcs), size=3 * n, replace=False))
         graphs.append(Digraph(n, [arcs[k] for k in picked]))
     ring = [(q, q % 40 + 1) for q in range(1, 41)]
-    return graphs + [Digraph(64), Digraph(40, ring + [(h, t) for t, h in ring])]
+    return graphs + [Digraph(64), Digraph(40, ring + [(h, t) for t, h in ring]),
+                     Digraph(300, [(q, q + 1) for q in range(1, 300)])]
 
 
 @pytest.mark.parametrize("g", _hop_kernel_cases(), ids=repr)
@@ -161,7 +162,7 @@ def test_both_hop_kernels_match_floyd_warshall(g):
         assert np.array_equal(hops, expected), kernel.__name__
 
 
-def test_distances_takes_the_bitset_kernel_from_32_nodes_and_more_than_2n_arcs(monkeypatch):
+def test_distances_takes_the_bitset_kernel_from_32_nodes(monkeypatch):
     ran = []
     for name in ("_per_source_hops", "_bitset_hops"):
         kernel = getattr(graph_module, name)
@@ -170,12 +171,12 @@ def test_distances_takes_the_bitset_kernel_from_32_nodes_and_more_than_2n_arcs(m
 
     def arcs(n, m):   # m arcs of the complete digraph on n nodes, in pair order
         return [(t, h) for t in range(1, n + 1) for h in range(1, n + 1) if t != h][:m]
-    cases = [(Digraph(31, arcs(31, 93)), "_per_source_hops"),
-             (Digraph(32, arcs(32, 64)), "_per_source_hops"),
-             (Digraph(32, arcs(32, 65)), "_bitset_hops"),
+    cases = [(Digraph(31, arcs(31, 930)), "_per_source_hops"),
+             (gen_cycle(31), "_per_source_hops"),
+             (Digraph(32), "_bitset_hops"),
+             (gen_cycle(32), "_bitset_hops"),
              (gen_random_geometric(RGG_NODES, RGG_REGION, RGG_RADIUS, RGG_SEED), "_bitset_hops"),
-             (gen_cycle(100), "_per_source_hops"),
-             (gen_star(100), "_per_source_hops")]
+             (gen_star(100), "_bitset_hops")]
     for g, expected in cases:
         distances(g)
         distances(g)   # memoised: no second run
