@@ -16,8 +16,9 @@ randomness flows from the --seed flag; reports are deterministic given
 (config, seed).  Every command writes each file under a temporary name
 beside it and renames them all once the last is written, in order
 (report.json last): a failed call leaves no artefact, or the earlier whole
-one.  Every CSV cell is a float at 17 significant digits,
-`format(v, ".17g")`.
+one.  Every CSV cell is a float at 17 significant digits, `format(v,
+".17g")`: numpy computes the digits exactly for 1e-4 <= |v| < 1e17 and 0,
+and "%.17g" itself writes the rest.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ import numpy as np
 
 from .dynamics import (FailureEvent, NetworkSystem, SubsystemModel, relative_degree,
                        simulate, simulate_edge_failures)
-from .fdi import (DetectorConfig, RelationMatrix, detect, detect_edge_failures, diagnose,
-                  lookup_table, relation_matrix, sweep_summary)
+from .fdi import (DetectorConfig, RelationMatrix, _table_of, detect, detect_edge_failures,
+                  diagnose, relation_matrix, sweep_summary)
 from .graph import (Digraph, _check_int, _validated_sensors, gen_cycle, gen_random_geometric,
                     gen_star)
 from .placement import approximation_report
@@ -249,8 +250,8 @@ def _write_csv(times: np.ndarray,
     then appended in order with ``os.sendfile``, so the bytes are those of
     one writer.  A child that fails is an OSError.  With one CPU, one chunk
     or no ``os.fork``, every range is written here.  Nothing sets the
-    number of writers but the affinity mask.  ``_write_rows`` gives the
-    format of a range.
+    number of writers but the affinity mask.  ``_write_rows`` writes a
+    range, in exact numpy digits or by "%.17g".
     """
     times = np.ascontiguousarray(times, dtype=float)
     n_chunks = -(-len(times) // CSV_CHUNK_ROWS)
@@ -258,17 +259,17 @@ def _write_csv(times: np.ndarray,
     parts = max(1, min(len(os.sched_getaffinity(0)) if forks else 1, n_chunks))
     bounds = [CSV_CHUNK_ROWS * (n_chunks * k // parts) for k in range(parts)] + [len(times)]
     with contextlib.ExitStack() as stack:
-        handles = [(stack.enter_context(open(path, "w")), blocks) for path, _, blocks in files]
+        handles = [(stack.enter_context(open(path, "wb")), blocks) for path, _, blocks in files]
         # per further range, one anonymous spill file per file, made before
         # the fork so that this process holds them too
-        spills = [[(stack.enter_context(tempfile.TemporaryFile("w")), blocks)
+        spills = [[(stack.enter_context(tempfile.TemporaryFile()), blocks)
                    for _, blocks in handles] for _ in bounds[2:]]
         pids = []
         try:
             for (lo, hi), spill in zip(zip(bounds[1:], bounds[2:]), spills):
                 pids.append(_fork_writer(times, spill, lo, hi))
             for (fh, _), (_, header, _) in zip(handles, files):
-                fh.write(",".join(header) + "\n")
+                fh.write((",".join(header) + "\n").encode())
             _write_rows(times, handles, bounds[0], bounds[1])
         except BaseException:
             for pid in pids:
@@ -290,7 +291,7 @@ def _fork_writer(times: np.ndarray, handles, lo: int, hi: int) -> int:
 
     The child leaves by ``os._exit``, 0 once the handles are flushed and 1
     on any exception, so it never flushes or closes the parent's files.
-    It formats and writes Python strings only: no BLAS call and no logging.
+    It formats with elementwise numpy and indexing: no BLAS call and no logging.
     """
     with warnings.catch_warnings():
         # Python 3.12+ warns on forking a process that has threads (here
@@ -320,32 +321,127 @@ def _append(out_fd: int, in_fd: int):
         sent += n
 
 
+#: bytes of a cell at most: the longest "%.17g" text (-1.2345678901234567e-308) and ','
+CELL_BYTES = 25
+#: 10^0 .. 10^20, each exact in float64, and their Veltkamp halves
+_POW10 = 10.0 ** np.arange(21)
+_POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+#: per 0..9999, its trailing zeros (4 for 0) and its four ASCII digits as one uint32;
+#: word 10000 + p ends a source row: '-', '0', NUL or (p = 1) '.', NUL
+_QUAD = np.indices((10,) * 4, np.uint8).reshape(4, 10000).T
+_ZEROS4 = np.cumprod(_QUAD[:, ::-1] == 0, axis=1, dtype=np.uint8).sum(axis=1, dtype=np.uint8)
+_WORDS = np.append(np.ascontiguousarray(_QUAD + ord("0")).view(np.uint32),
+                   np.frombuffer(b"-0\0\0-0.\0", np.uint32))
+#: per c in 0..17, the mask of a source row's five digit words that clears digits c..16
+_KEEP = ((np.arange(20) < np.arange(3, 21)[:, None]) * np.uint8(255)).view(np.uint32).T.copy()
+
+
+def _layout() -> np.ndarray:
+    """Per (sign, X + 4), the source-row byte that each byte of a fixed-notation cell copies."""
+    neg, x, j = np.ogrid[:2, -4:17, :CELL_BYTES]
+    t = j - neg
+    digit = t - np.where(t > x, np.where(x >= 0, 1, 1 - x), 0)
+    return np.select([t < 0, t == np.where(x >= 0, x + 1, 1), t < np.where(x < 0, 1 - x, 0),
+                      digit < 17], [20, 22, 21, 3 + digit], 23).reshape(42, CELL_BYTES)
+
+
+_LAYOUT = _layout()
+
+
+def _decimal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(fast, d, x): |v[fast]| is d * 10^(x - 16) to 17 digits, rounded half to even.
+
+    fast indexes v = +-0 (d = x = 0) and the cells that "%.17g" writes in
+    fixed notation (d in [10^16, 10^17), x in -4..16).  Dekker's TwoProduct
+    gives |v| * 10^(16 - x) exactly as hi + lo; hi >= 2^53 is an even
+    integer, so rint(lo) rounds the sum as it should.
+    """
+    a = np.abs(v)
+    fast = np.flatnonzero(((a >= 1e-4) & (a < 1e17)) | (a == 0))
+    zero = a[fast] == 0
+    a = np.where(zero, 1.0, a[fast])
+    x = np.clip(np.floor(np.log10(a)).astype(np.intp), -4, 16)
+    a_hi = a * 134217729.0 - (a * 134217729.0 - a)
+    for _ in range(2):   # log10 can be one off next to a power of ten
+        q = 16 - x
+        hi = a * _POW10[q]
+        lo = ((a_hi * _POW10_HI[q] - hi) + a_hi * _POW10_LO[q] + (a - a_hi) * _POW10_HI[q]
+              + (a - a_hi) * _POW10_LO[q])
+        d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+        step = (d >= 10 ** 17).astype(np.intp) - (d < 10 ** 16)
+        if not step.any():
+            break
+        x = np.clip(x + step, -4, 16)
+    d[zero], x[zero] = 0, 0
+    ok = (step == 0) | zero
+    return fast[ok], d[ok], x[ok]
+
+
+def _format_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cells, widths, at): row at[i] of cells, less its NULs, is `format(v[i], ".17g")` and ','.
+
+    The ',' is byte widths[r].  ``_decimal``'s cells are laid out from their
+    digits, one gather per sign and exponent; "%24.17g" formats the others
+    (NaN, +-inf, |v| < 1e-4 or >= 1e17), right-aligned after NULs.
+    """
+    fast, d, x = _decimal(v)
+    slow = np.delete(np.arange(len(v)), fast)
+    neg = np.signbit(v[fast])
+    cls = (neg * 21 + x + 4).astype(np.uint8)
+    order = np.argsort(cls, kind="stable")   # fast rows by sign and exponent, then the others
+    at = np.empty(len(v), np.intp)
+    at[np.concatenate([fast[order], slow])] = np.arange(len(v))
+    d, x, neg, cls = d[order], x[order], neg[order], cls[order]
+    q = [d // 10 ** e for e in (16, 12, 8, 4, 0)]   # the leading digit, then four groups of four
+    groups = np.stack([q[0], *(b - a * 10 ** 4 for a, b in zip(q, q[1:]))])
+    z = np.take(_ZEROS4, groups[:0:-1], mode="clip")
+    kept = 17 - z[0] - (z[0] == 4) * (z[1] + (z[1] == 4) * (z[2] + (z[2] == 4) * z[3]))
+    point = (x < 0) | (kept > x + 1)
+    words = np.take(_WORDS, np.vstack([groups, 10000 + point]), mode="clip")
+    words[:5] &= np.take(_KEEP, np.maximum(kept, x + 1), axis=1, mode="clip")
+    rows = np.ascontiguousarray(words.T).view(np.uint8)
+    widths = np.append(neg + np.where(point, kept + 1 + np.maximum(-x, 0), x + 1),
+                       np.full(slow.size, CELL_BYTES - 1))
+    cells = np.empty((len(v), widths.max() + 1), np.uint8)   # the widest text and ','
+    bounds = np.searchsorted(cls, np.arange(43))
+    for c in np.flatnonzero(np.diff(bounds)):
+        lo, hi = bounds[c], bounds[c + 1]
+        np.take(rows[lo:hi], _LAYOUT[c, :cells.shape[1]], axis=1, out=cells[lo:hi], mode="clip")
+    cells[np.arange(len(fast)), widths[:len(fast)]] = ord(",")
+    if slow.size:   # right-aligned in CELL_BYTES - 1 bytes, after NULs
+        text = ("%24.17g," * slow.size % tuple(v[slow].tolist())).encode()
+        text = np.frombuffer(text, np.uint8).reshape(slow.size, CELL_BYTES)
+        np.multiply(text, text != ord(" "), out=cells[len(fast):])
+    return cells, widths, at
+
+
 def _write_rows(times: np.ndarray, handles, lo: int, hi: int):
     """Write rows [lo, hi) of each (handle, blocks) in handles, CSV_CHUNK_ROWS at a time.
 
     In a chunk, every distinct column of every file (t included) is
-    formatted once, keyed by its float64 bytes, with one "%.17g" template
-    over the whole column.  Columns that are bit copies (an output equal to
-    a state, the t column of each file) share that text; columns equal in
-    value only (0.0 and -0.0, NaNs) do not.  So each cell is
-    `format(v, ".17g")`, whichever columns repeat, and the bytes are those
-    of a row-by-row writer.
+    formatted once, keyed by its float64 bytes, by ``_format_cells``: exact
+    numpy digits for 1e-4 <= |v| < 1e17 and +-0, "%.17g" for the rest.
+    Each file's rows gather their cells and are written less the NULs.
+    Columns that are bit copies (an output equal to a state, the t column
+    of each file) share their text; columns equal in value only (0.0 and
+    -0.0, NaNs) do not.  So each cell is `format(v, ".17g")`, and the bytes
+    are those of a row-by-row writer.  The handles take bytes.
     """
     for a in range(lo, hi, CSV_CHUNK_ROWS):
         rows = slice(a, min(a + CSV_CHUNK_ROWS, hi))
-        template = "%.17g\n" * len(times[rows])
-        cells = {}
+        k = len(times[rows])
+        columns, picks = {}, []
         for fh, blocks in handles:
-            columns = [times[rows]]
-            for block in blocks:
-                columns.extend(np.ascontiguousarray(block[rows].T, dtype=float))
-            texts = []
-            for col in columns:
-                key = col.tobytes()
-                if key not in cells:
-                    cells[key] = (template % tuple(col.tolist()))[:-1].split("\n")
-                texts.append(cells[key])
-            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
+            cols = [times[rows], *(c for b in blocks
+                                   for c in np.ascontiguousarray(b[rows].T, dtype=float))]
+            picks.append([columns.setdefault(col.tobytes(), (len(columns), col))[0] for col in cols])
+        cells, widths, at = _format_cells(np.concatenate([col for _, col in columns.values()]))
+        for (fh, _), pick in zip(handles, picks):
+            pick = at[np.add.outer(np.arange(k), np.multiply(pick, k))]
+            text = np.take(cells, pick, axis=0, mode="clip")
+            text[np.arange(k), -1, widths[pick[:, -1]]] = ord("\n")
+            fh.write(text[text != 0])
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -378,7 +474,7 @@ def cmd_analyze(args) -> int:
     sensors = _parse_sensors(args.sensors, g.n_nodes)
     if sensors is None:
         raise ConfigError("sensors: analyze needs an explicit sensor list")
-    table = lookup_table(g, sensors, rel.r, rel.z)
+    table = _table_of(rel, sensors)
     with _artefacts("out", args.out) as (out,):
         _write_json(out, {
             "R": rel.entries.tolist(),
@@ -425,7 +521,7 @@ def _resolve_x0(spec, sys_net, seed):
         rng = np.random.default_rng(seed)
         return rng.normal(0.0, 1.0, sys_net.n_states)
     try:
-        x0 = np.array([float(tok) for tok in spec.split(",") if tok.strip()])
+        x0 = np.array([float(tok) for tok in spec.split(",")])
     except ValueError:
         raise ConfigError(f"x0: expected comma-separated reals, got {spec!r}")
     if x0.size != sys_net.n_states:
@@ -458,7 +554,7 @@ def cmd_run(args) -> int:
     x0 = _resolve_x0(args.x0, sys_net, args.seed)
     sweeping = args.sweep_failures == "all-edges"
     schedule = _parse_fail(args.fail, g, sweeping)
-    table = lookup_table(g, sensors, rel.r, rel.z)
+    table = _table_of(rel, sensors)
     cfg = DetectorConfig(z=rel.z, mode=args.mode)
     if sweeping:
         # every edge fails in turn; a --fail gives only the time

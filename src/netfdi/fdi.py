@@ -111,7 +111,11 @@ def relation_matrix(g: Digraph, r: int, z: int | None = None) -> RelationMatrix:
 def lookup_table(g: Digraph, sensors, r: int, z: int | None = None) -> LookupTable:
     """Sensor-restricted transpose of the relation matrix (rows in sensor order)."""
     sensors = _validated_sensors(sensors, g.n_nodes, nonempty=True)
-    rel = relation_matrix(g, r, z)
+    return _table_of(relation_matrix(g, r, z), sensors)
+
+
+def _table_of(rel: RelationMatrix, sensors: tuple[int, ...]) -> LookupTable:
+    """``lookup_table`` from an R in hand, for sensors that ``_validated_sensors`` gave."""
     table = rel.entries[:, [p - 1 for p in sensors]].T.copy()
     return LookupTable(table=table, sensors=sensors, edge_labels=rel.edge_labels,
                        r=rel.r, z=rel.z)

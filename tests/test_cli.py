@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import netfdi
 import netfdi.cli as cli
 import netfdi.dynamics
+import netfdi.fdi
 from netfdi.cli import _derivatives_table, _json_text, _trace_table, _write_csv, main
 from netfdi.dynamics import (FailureEvent, NetworkSystem, SubsystemModel, simulate,
                              simulate_edge_failures)
@@ -1108,8 +1109,17 @@ def test_help_shows_usage_only(capsys):
     ("run {graph} {model} --sensors 2 --x0 1,2", "x0: expected 4 entries, got 2"),
     ("run --sensors 2", "graph/model: required (positionally or via --config)"),
     ("run {graph} {model} --sensors 2 --z 0", "z: order budget z must be >= 1, got 0"),
+    # a blank x0 entry is refused, not dropped: dropping it would shift every
+    # later value onto the next state
+    ("run {graph} {model} --sensors 2 --z 2 --horizon 0.01 --x0 1,,2,3,4",
+     "x0: expected comma-separated reals, got '1,,2,3,4'"),
+    ("run {graph} {model} --sensors 2 --z 2 --horizon 0.01 --x0 1,2,3,4,",
+     "x0: expected comma-separated reals, got '1,2,3,4,'"),
+    ("simulate {graph} {model} --t-end 0.01 --dt 0.001 --x0 ,1,2,3,4 -o {out}/s.csv",
+     "x0: expected comma-separated reals, got ',1,2,3,4'"),
 ], ids=["run-sensors", "run-fail", "run-z", "analyze-r", "place-r", "analyze-sensors",
-        "place-exact", "run-x0-text", "run-x0-size", "run-graph", "run-z-zero"])
+        "place-exact", "run-x0-text", "run-x0-size", "run-graph", "run-z-zero",
+        "run-x0-blank", "run-x0-trailing", "simulate-x0-leading"])
 def test_config_errors_name_their_field(tmp_path, capsys, argv, message):
     graph, model = write_cycle_inputs(tmp_path, n=4)
     model2 = tmp_path / "model2.json"
@@ -1123,6 +1133,28 @@ def test_config_errors_name_their_field(tmp_path, capsys, argv, message):
     assert main([*argv, "--out-dir", str(out)] if argv[0] == "run" else argv) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_one_relation_matrix_per_call(tmp_path, monkeypatch):
+    # analyze and run build R once and read D from it; a sweep too
+    graph, model = map(str, write_cycle_inputs(tmp_path))
+    calls = []
+    build = netfdi.fdi.relation_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(netfdi.fdi, "relation_matrix", counted)
+    monkeypatch.setattr(cli, "relation_matrix", counted)
+    run = ["run", graph, model, "--sensors", "2,3", "--z", "4", "--dt", "0.01",
+           "--horizon", "2", "--fail", "2@1", "--x0", "1,2,3,4,5"]
+    for argv in (["analyze", graph, "--sensors", "2,3", "--out", str(tmp_path / "t.json")],
+                 run + ["--out-dir", str(tmp_path / "run")],
+                 run + ["--sweep-failures", "all-edges", "--out-dir", str(tmp_path / "sweep")]):
+        calls.clear()
+        assert main(argv) in (0, 2), argv
+        assert len(calls) == 1, argv
 
 
 def test_reproduce_cycle5(tmp_path):

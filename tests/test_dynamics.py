@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import re
@@ -583,6 +584,71 @@ def test_csv_bytes_equal_per_cell_loop_across_writers(tmp_path, monkeypatch, cpu
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode(), (path.name, cpus)
     n_chunks = -(-n_samples // CSV_CHUNK_ROWS)
     assert len(forks) == min(cpus, n_chunks) - 1
+
+
+def _cell_corpus() -> np.ndarray:
+    """About 1.02 M seeded float64 values over every path of ``cli._format_cells``."""
+    rng = np.random.default_rng(23)
+    n = 100_000
+    signs = rng.choice([-1.0, 1.0], 2 * n)
+    powers = 10.0 ** np.arange(-330, 309)
+    # j / 2^m with j odd and j * 5^m of 18 digits: exact ties at the 17th digit
+    ties = [(rng.integers(-(-10 ** 17 // 5 ** m), min(2 ** 53, 10 ** 18 // 5 ** m), 5000) | 1)
+            * 2.0 ** -m for m in range(2, 26)]
+    return np.concatenate([
+        rng.normal(size=3 * n),
+        10.0 ** rng.uniform(-320, 308, n) * signs[:n],
+        rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(np.float64),
+        # integers up to 2^63 with log-uniform magnitudes
+        (rng.integers(0, 2 ** 63, 2 * n) >> rng.integers(0, 63, 2 * n)).astype(float) * signs,
+        1e-3 * np.arange(2 * n),
+        np.concatenate(ties) * signs[:120_000],
+        *(np.nextafter(powers, to) for to in (-np.inf, np.inf)), powers, -powers,
+        # just below 1e17 and 1e-4, and the decimal powers that print as 1e<k>
+        # though their double lies below 10^k
+        1e17 - 16.0 * np.arange(1, 400), np.nextafter(1e-4, 0) - 1e-20 * np.arange(400),
+        [1e-305, 1e-243, 1e-176, 1e-79, 1e-14, 1e98, 1e220],
+        [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
+         np.finfo(float).max, np.finfo(float).tiny, 2.0 ** 63, 2.0 ** 53 + 2],
+        np.array([0x7FF0000000000001, 0xFFF8000000000123, 0x7FF4000000000000], np.uint64)
+        .view(np.float64),
+    ])
+
+
+def test_format_cells_equal_per_cell_format():
+    # the kernel against format(v, ".17g") one cell at a time, in chunks of a
+    # writer's size
+    values = _cell_corpus()
+    assert len(values) >= 1_000_000
+    expected = (",".join(map(format, values.tolist(), itertools.repeat(".17g"))) + ",").encode()
+    parts = []
+    for a in range(0, len(values), 16384):
+        cells, widths, at = netfdi.cli._format_cells(values[a:a + 16384])
+        cells = cells[at]
+        assert np.array_equal(cells[np.arange(len(at)), widths[at]], np.full(len(at), ord(",")))
+        parts.append(cells[cells != 0].tobytes())
+    got = b"".join(parts)
+    if got != expected:
+        first = next(i for i, (g, e) in enumerate(zip(got.split(b","), expected.split(b",")))
+                     if g != e)
+        pytest.fail(f"{values[first]!r}: {got.split(b',')[first]} != "
+                    f"{expected.split(b',')[first]}")
+
+
+def test_csv_chunk_of_every_fallback_class_equals_per_cell_loop(tmp_path):
+    # one chunk mixing fast cells with each kind that "%.17g" formats itself
+    fallbacks = [np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072009e-308,
+                 9.9999999999999991e-05, -1e-5, 1e17, -1.7976931348623157e308, 2.0 ** 63]
+    rng = np.random.default_rng(29)
+    states = rng.normal(size=(len(fallbacks), 4))
+    states[:, 1] = fallbacks
+    states[::2, 2] = [-0.0, 0.0, 1e16 - 2, 1e-4, 123456789.0, -99999999999999984.0]
+    times = 1e-3 * np.arange(len(fallbacks))
+    path = tmp_path / "trace.csv"
+    _write_csv(times, [(path, ["t", "a", "b", "c", "d"], (states,))])
+    lines = ["t,a,b,c,d"] + [",".join(format(v, ".17g") for v in [t, *row])
+                             for t, row in zip(times, states)]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 # -- one-sided derivatives and jumps -------------------------------------------------
