@@ -16,9 +16,8 @@ randomness flows from the --seed flag; reports are deterministic given
 (config, seed).  Every command writes each file under a temporary name
 beside it and renames them all once the last is written, in order
 (report.json last): a failed call leaves no artefact, or the earlier whole
-one.  Every CSV cell is a float at 17 significant digits, `format(v,
-".17g")`: numpy computes the digits exactly for 1e-4 <= |v| < 1e17 and 0,
-and "%.17g" itself writes the rest.
+one.  Every CSV cell is `format(v, ".17g")`, 17 significant digits, computed
+exactly in numpy for 0 and 1e-4 <= |v| < 1e17 and by "%.17g" elsewhere.
 """
 
 from __future__ import annotations
@@ -393,12 +392,13 @@ def _format_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     at = np.empty(len(v), np.intp)
     at[np.concatenate([fast[order], slow])] = np.arange(len(v))
     d, x, neg, cls = d[order], x[order], neg[order], cls[order]
-    q = [d // 10 ** e for e in (16, 12, 8, 4, 0)]   # the leading digit, then four groups of four
-    groups = np.stack([q[0], *(b - a * 10 ** 4 for a, b in zip(q, q[1:]))])
-    z = np.take(_ZEROS4, groups[:0:-1], mode="clip")
+    groups = np.stack([d // 10 ** e for e in (16, 12, 8, 4, 0, 0)])   # row 5 is set below
+    groups[1:5] -= groups[:4] * 10 ** 4   # the leading digit, then four groups of four
+    z = np.take(_ZEROS4, groups[4:0:-1], mode="clip")
     kept = 17 - z[0] - (z[0] == 4) * (z[1] + (z[1] == 4) * (z[2] + (z[2] == 4) * z[3]))
     point = (x < 0) | (kept > x + 1)
-    words = np.take(_WORDS, np.vstack([groups, 10000 + point]), mode="clip")
+    groups[5] = 10000 + point
+    words = np.take(_WORDS, groups, mode="clip")
     words[:5] &= np.take(_KEEP, np.maximum(kept, x + 1), axis=1, mode="clip")
     rows = np.ascontiguousarray(words.T).view(np.uint8)
     widths = np.append(neg + np.where(point, kept + 1 + np.maximum(-x, 0), x + 1),
