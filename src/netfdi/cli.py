@@ -322,30 +322,30 @@ def _append(out_fd: int, in_fd: int):
 
 #: bytes of a cell at most: the longest "%.17g" text (-1.2345678901234567e-308) and ','
 CELL_BYTES = 25
-#: 10^0 .. 10^20, each exact in float64, and their Veltkamp halves
-_POW10 = 10.0 ** np.arange(21)
-_POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
-_POW10_LO = _POW10 - _POW10_HI
-#: per 0..9999, its trailing zeros (4 for 0) and its four ASCII digits as one uint32;
-#: word 10000 + p ends a source row: '-', '0', NUL or (p = 1) '.', NUL
-_QUAD = np.indices((10,) * 4, np.uint8).reshape(4, 10000).T
-_ZEROS4 = np.cumprod(_QUAD[:, ::-1] == 0, axis=1, dtype=np.uint8).sum(axis=1, dtype=np.uint8)
-_WORDS = np.append(np.ascontiguousarray(_QUAD + ord("0")).view(np.uint32),
-                   np.frombuffer(b"-0\0\0-0.\0", np.uint32))
-#: per c in 0..17, the mask of a source row's five digit words that clears digits c..16
-_KEEP = ((np.arange(20) < np.arange(3, 21)[:, None]) * np.uint8(255)).view(np.uint32).T.copy()
 
 
-def _layout() -> np.ndarray:
-    """Per (sign, X + 4), the source-row byte that each byte of a fixed-notation cell copies."""
+@functools.cache
+def _tables() -> tuple[np.ndarray, ...]:
+    """The cell kernel's tables, built by the first CSV write of a process, not on import.
+
+    10^0..10^20 (exact) and their Veltkamp halves; the trailing zeros of each
+    of 0..9999; a source row's words (its ASCII digits as one uint32, then
+    10000 + p: '-', '0', NUL or (p = 1) '.', NUL); per c, the mask that clears
+    digits c..16; per (sign, X + 4), the source byte of each byte of a cell.
+    """
+    pow10 = 10.0 ** np.arange(21)
+    pow10_hi = pow10 * 134217729.0 - (pow10 * 134217729.0 - pow10)
+    quad = np.indices((10,) * 4, np.uint8).reshape(4, 10000).T
+    zeros4 = np.cumprod(quad[:, ::-1] == 0, axis=1, dtype=np.uint8).sum(axis=1, dtype=np.uint8)
+    words = np.append(np.ascontiguousarray(quad + ord("0")).view(np.uint32),
+                      np.frombuffer(b"-0\0\0-0.\0", np.uint32))
+    keep = ((np.arange(20) < np.arange(3, 21)[:, None]) * np.uint8(255)).view(np.uint32).T.copy()
     neg, x, j = np.ogrid[:2, -4:17, :CELL_BYTES]
     t = j - neg
     digit = t - np.where(t > x, np.where(x >= 0, 1, 1 - x), 0)
-    return np.select([t < 0, t == np.where(x >= 0, x + 1, 1), t < np.where(x < 0, 1 - x, 0),
-                      digit < 17], [20, 22, 21, 3 + digit], 23).reshape(42, CELL_BYTES)
-
-
-_LAYOUT = _layout()
+    layout = np.select([t < 0, t == np.where(x >= 0, x + 1, 1), t < np.where(x < 0, 1 - x, 0),
+                        digit < 17], [20, 22, 21, 3 + digit], 23).reshape(42, CELL_BYTES)
+    return pow10, pow10_hi, pow10 - pow10_hi, zeros4, words, keep, layout
 
 
 def _decimal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -356,6 +356,7 @@ def _decimal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     gives |v| * 10^(16 - x) exactly as hi + lo; hi >= 2^53 is an even
     integer, so rint(lo) rounds the sum as it should.
     """
+    pow10, pow10_hi, pow10_lo = _tables()[:3]
     a = np.abs(v)
     fast = np.flatnonzero(((a >= 1e-4) & (a < 1e17)) | (a == 0))
     zero = a[fast] == 0
@@ -364,17 +365,16 @@ def _decimal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a_hi = a * 134217729.0 - (a * 134217729.0 - a)
     for _ in range(2):   # log10 can be one off next to a power of ten
         q = 16 - x
-        hi = a * _POW10[q]
-        lo = ((a_hi * _POW10_HI[q] - hi) + a_hi * _POW10_LO[q] + (a - a_hi) * _POW10_HI[q]
-              + (a - a_hi) * _POW10_LO[q])
+        hi = a * pow10[q]
+        lo = ((a_hi * pow10_hi[q] - hi) + a_hi * pow10_lo[q] + (a - a_hi) * pow10_hi[q]
+              + (a - a_hi) * pow10_lo[q])
         d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
         step = (d >= 10 ** 17).astype(np.intp) - (d < 10 ** 16)
         if not step.any():
             break
         x = np.clip(x + step, -4, 16)
     d[zero], x[zero] = 0, 0
-    ok = (step == 0) | zero
-    return fast[ok], d[ok], x[ok]
+    return fast[step == 0], d[step == 0], x[step == 0]
 
 
 def _format_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -384,6 +384,7 @@ def _format_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     digits, one gather per sign and exponent; "%24.17g" formats the others
     (NaN, +-inf, |v| < 1e-4 or >= 1e17), right-aligned after NULs.
     """
+    zeros4, quads, keep, layout = _tables()[3:]
     fast, d, x = _decimal(v)
     slow = np.delete(np.arange(len(v)), fast)
     neg = np.signbit(v[fast])
@@ -394,12 +395,12 @@ def _format_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     d, x, neg, cls = d[order], x[order], neg[order], cls[order]
     groups = np.stack([d // 10 ** e for e in (16, 12, 8, 4, 0, 0)])   # row 5 is set below
     groups[1:5] -= groups[:4] * 10 ** 4   # the leading digit, then four groups of four
-    z = np.take(_ZEROS4, groups[4:0:-1], mode="clip")
+    z = np.take(zeros4, groups[4:0:-1], mode="clip")   # every index is in range: skip the check
     kept = 17 - z[0] - (z[0] == 4) * (z[1] + (z[1] == 4) * (z[2] + (z[2] == 4) * z[3]))
     point = (x < 0) | (kept > x + 1)
     groups[5] = 10000 + point
-    words = np.take(_WORDS, groups, mode="clip")
-    words[:5] &= np.take(_KEEP, np.maximum(kept, x + 1), axis=1, mode="clip")
+    words = np.take(quads, groups, mode="clip")
+    words[:5] &= np.take(keep, np.maximum(kept, x + 1), axis=1, mode="clip")
     rows = np.ascontiguousarray(words.T).view(np.uint8)
     widths = np.append(neg + np.where(point, kept + 1 + np.maximum(-x, 0), x + 1),
                        np.full(slow.size, CELL_BYTES - 1))
@@ -407,7 +408,7 @@ def _format_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     bounds = np.searchsorted(cls, np.arange(43))
     for c in np.flatnonzero(np.diff(bounds)):
         lo, hi = bounds[c], bounds[c + 1]
-        np.take(rows[lo:hi], _LAYOUT[c, :cells.shape[1]], axis=1, out=cells[lo:hi], mode="clip")
+        np.take(rows[lo:hi], layout[c, :cells.shape[1]], axis=1, out=cells[lo:hi], mode="clip")
     cells[np.arange(len(fast)), widths[:len(fast)]] = ord(",")
     if slow.size:   # right-aligned in CELL_BYTES - 1 bytes, after NULs
         text = ("%24.17g," * slow.size % tuple(v[slow].tolist())).encode()
@@ -429,13 +430,12 @@ def _write_rows(times: np.ndarray, handles, lo: int, hi: int):
     are those of a row-by-row writer.  The handles take bytes.
     """
     for a in range(lo, hi, CSV_CHUNK_ROWS):
-        rows = slice(a, min(a + CSV_CHUNK_ROWS, hi))
-        k = len(times[rows])
+        k = min(CSV_CHUNK_ROWS, hi - a)
         columns, picks = {}, []
         for fh, blocks in handles:
-            cols = [times[rows], *(c for b in blocks
-                                   for c in np.ascontiguousarray(b[rows].T, dtype=float))]
-            picks.append([columns.setdefault(col.tobytes(), (len(columns), col))[0] for col in cols])
+            cols = [times[a:a + k], *(c for b in blocks
+                                      for c in np.ascontiguousarray(b[a:a + k].T, dtype=float))]
+            picks.append([columns.setdefault(c.tobytes(), (len(columns), c))[0] for c in cols])
         cells, widths, at = _format_cells(np.concatenate([col for _, col in columns.values()]))
         for (fh, _), pick in zip(handles, picks):
             pick = at[np.add.outer(np.arange(k), np.multiply(pick, k))]
