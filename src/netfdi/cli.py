@@ -352,29 +352,25 @@ def _decimal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(fast, d, x): |v[fast]| is d * 10^(x - 16) to 17 digits, rounded half to even.
 
     fast indexes v = +-0 (d = x = 0) and the cells that "%.17g" writes in
-    fixed notation (d in [10^16, 10^17), x in -4..16).  Dekker's TwoProduct
-    gives |v| * 10^(16 - x) exactly as hi + lo; hi >= 2^53 is an even
-    integer, so rint(lo) rounds the sum as it should.
+    fixed notation (d in [10^16, 10^17), x in -4..16), less those next to a
+    power of ten for which log10 puts x one off.  Dekker's TwoProduct gives
+    |v| * 10^(16 - x) exactly as hi + lo; hi >= 2^53 is an even integer, so
+    rint(lo) rounds the sum as it should.
     """
     pow10, pow10_hi, pow10_lo = _tables()[:3]
     a = np.abs(v)
     fast = np.flatnonzero(((a >= 1e-4) & (a < 1e17)) | (a == 0))
     zero = a[fast] == 0
     a = np.where(zero, 1.0, a[fast])
-    x = np.clip(np.floor(np.log10(a)).astype(np.intp), -4, 16)
+    q = 16 - np.clip(np.floor(np.log10(a)).astype(np.intp), -4, 16)
+    hi = a * pow10[q]
     a_hi = a * 134217729.0 - (a * 134217729.0 - a)
-    for _ in range(2):   # log10 can be one off next to a power of ten
-        q = 16 - x
-        hi = a * pow10[q]
-        lo = ((a_hi * pow10_hi[q] - hi) + a_hi * pow10_lo[q] + (a - a_hi) * pow10_hi[q]
-              + (a - a_hi) * pow10_lo[q])
-        d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-        step = (d >= 10 ** 17).astype(np.intp) - (d < 10 ** 16)
-        if not step.any():
-            break
-        x = np.clip(x + step, -4, 16)
-    d[zero], x[zero] = 0, 0
-    return fast[step == 0], d[step == 0], x[step == 0]
+    lo = ((a_hi * pow10_hi[q] - hi) + a_hi * pow10_lo[q] + (a - a_hi) * pow10_hi[q]
+          + (a - a_hi) * pow10_lo[q])
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    ok = (d >= 10 ** 16) & (d < 10 ** 17)   # the digits of the x that "%.17g" takes
+    d[zero] = 0
+    return fast[ok], d[ok], 16 - q[ok]
 
 
 def _format_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
