@@ -378,7 +378,8 @@ def _format_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The ',' is byte widths[r].  ``_decimal``'s cells are laid out from their
     digits, one gather per sign and exponent; "%24.17g" formats the others
-    (NaN, +-inf, |v| < 1e-4 or >= 1e17), right-aligned after NULs.
+    (NaN, +-inf, |v| < 1e-4 or >= 1e17, a few next to a power of ten),
+    right-aligned after NULs.
     """
     zeros4, quads, keep, layout = _tables()[3:]
     fast, d, x = _decimal(v)
@@ -418,7 +419,7 @@ def _write_rows(times: np.ndarray, handles, lo: int, hi: int):
 
     In a chunk, every distinct column of every file (t included) is
     formatted once, keyed by its float64 bytes, by ``_format_cells``: exact
-    numpy digits for 1e-4 <= |v| < 1e17 and +-0, "%.17g" for the rest.
+    numpy digits where 1e-4 <= |v| < 1e17 or v = +-0, else "%.17g".
     Each file's rows gather their cells and are written less the NULs.
     Columns that are bit copies (an output equal to a state, the t column
     of each file) share their text; columns equal in value only (0.0 and
