@@ -39,26 +39,31 @@ def _label_index(edge_labels: tuple[int, ...], label: int) -> int:
 
 @dataclass(frozen=True)
 class RelationMatrix:
-    """|E| x N table of first-jump orders; 0 means no jump within budget z.
+    """|E| x N first-jump orders R, held as the N x N table H keyed by head.
 
-    Row q belongs to the edge with label edge_labels[q]; entry (q, p-1) is
-    r*(dist(head_q, p)+1) when that is finite and <= z, else 0.  The 0
-    entry deliberately conflates "unreachable" with "order beyond z": both
-    mean the sensor never sees the failure within budget.
+    by_head[i-1, p-1] is r*(dist(i, p)+1) if finite and <= z, else 0; heads[q]
+    is the 0-based head of edge edge_labels[q], so by_head[heads[q]] is its row
+    of R (``entries`` builds all of R).  The 0 entry conflates "unreachable"
+    with "order beyond z": both mean the sensor never sees the failure.
     """
 
-    entries: np.ndarray
+    by_head: np.ndarray
+    heads: np.ndarray
     edge_labels: tuple[int, ...]
     r: int
     z: int
 
     @property
+    def entries(self) -> np.ndarray:
+        return self.by_head[self.heads]
+
+    @property
     def n_edges(self) -> int:
-        return self.entries.shape[0]
+        return len(self.heads)
 
     @property
     def n_nodes(self) -> int:
-        return self.entries.shape[1]
+        return self.by_head.shape[0]
 
     def row_index(self, label: int) -> int:
         return _label_index(self.edge_labels, label)
@@ -85,11 +90,10 @@ def relation_matrix(g: Digraph, r: int, z: int | None = None) -> RelationMatrix:
     r*(finite_diameter+1); pass a smaller budget to model a sensor that
     only exposes few derivatives.
 
-    A row of R depends on its edge's head only, so R is the N x N table of
-    orders r*(hops+1) keyed by head, [i-1, p-1], read at the heads.  Entries
-    are 0 where p is unreachable from i (hops -1 gives r*0) or the order
-    exceeds z.  The table is int64: an r and z that keep an order past its
-    range are a ValueError, not a table wrapped around.
+    R keeps the N x N head table of orders r*(hops+1), not |E| x N rows.
+    Entries are 0 where p is unreachable from i (hops -1 gives r*0) or the
+    order exceeds z.  The table is int64: an r and z that keep an order
+    past its range are a ValueError, not a table wrapped around.
     """
     r = _check_int(r, "relative degree", 1)
     z = default_order_budget(g, r) if z is None else _check_int(z, "order budget z", 1)
@@ -104,8 +108,8 @@ def relation_matrix(g: Digraph, r: int, z: int | None = None) -> RelationMatrix:
                          f"and order budget z={_shown(z)} do not fit an int64 table")
     hops = dist._hops
     orders = np.where(hops < cut, hops + 1, 0) * r
-    entries = orders[[e.head - 1 for _, e in g.edges()]]
-    return RelationMatrix(entries=entries, edge_labels=g.edge_labels, r=r, z=z)
+    heads = np.array([e.head - 1 for _, e in g.edges()], dtype=np.intp)
+    return RelationMatrix(by_head=orders, heads=heads, edge_labels=g.edge_labels, r=r, z=z)
 
 
 def lookup_table(g: Digraph, sensors, r: int, z: int | None = None) -> LookupTable:
@@ -116,7 +120,7 @@ def lookup_table(g: Digraph, sensors, r: int, z: int | None = None) -> LookupTab
 
 def _table_of(rel: RelationMatrix, sensors: tuple[int, ...]) -> LookupTable:
     """``lookup_table`` from an R in hand, for sensors that ``_validated_sensors`` gave."""
-    table = rel.entries[:, [p - 1 for p in sensors]].T.copy()
+    table = rel.by_head[:, [p - 1 for p in sensors]][rel.heads].T.copy()
     return LookupTable(table=table, sensors=sensors, edge_labels=rel.edge_labels,
                        r=rel.r, z=rel.z)
 

@@ -17,9 +17,12 @@ complementary, resolving an edge together that neither resolves alone.
 orders, so C(|E|, 2) - P is a coverage function over edge pairs) and has the
 same zero set as f_I.
 
-Isolation needs no greedy of its own.  R = H[heads], so edges with one head
-share a row, and isolation is feasible (f_I(V) = 0) exactly when every node
-has in-degree <= 1.  Then every detection set already isolates (proof in
+Every count reads R's head table H, whose row H[i-1] is the row of each
+edge with head i: a count of edges is a count of rows weighted by in-degree.
+Rows of two heads differ in the column of each (the only one holding r), so
+f_I(V) counts the edges whose head has in-degree >= 2, and isolation is
+feasible (f_I(V) = 0) exactly when every in-degree is <= 1.  Isolation then
+needs no greedy of its own: every detection set already isolates (proof in
 brute_force_min_isolation), so the greedy detection set is the isolation
 set, the detection optimum is the isolation optimum, and the set-cover
 guarantee of the detection greedy is the isolation guarantee:
@@ -28,12 +31,6 @@ greedy_isolation from a seed that is not a detection set is not covered by
 it, but it runs the same cover greedy: when f_I(V) = 0 a sensor tells apart
 every pair of edges it sees and the unseen edges share the zero row, so
 f_I = f_D * [f_D >= 2].
-
-The same structure decides feasibility without a deficit call.  In the row
-of an edge the entry r sits only in its head's column (every other column
-holds >= 2r or 0), so two rows agree exactly when their heads do, and f_I(V)
-is the number of edges whose head has in-degree >= 2 (_shared_head_edges).
-The isolation routines and the report all take f_I(V) from that count.
 
 Exhaustive solvers provide the optima at desk scale; their depth-first
 search drops every prefix that cannot complete a cover.
@@ -54,24 +51,30 @@ from .graph import _check_int, _validated_sensors
 MAX_EXACT_NODES = 20
 
 
+def _in_degrees(R: RelationMatrix) -> np.ndarray:
+    """Per node, the number of edges whose head it is: the weight of its row of H."""
+    return np.bincount(R.heads, minlength=R.n_nodes)
+
+
 def coverage_deficit(R: RelationMatrix, sensors) -> int:
     """f_D: how many edges no chosen sensor would ever notice failing."""
     members = _validated_sensors(sensors, R.n_nodes)
-    sub = R.entries[:, [p - 1 for p in members]]
-    return int((sub == 0).all(axis=1).sum())
+    sub = R.by_head[:, [p - 1 for p in members]]
+    return int(_in_degrees(R)[(sub == 0).all(axis=1)].sum())
 
 
 def indicator_set(R: RelationMatrix, sensors, edge: int) -> frozenset:
     """All (jump order, sensor) pairs the failure of `edge` produces over M."""
     members = _validated_sensors(sensors, R.n_nodes)
-    row = R.row_index(edge)
-    return frozenset((int(R.entries[row, p - 1]), p) for p in members)
+    head = R.heads[R.row_index(edge)]
+    return frozenset((int(R.by_head[head, p - 1]), p) for p in members)
 
 
 def _row_keys(R: RelationMatrix, members: tuple[int, ...]) -> list[bytes]:
-    """Per edge row, a hashable key for its entries over the chosen sensors."""
-    sub = np.ascontiguousarray(R.entries[:, [p - 1 for p in members]])
-    return [row.tobytes() for row in sub]
+    """Per edge, a hashable key for its row of R over the chosen sensors: its head's."""
+    sub = np.ascontiguousarray(R.by_head[:, [p - 1 for p in members]])
+    keys = [row.tobytes() for row in sub]
+    return [keys[head] for head in R.heads.tolist()]
 
 
 def unidentified_edges(R: RelationMatrix, sensors) -> set[int]:
@@ -100,8 +103,8 @@ def unresolved_pairs(R: RelationMatrix, sensors) -> int:
 
 def _shared_head_edges(R: RelationMatrix) -> int:
     """f_I(V): the number of edges whose head has in-degree >= 2."""
-    heads = (R.entries == R.r).argmax(axis=1)    # the one column holding r
-    return int((np.bincount(heads, minlength=R.n_nodes)[heads] >= 2).sum())
+    degrees = _in_degrees(R)
+    return int(degrees[degrees >= 2].sum())
 
 
 def _cover_greedy(R: RelationMatrix, picks, enough: int) -> tuple[int, ...]:
@@ -109,17 +112,19 @@ def _cover_greedy(R: RelationMatrix, picks, enough: int) -> tuple[int, ...]:
 
     Each round adds the node leaving the fewest edges unseen (a count below
     `enough` reads as 0), ties to the lowest id.  The caller validates
-    `picks`; every edge is seen by its head, so the loop always ends.
+    `picks`.  A ValueError once no node reduces the unseen count.
     """
-    seen = R.entries != 0
-    unseen = ~seen[:, [p - 1 for p in picks]].any(axis=1)
+    seen = R.by_head != 0
+    unseen = _in_degrees(R) * ~seen[:, [p - 1 for p in picks]].any(axis=1)
     picks = list(picks)
-    while unseen.sum() >= enough:
-        left = unseen.sum() - seen[unseen].sum(axis=0)
+    while (total := unseen.sum()) >= enough:
+        left = total - unseen @ seen
         left[left < enough] = 0
         left[[p - 1 for p in picks]] = R.n_edges + 1
         q = int(left.argmin())
-        unseen &= ~seen[:, q]
+        if left[q] >= total:
+            raise ValueError("no detection set exists (some edge has an all-zero row)")
+        unseen[seen[:, q]] = 0
         picks.append(q + 1)
     return tuple(picks)
 
@@ -128,8 +133,8 @@ def greedy_detection(R: RelationMatrix) -> tuple[int, ...]:
     """Greedy minimum-coverage sensor set: grow until f_D = 0.
 
     Each step adds the node with the most negative marginal f_D change,
-    breaking ties toward the lowest node index.  Termination is guaranteed
-    because every edge's head node relates to it at order r <= z.
+    breaking ties toward the lowest node index.  Every edge's head sees it at
+    order r <= z, so this ends; an R with an all-zero row is a ValueError.
     """
     return _cover_greedy(R, (), 1)
 
@@ -255,8 +260,8 @@ class PlacementReport:
     m_i and opt_i are None when isolation is impossible (f_I(V) != 0), and
     otherwise equal m_d and opt_d, since every detection set isolates.
     d_max is the largest column sum of the binary incidence pattern.  The
-    report reads f_I(V) off the edges' heads (_shared_head_edges) and the
-    f_D trace off a running OR over M_D's columns of R != 0.
+    report reads f_I(V) off the in-degrees (_shared_head_edges), and d_max
+    and the f_D trace (a running OR over M_D's columns) off H != 0.
     harmonic_bound = H(d_max) is the set-cover guarantee for m_d (-f_D is
     submodular), and so the isolation guarantee when isolation is feasible:
     |m_i| = |m_d| <= H(d_max) * |opt_i|.
@@ -298,18 +303,19 @@ def approximation_report(R: RelationMatrix, exact: bool = False) -> PlacementRep
     """
     m_d = greedy_detection(R)
     n_edges = R.n_edges
-    seen = R.entries != 0
+    seen = R.by_head != 0
+    degrees = _in_degrees(R)
     f_i_of_v = _shared_head_edges(R)
     m_i = m_d if f_i_of_v == 0 else None
     covered = np.logical_or.accumulate(seen[:, [p - 1 for p in m_d]], axis=1)
-    f_d_trace = (n_edges, *(n_edges - covered.sum(axis=0)).tolist())
+    f_d_trace = (n_edges, *(n_edges - degrees @ covered).tolist())
     f_i_trace = (resolution_deficit(R, m_d),)
 
     opt_d = brute_force_min_detection(R) if exact else None
     opt_i = opt_d if m_i is not None else None
 
     if n_edges:
-        d_max = int(seen.sum(axis=0).max())
+        d_max = int((degrees @ seen).max())
         h_det = harmonic(d_max)
         ratio = math.log(n_edges) + 1.0
     else:

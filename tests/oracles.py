@@ -314,3 +314,44 @@ def exhaustive_reference(entries: np.ndarray, isolation: bool) -> tuple[int, ...
             if not isolation or unresolved_edges(entries, combo) == 0:
                 return combo
     return None
+
+
+def cover_greedy_rows(entries: np.ndarray, picks, enough: int) -> tuple[int, ...] | None:
+    """The cover greedy on the |E| rows of R, one row per edge.
+
+    From `picks`, add the node leaving the fewest edges unseen (a count below
+    `enough` reads as 0, ties to the lowest id) until fewer than `enough`
+    are unseen; None once no node reduces the unseen count.
+    """
+    seen = entries != 0
+    unseen = ~seen[:, [p - 1 for p in picks]].any(axis=1)
+    picks = list(picks)
+    while unseen.sum() >= enough:
+        left = unseen.sum() - seen[unseen].sum(axis=0)
+        left[left < enough] = 0
+        left[[p - 1 for p in picks]] = len(entries) + 1
+        q = int(left.argmin())
+        if left[q] >= unseen.sum():
+            return None
+        unseen &= ~seen[:, q]
+        picks.append(q + 1)
+    return tuple(picks)
+
+
+def placement_report_reference(entries: np.ndarray) -> dict:
+    """The counts of a placement report, from the |E| rows of R.
+
+    M_D from ``cover_greedy_rows``; the f_D trace from a running OR over
+    M_D's columns of R != 0; d_max the largest column sum of R != 0; f_I(V)
+    and the f_I trace from ``unresolved_edges``; M_I = M_D when f_I(V) = 0.
+    Keys as in ``PlacementReport.to_dict``.
+    """
+    n_edges, n = entries.shape
+    m_d = cover_greedy_rows(entries, (), 1)
+    seen = entries != 0
+    covered = np.logical_or.accumulate(seen[:, [p - 1 for p in m_d]], axis=1)
+    f_i_of_v = unresolved_edges(entries, range(1, n + 1))
+    return {"M_D": list(m_d), "M_I": list(m_d) if f_i_of_v == 0 else None,
+            "f_I_of_V": f_i_of_v, "d_max": int(seen.sum(axis=0).max()) if n_edges else 0,
+            "f_D_trace": [n_edges, *(n_edges - covered.sum(axis=0)).tolist()],
+            "f_I_trace": [unresolved_edges(entries, m_d)]}

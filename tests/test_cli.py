@@ -1172,6 +1172,14 @@ def test_reproduce_cycle5(tmp_path):
                  "--out-dir", str(run_dir)]) == 0
     for name in ("report.json", "trace.csv", "derivatives.csv"):
         assert (out_dir / name).read_bytes() == (run_dir / name).read_bytes(), name
+    # R and D and the verdicts hold no BLAS-computed float; trace.csv's bits
+    # may follow the CPU's BLAS kernel, so it is not pinned
+    assert _sha256(out_dir / "report.json") == (
+        "206b8978946c501f1787ea204f6000d965e4474f0573bc3d52863039f69e8e89")
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def test_reproduce_star5(tmp_path):
@@ -1181,6 +1189,9 @@ def test_reproduce_star5(tmp_path):
     assert report["R"] == [[0, 0, 0, 0, 1]] * 4
     assert report["placement"]["f_I_of_V"] == 4
     assert report["placement"]["M_I"] is None
+    assert {name: _sha256(out_dir / name) for name in ("report.json", "graph.json")} == {
+        "report.json": "036ff1b9c651f20348f49159840c5e05b6b71258cffec9cdabdd4e0cf37afa37",
+        "graph.json": "341f42c49ce1e64d6e167c574f4a8d1fd1dd852fa94ba30be889ff6e466058b6"}
 
 
 def test_reproduce_rgg_deterministic(tmp_path):
@@ -1191,13 +1202,15 @@ def test_reproduce_rgg_deterministic(tmp_path):
     assert (first / "report.json").read_bytes() == (second / "report.json").read_bytes()
     # the bytes written before the bitset hop kernel, which rgg50 (50 nodes,
     # 193 edges) now takes
-    digests = {name: hashlib.sha256((first / name).read_bytes()).hexdigest()
-               for name in ("report.json", "graph.json")}
-    assert digests == {
+    assert {name: _sha256(first / name) for name in ("report.json", "graph.json")} == {
         "report.json": "f7cb87e817b9f95f8f3a66e4b21a4bda0e75d1f9855ba2a96f045d570863e91a",
         "graph.json": "514fa9170d43fc2a089c18747748d17a3e613e56dab704137cf547c8731e0ec6"}
     report = json.loads((first / "report.json").read_text())
     assert report["f_D_trace"][-1] == 0
+    tables = tmp_path / "tables.json"
+    assert main(["analyze", str(first / "graph.json"), "--r", "2", "--z", "9",
+                 "--sensors", ",".join(map(str, range(1, 11))), "--out", str(tables)]) == 0
+    assert _sha256(tables) == "9121cd7e9293c97f388bf3dd23a545e31e6f8e5b48d9fce174b9185c495eb24b"
 
 
 def test_console_entry_point(tmp_path):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 
 import netfdi.placement as placement
 from netfdi.fdi import default_order_budget, relation_matrix
-from netfdi.graph import Digraph, Edge, gen_cycle, gen_random_geometric, gen_star
+from netfdi.graph import (Digraph, Edge, distances, gen_cycle, gen_random_geometric,
+                          gen_star)
 from netfdi.placement import (MAX_EXACT_NODES, approximation_report, binary_incidence,
                               brute_force_min_detection, brute_force_min_isolation,
                               coverage_deficit, greedy_detection, greedy_isolation,
@@ -17,8 +19,8 @@ from netfdi.placement import (MAX_EXACT_NODES, approximation_report, binary_inci
 
 from corpusgen import (connected_digraphs_up_to, random_connected_digraph,
                        random_out_tree_leaves_first, random_single_parent_digraph)
-from oracles import (exhaustive_reference, greedy_reference, uncovered_edges,
-                     unresolved_edges)
+from oracles import (cover_greedy_rows, exhaustive_reference, greedy_reference,
+                     placement_report_reference, uncovered_edges, unresolved_edges)
 
 
 def cycle_rel():
@@ -283,15 +285,32 @@ def test_brute_force_size_guard():
         brute_force_min_isolation(rel)
 
 
-def test_brute_force_detection_refuses_an_edge_no_sensor_sees():
+def blind_cycle_rel():
     # relation_matrix never builds one (every head sees its edge); a hand-made R can
     rel = relation_matrix(gen_cycle(4), r=1, z=3)
-    entries = rel.entries.copy()
-    entries[2] = 0
-    blind = dataclasses.replace(rel, entries=entries)
-    message = r"^no detection set exists \(some edge has an all-zero row\)$"
-    with pytest.raises(ValueError, match=message):
-        brute_force_min_detection(blind)
+    by_head = rel.by_head.copy()
+    by_head[rel.heads[2]] = 0
+    blind = dataclasses.replace(rel, by_head=by_head)
+    assert not blind.entries[2].any() and blind.entries[[0, 1, 3]].any(axis=1).all()
+    return blind
+
+
+BLIND_MESSAGE = r"^no detection set exists \(some edge has an all-zero row\)$"
+
+
+def test_brute_force_detection_refuses_an_edge_no_sensor_sees():
+    with pytest.raises(ValueError, match=BLIND_MESSAGE):
+        brute_force_min_detection(blind_cycle_rel())
+
+
+def test_greedy_detection_refuses_an_edge_no_sensor_sees():
+    blind = blind_cycle_rel()
+    for detection in (greedy_detection, approximation_report):
+        with pytest.raises(ValueError, match=BLIND_MESSAGE):
+            detection(blind)
+    # isolation stays feasible: the blind edge is the one edge with a zero row
+    assert greedy_isolation(blind, ()) == greedy_reference(blind.entries, unresolved_edges) \
+        == (2,)
 
 
 # -- incidence, harmonic ------------------------------------------------------------------
@@ -466,6 +485,50 @@ def test_report_counts_match_public_deficits_on_wide_corpus():
         assert report.f_d_trace == tuple(coverage_deficit(rel, report.m_d[:i])
                                          for i in range(len(report.m_d) + 1))
         assert report.d_max == max(binary_incidence(rel).sum(axis=0), default=0)
+
+
+def _head_table_corpus(seed):
+    """Graphs of every shape placement runs on, each with a drawn r and z."""
+    rng = np.random.default_rng(seed)
+    graphs = [gen_random_geometric(50, 1.0, 0.25, 20240517)]    # rgg50
+    for _ in range(12):
+        graphs.append(random_connected_digraph(int(rng.integers(2, 12)), rng))
+        graphs.append(random_single_parent_digraph(int(rng.integers(2, 16)), rng))
+    # the placement benchmark's shapes: RGGs of 60-80 nodes at about 4n edges,
+    # out-trees of 16-20 nodes
+    for n in (20, 35, 60, 70, 80):
+        graphs.append(gen_random_geometric(n, 1.0, math.sqrt(10 / (math.pi * n)),
+                                           int(rng.integers(2**31))))
+    graphs += [random_out_tree_leaves_first(n, rng)[0] for n in (16, 18, 20)]
+    for g in graphs:
+        r = int(rng.integers(1, 3))
+        yield relation_matrix(g, r, int(rng.integers(r, default_order_budget(g, r) + 1)))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_report_on_the_head_table_equals_the_edge_row_reference(seed):
+    for rel in _head_table_corpus(80 + seed):
+        report = approximation_report(rel).to_dict()
+        reference = placement_report_reference(rel.entries)
+        assert {key: report[key] for key in reference} == reference
+        seed_set = tuple(range(1, rel.n_nodes + 1, 3))
+        if reference["M_I"] is not None:
+            assert greedy_isolation(rel, seed_set) == cover_greedy_rows(rel.entries, seed_set, 2)
+
+
+def test_relation_matrix_and_report_at_1000_nodes_stay_within_three_head_tables():
+    # the |E| x N rows of this graph take 123 MB; the head table takes 8 MB
+    n = 1000
+    g = gen_random_geometric(n, 1.0, 2.2 * math.sqrt(math.log(n) / (math.pi * n)), 7)
+    distances(g)    # memoised on the graph, and bounded in test_graph
+    tracemalloc.start()
+    try:
+        report = approximation_report(relation_matrix(g, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * n * 8, peak
+    assert report.f_d_trace == (g.n_edges, 0) and report.d_max == g.n_edges == 15381
 
 
 def test_approximation_report_deficit_calls_do_not_grow_with_nodes(monkeypatch):
